@@ -125,11 +125,7 @@ def weyl_units(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("weyl_units needs n >= 1")
-    E = np.zeros((n * n, n, n), dtype=np.complex128)
-    for i in range(n):
-        for k in range(n):
-            E[i * n + k, i, k] = 1.0
-    return E
+    return np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
 
 
 def pair_size(G: FiniteGroupoid) -> int | None:
@@ -202,7 +198,11 @@ def d_realization(G: FiniteGroupoid, gamma: int) -> np.ndarray:
 
 
 def d_realization_stack(G: FiniteGroupoid) -> np.ndarray:
-    return np.stack([d_realization(G, g) for g in range(G.order)])
+    """All D(gamma) at once: D[j, i, k] = 1 for each composable triple j o k = i."""
+    j, k, i = G.composable_triples().T
+    D = np.zeros((G.order,) * 3)
+    D[j, i, k] = 1.0
+    return D
 
 
 @dataclass(frozen=True)
@@ -256,10 +256,9 @@ def normalization_constant(G: FiniteGroupoid) -> NormalizationInfo:
 def quantize_D(f: GroupoidFunction) -> np.ndarray:
     """A_f = sum f(g) D(g): groupoid functions to operators on the algebra."""
     G = f.groupoid
+    j, k, i = G.composable_triples().T
     A = np.zeros((G.order, G.order), dtype=np.complex128)
-    for g in range(G.order):
-        if f.values[g] != 0:
-            A += f.values[g] * d_realization(G, g)
+    np.add.at(A, (i, k), f.values[j])
     return A
 
 
@@ -269,10 +268,10 @@ def dequantize_D(G: FiniteGroupoid, A: np.ndarray) -> GroupoidFunction:
     if A.shape != (G.order, G.order):
         raise AlgebraMismatchError(f"operator must be {G.order}x{G.order}")
     norm = normalization_constant(G).value
-    vals = np.empty(G.order, dtype=np.complex128)
-    for g in range(G.order):
-        vals[g] = np.trace(A @ d_realization(G, g).T) / norm
-    return GroupoidFunction(G, vals)
+    j, k, i = G.composable_triples().T
+    vals = np.zeros(G.order, dtype=np.complex128)
+    np.add.at(vals, j, A[i, k])
+    return GroupoidFunction(G, vals / norm)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,18 @@ def cmd_axioms(args) -> int:
 
 def cmd_equiv(args) -> int:
     t0 = time.perf_counter()
+    try:
+        report = _equiv_report(args)
+    except (starproduct.KernelLimitError, realizations.TruncationRegionError) as exc:
+        print(f"infeasible parameters: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    return _finish(report, args, t0)
+
+
+def _equiv_report(args) -> RunReport:
     if args.scheme == "prop1":
         rep = starproduct.verify_prop1(args.n, n_pairs=args.pairs, seed=args.seed)
         report = RunReport("equiv prop1", {"n": args.n, "pairs": args.pairs}, seed=args.seed)
@@ -167,13 +179,9 @@ def cmd_equiv(args) -> int:
             rep.details["integer_max_dev"] == 0.0,
             rep.details["integer_max_dev"],
         )
-        return _finish(report, args, t0)
+        return report
     if args.scheme == "genconv":
-        try:
-            G = _build_groupoid(args)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+        G = _build_groupoid(args)
         rep = starproduct.verify_gen_conv(G, seed=args.seed)
         report = RunReport(
             "equiv genconv", {"order": G.order, "name": G.name}, seed=args.seed
@@ -184,7 +192,7 @@ def cmd_equiv(args) -> int:
                    rep.details["kernel_vs_delta_dev"])
         report.add("star_equals_convolution", rep.max_dev < 1e-12, rep.max_dev,
                    normalization=norm)
-        return _finish(report, args, t0)
+        return report
     # coherent counterexample: passes when the discrepancy is LARGE
     grid = realizations.coherent_grid(args.grid, args.spacing)
     rep = realizations.coherent_discrepancy_report(grid, args.nt)
@@ -202,7 +210,7 @@ def cmd_equiv(args) -> int:
                rep["duality_residual"])
     report.add("overlap_matches_series", rep["overlap_series_dev"] < 1e-10,
                rep["overlap_series_dev"])
-    return _finish(report, args, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 A ``QDPair`` carries two operator families over a weighted index set: the
 quantizer D(x) used to rebuild operators from symbols and the dequantizer
 U(x) used to take symbols f_A(x) = Tr[A U(x)^dagger].  The star product of
-symbols is the image of the operator product; its kernel is
-K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger].
+symbols is the image of the operator product, and ``star`` computes it in
+that factored form, symbol(reconstruct(f) @ reconstruct(g)), at every size.
+``kernel`` materializes K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] only as a
+dense oracle (m <= 64) for the 0/1 checks and the CSV export.
 
 The equivalence checks at the bottom confirm, instance by instance, that
 for Weyl-unit pairs and for regular-realization pairs the star product is
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,13 +31,16 @@ from .algebra import (
 )
 from .groupoid import FiniteGroupoid, classify, pair_groupoid
 
-# Dense m^3 kernels above this index count are refused (memory); star falls
-# back to the factored route reconstruct -> multiply -> symbol.
+# Dense m^3 kernels above this index count are refused (memory).
 KERNEL_MATERIALIZE_LIMIT = 64
 
 
 class SpaceMismatchError(ValueError):
     """Raised when symbols or operators do not match a pair's index space."""
+
+
+class KernelLimitError(SpaceMismatchError):
+    """Raised when a check would need a dense kernel above the size limit."""
 
 
 @dataclass(frozen=True)
@@ -160,44 +164,24 @@ def resolution_residual(pair: QDPair) -> float:
 
 
 def kernel(pair: QDPair, force: bool = False) -> Kernel3:
-    """Materialize K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] as a dense tensor."""
+    """Materialize K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger], one x1 slice at a time."""
     m = len(pair.space)
     if m > KERNEL_MATERIALIZE_LIMIT and not force:
-        raise SpaceMismatchError(
+        raise KernelLimitError(
             f"kernel tensor for m={m} index points exceeds the materialization "
-            f"limit ({KERNEL_MATERIALIZE_LIMIT}); star() uses the factored form instead"
+            f"limit ({KERNEL_MATERIALIZE_LIMIT})"
         )
     D = pair.quantizers
-    # P[a, i, b, l] = sum_k D[a, i, k] D[b, k, l]
-    P = np.tensordot(D, D, axes=([2], [1])).transpose(0, 2, 1, 3)
-    Pf = P.reshape(m * m, -1)
     Uf = np.conj(pair.dequantizers.reshape(m, -1))
-    K = (Pf @ Uf.T).reshape(m, m, m)
+    K = np.stack([(D[a] @ D).reshape(m, -1) @ Uf.T for a in range(m)])
     return Kernel3(pair.space, K)
 
 
 def star(pair: QDPair, f: Symbol, g: Symbol) -> Symbol:
-    """Star product of symbols: weighted double sum against the kernel.
-
-    Equals ``symbol(reconstruct(f) @ reconstruct(g))`` whenever the kernel
-    is materialized; above the size limit that factored form is used
-    directly (with a warning) since it is algebraically identical.
-    """
+    """Star product symbol(reconstruct(f) @ reconstruct(g)); equals the kernel double sum."""
     _check_space(pair, f)
     _check_space(pair, g)
-    m = len(pair.space)
-    if m > KERNEL_MATERIALIZE_LIMIT:
-        warnings.warn(
-            f"m={m} index points: computing star via the factored "
-            "reconstruct/multiply/symbol route instead of a dense kernel",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return symbol(pair, reconstruct(pair, f) @ reconstruct(pair, g))
-    K = kernel(pair).values
-    w = pair.space.weights
-    vals = np.einsum("a,b,abc->c", f.values * w, g.values * w, K)
-    return Symbol(pair.space, vals)
+    return symbol(pair, reconstruct(pair, f) @ reconstruct(pair, g))
 
 
 def associativity_residual(pair: QDPair) -> float:
@@ -218,12 +202,17 @@ def associativity_residual(pair: QDPair) -> float:
 # ---------------------------------------------------------------------------
 
 
+def rank_one_pair(dim: int, labels: tuple, kind: str, params: dict) -> QDPair:
+    """Self-dual pair of the dim^2 rank-one units |a><b|, w = 1."""
+    E = weyl_units(dim)
+    space = IndexSpace(labels, np.ones(dim * dim))
+    return QDPair(space, E, E.copy(), hilbert_dim=dim, kind=kind, params=params)
+
+
 def weyl_qdpair(n: int) -> QDPair:
     """Self-dual Weyl-unit pair over the pair-groupoid index set, w = 1."""
-    E = weyl_units(n)
     labels = tuple((i, k) for i in range(n) for k in range(n))
-    space = IndexSpace(labels, np.ones(n * n))
-    return QDPair(space, E, E.copy(), hilbert_dim=n, kind="weyl", params={"n": n})
+    return rank_one_pair(n, labels, "weyl", {"n": n})
 
 
 def d_realization_qdpair(G: FiniteGroupoid) -> QDPair:
@@ -310,8 +299,10 @@ def verify_prop1(n: int, n_pairs: int = 100, seed: int = 0) -> EquivalenceReport
     composable triple, so the two products agree exactly; the report
     records the measured deviation over random symbol pairs.
     """
-    if not 1 <= n <= 16:
-        raise ValueError("verify_prop1 supports 1 <= n <= 16")
+    if n < 1:
+        raise ValueError("verify_prop1 needs n >= 1")
+    if n * n > KERNEL_MATERIALIZE_LIMIT:
+        raise KernelLimitError(f"verify_prop1 needs n^2 <= {KERNEL_MATERIALIZE_LIMIT}, got n={n}")
     G = pair_groupoid(n)
     pair = weyl_qdpair(n)
     K = kernel(pair).values
@@ -342,7 +333,7 @@ def verify_gen_conv(G: FiniteGroupoid, n_pairs: int = 20, seed: int = 0) -> Equi
     if not classify(G).transitive:
         raise ValueError("verify_gen_conv needs a transitive groupoid")
     if G.order > KERNEL_MATERIALIZE_LIMIT:
-        raise ValueError(f"verify_gen_conv caps the order at {KERNEL_MATERIALIZE_LIMIT}")
+        raise KernelLimitError(f"verify_gen_conv caps the order at {KERNEL_MATERIALIZE_LIMIT}")
     pair = d_realization_qdpair(G)
     K = kernel(pair).values
     expected = np.zeros_like(K, dtype=np.float64)

@@ -128,7 +128,8 @@ def test_criterion_2_closed_form_normalization_formula():
     regular-realization matrices gives ord(G0) * ord(H) = 4, while the
     closed form evaluates to 3.  The closed form agrees with the trace
     exactly when the groupoid is principal or has a single unit, which
-    covers every other corpus member.  See notes/decisions.md.
+    covers every other corpus member.  See the README paragraph on the
+    normalization constant ("One acceptance test fails by design").
     """
     mismatches = []
     for G in _corpus():

@@ -7,6 +7,7 @@ from groupoidal.algebra import (
     GroupoidFunction,
     convolve,
     d_realization,
+    d_realization_stack,
     delta,
     dequantize_D,
     group_convolve,
@@ -272,6 +273,42 @@ class TestDQuantization:
         G = transitive_groupoid(2, cyclic_group_table(2))
         out = dequantize_D(G, d_realization(G, 3))
         assert np.array_equal(out.values, delta(G, 3).values)
+
+
+_SCATTER_CORPUS = pytest.mark.parametrize(
+    "G", [pair_groupoid(3), transitive_groupoid(2, cyclic_group_table(2)),
+          group_groupoid(cyclic_group_table(4)),
+          disjoint_union([pair_groupoid(2), group_groupoid(cyclic_group_table(3))])],
+    ids=["pair3", "t2z2", "z4", "pair2+z3"],
+)
+
+
+class TestScatterRealization:
+    """The scatter-built stack and (de)quantizers against d_realization."""
+
+    @_SCATTER_CORPUS
+    def test_stack_matches_per_element(self, G):
+        D = d_realization_stack(G)
+        for g in range(G.order):
+            assert np.array_equal(D[g], d_realization(G, g))
+
+    @_SCATTER_CORPUS
+    def test_quantize_matches_sum(self, G):
+        f = random_function(G, np.random.default_rng(G.order))
+        want = sum(f.values[g] * d_realization(G, g) for g in range(G.order))
+        assert np.array_equal(quantize_D(f), want)
+
+    @pytest.mark.parametrize(
+        "G", [pair_groupoid(3), transitive_groupoid(2, cyclic_group_table(2)),
+              group_groupoid(cyclic_group_table(4))],
+        ids=["pair3", "t2z2", "z4"],
+    )
+    def test_dequantize_matches_trace(self, G):
+        rng = np.random.default_rng(G.order)
+        A = rng.standard_normal((G.order,) * 2) + 1j * rng.standard_normal((G.order,) * 2)
+        norm = normalization_constant(G).value
+        want = [np.trace(A @ d_realization(G, g).T) / norm for g in range(G.order)]
+        assert np.abs(dequantize_D(G, A).values - want).max() < 1e-12
 
 
 class TestGridConvolution:

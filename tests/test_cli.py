@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from groupoidal.cli import main
-from groupoidal.groupoid import FiniteGroupoid, pair_groupoid
+from groupoidal.groupoid import FiniteGroupoid, disjoint_union, pair_groupoid
 
 
 @pytest.fixture()
@@ -158,6 +158,29 @@ class TestKernelRoundtrip:
 
     def test_kernel_size_limit(self, tmp_path):
         assert main(["kernel", "--weyl", "5", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["prop1", "--n", "9"], ["genconv", "--pair", "9"], ["coherent", "--grid", "20"]],
+        ids=["prop1", "genconv", "coherent"],
+    )
+    def test_equiv_beyond_size_limits_is_infeasible(self, argv, capsys):
+        assert main(["equiv", *argv]) == 3
+        assert "infeasible parameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["prop1", "--n", "0"], ["coherent", "--grid", "0"]], ids=["prop1", "coherent"]
+    )
+    def test_equiv_empty_input_is_input_error(self, argv, capsys):
+        assert main(["equiv", *argv]) == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_equiv_genconv_nontransitive_is_input_error(self, tmp_path, capsys):
+        G = disjoint_union([pair_groupoid(2), pair_groupoid(2)])
+        path = tmp_path / "union.json"
+        path.write_text(json.dumps(G.to_dict()))
+        assert main(["equiv", "genconv", "--file", str(path)]) == 2
+        assert "transitive" in capsys.readouterr().err
 
     def test_roundtrip(self, tmp_path):
         code = main([

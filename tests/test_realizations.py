@@ -21,7 +21,6 @@ from groupoidal.realizations import (
     fock_weyl_pair,
     hermite_function,
     hermite_functions,
-    pair_manifest,
     position_grid,
     position_qdpair,
     position_to_fock_symbol,
@@ -325,7 +324,7 @@ class TestManifests:
         ids=["spin", "fock", "two_mode", "blocks", "coherent", "position"],
     )
     def test_round_trip(self, pair):
-        rebuilt = build_pair_from_manifest(pair_manifest(pair))
+        rebuilt = build_pair_from_manifest(pair.manifest())
         assert rebuilt.hilbert_dim == pair.hilbert_dim
         assert np.abs(rebuilt.quantizers - pair.quantizers).max() < 1e-14
 

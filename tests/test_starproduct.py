@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidal.algebra import convolve, random_function, weyl_units
 from groupoidal.groupoid import (
@@ -202,17 +206,40 @@ class TestStar:
         out = star(pair, ident, g)
         assert np.abs(out.values - g.values).max() < 1e-12
 
-    def test_factored_fallback_warns_and_matches(self):
+    def test_factored_star_matches_forced_kernel(self):
         pair = coherent_pair(coherent_grid(3, 0.5), 8)  # m = 81
         rng = np.random.default_rng(1)
         f = symbol(pair, _rand_op(rng, 8))
         g = symbol(pair, _rand_op(rng, 8))
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = star(pair, f, g)
         K = kernel(pair, force=True)
         w = pair.space.weights
         want = np.einsum("a,b,abc->c", f.values * w, g.values * w, K.values)
         assert np.abs(got.values - want).max() < 1e-10
+
+
+# every transitive groupoid T(u, Z_k) whose regular realization fits the
+# dense-kernel limit, u^2 k <= 64
+_TRANSITIVE_SHAPES = [(u, k) for k in range(1, 65) for u in range(1, 9) if u * u * k <= 64]
+
+
+class TestStarProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(shape=st.sampled_from(_TRANSITIVE_SHAPES), seed=st.integers(0, 2**32 - 1))
+    def test_star_is_convolution_and_associative(self, shape, seed):
+        G = transitive_groupoid(shape[0], cyclic_group_table(shape[1]))
+        pair = d_realization_qdpair(G)
+        rng = np.random.default_rng(seed)
+        f, g, h = (random_function(G, rng) for _ in range(3))
+        sf, sg, sh = (Symbol(pair.space, x.values) for x in (f, g, h))
+        fg = star(pair, sf, sg)
+        assert np.abs(fg.values - convolve(f, g).values).max() < 1e-12
+        lhs = star(pair, fg, sh).values
+        rhs = star(pair, sf, star(pair, sg, sh)).values
+        # triple products reach |.| ~ 1e2 at order 64; compare relative to that
+        assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(lhs).max())
 
 
 class TestAssociativity:
