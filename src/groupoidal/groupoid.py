@@ -24,6 +24,9 @@ UNDEFINED = -1
 # check falls back to a documented random sample.
 EXHAUSTIVE_ORDER_LIMIT = 4096
 DEFAULT_ASSOCIATIVITY_SAMPLES = 200_000
+# (pair, g3) entries per block of the exhaustive associativity scan: bounds
+# its temporaries, and blocks this small stay in cache (faster than 2^20)
+_ASSOCIATIVITY_BLOCK = 1 << 16
 
 
 class GroupoidStructureError(ValueError):
@@ -109,22 +112,39 @@ class FiniteGroupoid:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        triples = self.composable_triples()
         return {
             "order": self.order,
             "units": sorted(int(u) for u in self.units),
             "source": self.source.tolist(),
             "target": self.target.tolist(),
             "inverse": self.inverse.tolist(),
-            "compose": [[int(j), int(k), int(i)] for j, k, i in triples],
+            "compose": self.composable_triples().tolist(),
         }
 
     @staticmethod
     def from_dict(data: dict) -> "FiniteGroupoid":
+        """Build a groupoid from ``to_dict`` output.
+
+        Raises ``GroupoidStructureError`` when a compose row is not an integer
+        triple, an id is negative or not below ``order``, or a ``(j, k)`` pair
+        is listed twice.  Products that contradict source/target are loaded
+        as given: ``validate_axioms`` reports them with witnesses.
+        """
         order = int(data["order"])
+        try:
+            triples = np.asarray(data["compose"])
+        except ValueError as exc:
+            raise GroupoidStructureError("compose rows must be [j, k, j o k] triples") from exc
+        if triples.shape == (0,):
+            triples = np.empty((0, 3), dtype=np.int64)
+        if triples.ndim != 2 or triples.shape[1] != 3 or triples.dtype.kind not in "iu":
+            raise GroupoidStructureError("compose rows must be [j, k, j o k] triples")
+        if len(triples) and (triples.min() < 0 or triples.max() >= order):
+            raise GroupoidStructureError(f"compose entry outside the element ids 0..{order - 1}")
         compose = np.full((order, order), UNDEFINED, dtype=np.int64)
-        for j, k, i in data["compose"]:
-            compose[j, k] = i
+        compose[triples[:, 0], triples[:, 1]] = triples[:, 2]
+        if np.count_nonzero(compose != UNDEFINED) != len(triples):
+            raise GroupoidStructureError("compose lists some (j, k) pair twice")
         return FiniteGroupoid(
             order=order,
             units=frozenset(int(u) for u in data["units"]),
@@ -164,10 +184,8 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     target = x * n + x
     inverse = y * n + x
     compose = np.full((order, order), UNDEFINED, dtype=np.int64)
-    for a in range(n):
-        for t in range(n):
-            for b in range(n):
-                compose[a * n + t, t * n + b] = a * n + b
+    a, t, b = np.ix_(range(n), range(n), range(n))
+    compose[a * n + t, t * n + b] = a * n + b
     return FiniteGroupoid(
         order=order,
         units=frozenset(int(i * n + i) for i in range(n)),
@@ -188,23 +206,19 @@ def cyclic_group_table(n: int) -> np.ndarray:
 
 
 def _group_identity(table: np.ndarray) -> int:
-    m = table.shape[0]
-    for e in range(m):
-        if np.array_equal(table[e], np.arange(m)) and np.array_equal(
-            table[:, e], np.arange(m)
-        ):
-            return e
-    raise GroupoidStructureError("table has no two-sided identity")
+    ids = np.arange(table.shape[0])
+    two_sided = np.flatnonzero((table == ids).all(axis=1) & (table.T == ids).all(axis=1))
+    if len(two_sided) == 0:
+        raise GroupoidStructureError("table has no two-sided identity")
+    return int(two_sided[0])
 
 
 def _group_inverses(table: np.ndarray, e: int) -> np.ndarray:
-    m = table.shape[0]
-    inv = np.full(m, -1, dtype=np.int64)
-    for a in range(m):
-        hits = np.nonzero(table[a] == e)[0]
-        if len(hits) != 1 or table[hits[0], a] != e:
-            raise GroupoidStructureError(f"element {a} has no two-sided inverse")
-        inv[a] = hits[0]
+    hits = table == e
+    inv = hits.argmax(axis=1)
+    bad = np.flatnonzero((hits.sum(axis=1) != 1) | (table[inv, np.arange(len(inv))] != e))
+    if len(bad):
+        raise GroupoidStructureError(f"element {bad[0]} has no two-sided inverse")
     return inv
 
 
@@ -246,38 +260,34 @@ def action_groupoid(
     m = table.shape[0]
     e = _group_identity(table)
     inv = _group_inverses(table, e)
-    for x in range(n_points):
-        if action(x, e) != x:
-            raise ActionLawError(f"identity law violated: point {x} moves under e")
-    for x in range(n_points):
-        for g in range(m):
-            xg = action(x, g)
-            if not (0 <= xg < n_points):
-                raise ActionLawError(f"action leaves the point set at (x={x}, g={g})")
-            for h in range(m):
-                if action(xg, h) != action(x, int(table[g, h])):
-                    raise ActionLawError(
-                        "compatibility law violated at "
-                        f"(x={x}, g={g}, h={h}): (x^g)^h != x^(gh)"
-                    )
+    act = np.array(
+        [[action(x, g) for g in range(m)] for x in range(n_points)], dtype=np.int64
+    ).reshape(n_points, m)
+    moved = np.flatnonzero(act[:, e] != np.arange(n_points))
+    if len(moved):
+        raise ActionLawError(f"identity law violated: point {moved[0]} moves under e")
+    outside = np.argwhere((act < 0) | (act >= n_points))
+    if len(outside):
+        x, g = outside[0]
+        raise ActionLawError(f"action leaves the point set at (x={x}, g={g})")
+    broken = np.argwhere(act[act] != act[:, table])  # (x^g)^h vs x^(gh)
+    if len(broken):
+        x, g, h = broken[0]
+        raise ActionLawError(
+            f"compatibility law violated at (x={x}, g={g}, h={h}): (x^g)^h != x^(gh)"
+        )
 
     order = n_points * m
-    ids = np.arange(order)
-    x_of, g_of = divmod(ids, m)
-    target = x_of * m + e
-    source = np.array([action(int(x), int(g)) * m + e for x, g in zip(x_of, g_of)])
-    inverse = np.array(
-        [action(int(x), int(g)) * m + int(inv[g]) for x, g in zip(x_of, g_of)]
-    )
+    units = np.arange(n_points) * m + e
+    source = act.reshape(-1) * m + e
+    target = np.repeat(units, m)
+    inverse = (act * m + inv).reshape(-1)
     compose = np.full((order, order), UNDEFINED, dtype=np.int64)
-    for x in range(n_points):
-        for g in range(m):
-            xg = action(x, g)
-            for h in range(m):
-                compose[x * m + g, xg * m + h] = x * m + int(table[g, h])
+    x, g, h = np.ix_(range(n_points), range(m), range(m))
+    compose[x * m + g, act[x, g] * m + h] = x * m + table[g, h]
     return FiniteGroupoid(
         order=order,
-        units=frozenset(int(x * m + e) for x in range(n_points)),
+        units=frozenset(units.tolist()),
         source=_frozen_array(source),
         target=_frozen_array(target),
         inverse=_frozen_array(inverse),
@@ -309,13 +319,8 @@ def transitive_groupoid(n_units: int, table: np.ndarray, name: str = "") -> Fini
     source = idx(v_of, v_of, e)
     inverse = idx(v_of, u_of, inv[h_of])
     compose = np.full((order, order), UNDEFINED, dtype=np.int64)
-    for u in range(n_units):
-        for v in range(n_units):
-            for h in range(m):
-                j = idx(u, v, h)
-                for w in range(n_units):
-                    for h2 in range(m):
-                        compose[j, idx(v, w, h2)] = idx(u, w, int(table[h, h2]))
+    u, v, h, w, h2 = np.ix_(*map(range, (n_units, n_units, m, n_units, m)))
+    compose[idx(u, v, h), idx(v, w, h2)] = idx(u, w, table[h, h2])
     return FiniteGroupoid(
         order=order,
         units=frozenset(int(idx(u, u, e)) for u in range(n_units)),
@@ -439,24 +444,17 @@ def validate_axioms(
     entries["maps_into_units"] = AxiomCheck(len(bad) == 0, _first(bad), K)
 
     defined = G.compose != UNDEFINED
-    should = G.source[:, None] == G.target[None, :]
-    bad = np.argwhere(defined != should)
+    # composable exactly when source(j) = target(k); the in-place XOR saves a K x K mask
+    mismatch = G.source[:, None] == G.target[None, :]
+    mismatch ^= defined
+    bad = np.argwhere(mismatch)
     entries["domain"] = AxiomCheck(len(bad) == 0, _first(bad), K * K)
 
     pairs = np.argwhere(defined)
-    if len(pairs):
-        j, k = pairs[:, 0], pairs[:, 1]
-        prods = G.compose[j, k]
-        bad_idx = np.nonzero(
-            (G.target[prods] != G.target[j]) | (G.source[prods] != G.source[k])
-        )[0]
-        entries["a"] = AxiomCheck(
-            len(bad_idx) == 0,
-            tuple(int(v) for v in pairs[bad_idx[0]]) if len(bad_idx) else None,
-            len(pairs),
-        )
-    else:
-        entries["a"] = AxiomCheck(True, None, 0)
+    j, k = pairs.T
+    prods = G.compose[j, k]
+    bad = pairs[(G.target[prods] != G.target[j]) | (G.source[prods] != G.source[k])]
+    entries["a"] = AxiomCheck(len(bad) == 0, _first(bad), len(pairs))
 
     units_sorted = np.array(sorted(G.units), dtype=np.int64)
     bad_idx = np.nonzero(
@@ -474,7 +472,7 @@ def validate_axioms(
     bad = np.nonzero((left != ids) | (right != ids))[0]
     entries["c"] = AxiomCheck(len(bad) == 0, _first(bad), K)
 
-    entries["d"] = _check_associativity(G, associativity_samples, rng)
+    entries["d"] = _check_associativity(G, defined, pairs, prods, associativity_samples, rng)
 
     gi = G.inverse[ids]
     bad = np.nonzero(
@@ -482,33 +480,11 @@ def validate_axioms(
     )[0]
     entries["e"] = AxiomCheck(len(bad) == 0, _first(bad), K)
 
-    # (g' o g) o g^-1 = g' over composable (g', g)
-    witness = None
-    checked = 0
-    for gp in range(K):
-        ks = np.nonzero(defined[gp])[0]
-        checked += len(ks)
-        prods = G.compose[gp, ks]
-        back = G.compose[prods, G.inverse[ks]]
-        bad_idx = np.nonzero(back != gp)[0]
-        if len(bad_idx):
-            witness = (gp, int(ks[bad_idx[0]]))
-            break
-    entries["e_left_cancellation"] = AxiomCheck(witness is None, witness, checked)
-
-    # g^-1 o (g o g'') = g'' over composable (g, g'')
-    witness = None
-    checked = 0
-    for g in range(K):
-        ks = np.nonzero(defined[g])[0]
-        checked += len(ks)
-        prods = G.compose[g, ks]
-        back = G.compose[G.inverse[g], prods]
-        bad_idx = np.nonzero(back != ks)[0]
-        if len(bad_idx):
-            witness = (g, int(ks[bad_idx[0]]))
-            break
-    entries["e_right_cancellation"] = AxiomCheck(witness is None, witness, checked)
+    # (g' o g) o g^-1 = g' and g^-1 o (g o g'') = g'' over the composable pairs
+    left_bad = G.compose[prods, G.inverse[k]] != j
+    right_bad = G.compose[G.inverse[j], prods] != k
+    entries["e_left_cancellation"] = _first_bad_pair(pairs, left_bad)
+    entries["e_right_cancellation"] = _first_bad_pair(pairs, right_bad)
 
     bad = np.nonzero(G.inverse[G.inverse[ids]] != ids)[0]
     entries["involution"] = AxiomCheck(len(bad) == 0, _first(bad), K)
@@ -516,42 +492,53 @@ def validate_axioms(
     return AxiomReport(entries)
 
 
-def _check_associativity(G, samples, rng) -> AxiomCheck:
-    defined = G.compose != UNDEFINED
-    if G.order <= EXHAUSTIVE_ORDER_LIMIT:
-        checked = 0
-        for g1 in range(G.order):
-            ks = np.nonzero(defined[g1])[0]
-            for g2 in ks:
-                p12 = G.compose[g1, g2]
-                g3s = np.nonzero(defined[p12] | defined[g2])[0]
-                checked += len(g3s)
-                for g3 in g3s:
-                    lhs = rhs = UNDEFINED
-                    if defined[p12, g3]:
-                        lhs = G.compose[p12, g3]
-                    if defined[g2, g3]:
-                        p23 = G.compose[g2, g3]
-                        if defined[g1, p23]:
-                            rhs = G.compose[g1, p23]
-                        # g2 o g3 defined but g1 o (g2 o g3) missing
-                        elif lhs != UNDEFINED:
-                            return AxiomCheck(False, (int(g1), int(g2), int(g3)), checked)
-                    if lhs != rhs:
-                        return AxiomCheck(False, (int(g1), int(g2), int(g3)), checked)
-        return AxiomCheck(True, None, checked)
+def _first_bad_pair(pairs: np.ndarray, bad: np.ndarray) -> AxiomCheck:
+    """Smallest bad pair; ``checked`` counts the pairs in rows up to its row."""
+    witness = _first(pairs[bad])
+    if witness is None:
+        return AxiomCheck(True, None, len(pairs))
+    checked = int(np.searchsorted(pairs[:, 0], witness[0], side="right"))
+    return AxiomCheck(False, witness, checked)
 
-    rng = rng or np.random.default_rng(0)
-    triple = rng.integers(0, G.order, size=(samples, 3))
-    for g1, g2, g3 in triple:
-        lhs = rhs = UNDEFINED
-        if defined[g1, g2] and defined[G.compose[g1, g2], g3]:
-            lhs = G.compose[G.compose[g1, g2], g3]
-        if defined[g2, g3] and defined[g1, G.compose[g2, g3]]:
-            rhs = G.compose[g1, G.compose[g2, g3]]
-        if lhs != rhs:
-            return AxiomCheck(False, (int(g1), int(g2), int(g3)), samples, sampled=True)
-    return AxiomCheck(True, None, samples, sampled=True)
+
+def _check_associativity(G, defined, pairs, prods, samples, rng) -> AxiomCheck:
+    """``(g1 o g2) o g3 = g1 o (g2 o g3)``, both sides undefined counting as equal.
+
+    Exhaustive scans take the composable pairs (g1, g2) in blocks and compare
+    both sides over every g3 at once; ``checked`` counts the g3 with
+    ``(g1 o g2) o g3`` or ``g2 o g3`` defined, up to the witness.  Above
+    ``EXHAUSTIVE_ORDER_LIMIT`` random triples are checked in one batch.
+    """
+    K = G.order
+    if K > EXHAUSTIVE_ORDER_LIMIT:
+        rng = rng or np.random.default_rng(0)
+        triples = rng.integers(0, K, size=(samples, 3))
+        g1, g2, g3 = triples.T
+        p12, p23 = G.compose[g1, g2], G.compose[g2, g3]
+        lhs = np.where(p12 != UNDEFINED, G.compose[p12, g3], UNDEFINED)
+        rhs = np.where(p23 != UNDEFINED, G.compose[g1, p23], UNDEFINED)
+        witness = _first(triples[lhs != rhs])
+        return AxiomCheck(witness is None, witness, samples, sampled=True)
+
+    # the table behind an UNDEFINED column 0, so that g2 o g3 = -1 looks up
+    # column 0 of row g1: g1 o (g2 o g3) is then UNDEFINED too
+    padded = np.full((K, K + 1), UNDEFINED, dtype=np.int32)
+    padded[:, 1:] = G.compose
+    block = max(1, _ASSOCIATIVITY_BLOCK // K)
+    checked = 0
+    for lo in range(0, len(pairs), block):
+        g1, g2 = pairs[lo:lo + block].T
+        p12 = prods[lo:lo + block]
+        lhs = padded[p12, 1:]
+        rhs = np.take(padded, (g1 * (K + 1) + 1)[:, None] + padded[g2, 1:])
+        counts = np.count_nonzero(defined[p12] | defined[g2], axis=1)
+        bad = lhs != rhs
+        if bad.any():
+            row, g3 = divmod(int(bad.argmax()), K)
+            checked += int(counts[:row + 1].sum())
+            return AxiomCheck(False, (int(g1[row]), int(g2[row]), g3), checked)
+        checked += int(counts.sum())
+    return AxiomCheck(True, None, checked)
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def spin_block_pair(js: tuple) -> QDPair:
         off += s.dim
     ops = weyl_units(dim)[np.concatenate(units)]
     space = IndexSpace(tuple(labels), np.ones(len(labels)))
-    return QDPair(space, ops, ops.copy(), hilbert_dim=dim, kind="spin_blocks",
+    return QDPair(space, ops, ops, hilbert_dim=dim, kind="spin_blocks",
                   params={"js": [s.j for s in spaces]})
 
 
@@ -296,7 +296,7 @@ def position_qdpair(grid: PositionGrid) -> QDPair:
         "a": float(grid.points[0]),
         "b": float(grid.points[-1]),
     }
-    return QDPair(space, ops, ops.copy(), hilbert_dim=m, kind="position", params=params)
+    return QDPair(space, ops, ops, hilbert_dim=m, kind="position", params=params)
 
 
 def save_grid_symbol_csv(f: np.ndarray, grid: PositionGrid, path) -> None:
@@ -371,7 +371,7 @@ def coherent_pair(grid: CoherentGrid, n_trunc: int) -> QDPair:
     return QDPair(
         space,
         ops,
-        ops.copy(),
+        ops,
         hilbert_dim=n_trunc,
         kind="coherent",
         params={"lattice": len(grid), "cell_area": grid.cell_area, "n_trunc": n_trunc},

@@ -75,15 +75,22 @@ class QDPair:
 
     def __post_init__(self):
         m, d = len(self.space), self.hilbert_dim
-        for attr in ("quantizers", "dequantizers"):
+        shared = self.dequantizers is self.quantizers
+        for attr in ("quantizers",) if shared else ("quantizers", "dequantizers"):
             A = np.asarray(getattr(self, attr), dtype=np.complex128)
             if A.shape != (m, d, d):
                 raise SpaceMismatchError(f"{attr} must have shape (m, d, d)")
             object.__setattr__(self, attr, A)
+        if shared:
+            # one read-only stack serves both families of a self-dual pair
+            self.quantizers.setflags(write=False)
+            object.__setattr__(self, "dequantizers", self.quantizers)
 
     @property
     def self_dual(self) -> bool:
-        return np.array_equal(self.quantizers, self.dequantizers)
+        return self.quantizers is self.dequantizers or np.array_equal(
+            self.quantizers, self.dequantizers
+        )
 
     def manifest(self) -> dict:
         return {"kind": self.kind, "params": self.params}
@@ -206,7 +213,7 @@ def rank_one_pair(dim: int, labels: tuple, kind: str, params: dict) -> QDPair:
     """Self-dual pair of the dim^2 rank-one units |a><b|, w = 1."""
     E = weyl_units(dim)
     space = IndexSpace(labels, np.ones(dim * dim))
-    return QDPair(space, E, E.copy(), hilbert_dim=dim, kind=kind, params=params)
+    return QDPair(space, E, E, hilbert_dim=dim, kind=kind, params=params)
 
 
 def weyl_qdpair(n: int) -> QDPair:
@@ -301,6 +308,8 @@ def verify_prop1(n: int, n_pairs: int = 100, seed: int = 0) -> EquivalenceReport
     """
     if n < 1:
         raise ValueError("verify_prop1 needs n >= 1")
+    if n_pairs < 1:
+        raise ValueError("verify_prop1 needs at least one symbol pair (n_pairs >= 1)")
     if n * n > KERNEL_MATERIALIZE_LIMIT:
         raise KernelLimitError(f"verify_prop1 needs n^2 <= {KERNEL_MATERIALIZE_LIMIT}, got n={n}")
     G = pair_groupoid(n)

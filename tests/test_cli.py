@@ -44,6 +44,19 @@ class TestAxioms:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["axioms", "--file", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "compose",
+        [[[-1, -1, 0]], [[0, 0, 0], [0, 9, 0]], [[0, 0, 0], [0, 0, 0]]],
+        ids=["negative_id", "id_beyond_order", "duplicate_pair"],
+    )
+    def test_malformed_table_is_input_error(self, tmp_path, capsys, compose):
+        data = pair_groupoid(1).to_dict()
+        data["compose"] = compose
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        assert main(["axioms", "--file", str(path)]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_report_json(self, tmp_path, capsys):
         code = main(["axioms", "--pair", "3", "--out", str(tmp_path), "--json", "r.json"])
         assert code == 0
@@ -158,6 +171,10 @@ class TestKernelRoundtrip:
 
     def test_kernel_size_limit(self, tmp_path):
         assert main(["kernel", "--weyl", "5", "--out", str(tmp_path)]) == 2
+
+    def test_prop1_without_pairs_is_input_error(self, capsys):
+        assert main(["equiv", "prop1", "--n", "3", "--pairs", "0"]) == 2
+        assert "input error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,8 +1,18 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import _mutate, _oracle_scan
 
 from groupoidal.groupoid import (
+    DEFAULT_ASSOCIATIVITY_SAMPLES,
+    EXHAUSTIVE_ORDER_LIMIT,
+    UNDEFINED,
     ActionLawError,
+    AxiomCheck,
+    AxiomReport,
     FiniteGroupoid,
     GroupoidStructureError,
     action_groupoid,
@@ -322,3 +332,208 @@ class TestSampledAssociativity:
         assert check.passed
         assert check.checked == 20000
         assert report.all_passed
+
+
+class TestLoaderRefusals:
+    @pytest.mark.parametrize(
+        "compose",
+        [
+            [[0, 0]],
+            [[0, 0, 0, 0]],
+            [[0, 0, 0], [0, 0]],
+            [0, 0, 0],
+            [[0, 0, 0.5]],
+            [[-1, -1, 0]],
+            [[0, 0, 4]],
+            [[0, 1, 1], [0, 1, 1]],
+        ],
+        ids=["pair", "quadruple", "ragged", "flat", "float", "negative", "beyond_order",
+             "duplicate"],
+    )
+    def test_malformed_compose_rejected(self, compose):
+        data = pair_groupoid(2).to_dict()
+        data["compose"] = compose
+        with pytest.raises(GroupoidStructureError):
+            FiniteGroupoid.from_dict(data)
+
+    def test_contradicting_product_still_loads(self):
+        # source/target violations are the axiom scan's business, with witnesses
+        data = pair_groupoid(2).to_dict()
+        data["compose"][0][2] = 3
+        report = validate_axioms(FiniteGroupoid.from_dict(data))
+        assert report.entries["a"].witness == (0, 0)
+
+    def test_empty_compose_loads(self):
+        data = pair_groupoid(1).to_dict()
+        data["compose"] = []
+        G = FiniteGroupoid.from_dict(data)
+        assert G.product(0, 0) is None
+        assert not validate_axioms(G).entries["domain"].passed
+
+
+# ---------------------------------------------------------------------------
+# scalar oracle for the vectorised scan
+# ---------------------------------------------------------------------------
+
+
+def _scalar_reference(G, samples=DEFAULT_ASSOCIATIVITY_SAMPLES, rng=None) -> dict:
+    """Element-by-element associativity and cancellation scans.
+
+    These are the loops ``validate_axioms`` ran before it was vectorised,
+    kept as the oracle for its ``d``, ``e_left_cancellation`` and
+    ``e_right_cancellation`` entries, ``checked`` counts included.
+    """
+    K = G.order
+    defined = G.compose != UNDEFINED
+    out = {"d": _scalar_associativity(G, samples, rng)}
+
+    # (g' o g) o g^-1 = g' over composable (g', g)
+    witness = None
+    checked = 0
+    for gp in range(K):
+        ks = np.nonzero(defined[gp])[0]
+        checked += len(ks)
+        prods = G.compose[gp, ks]
+        back = G.compose[prods, G.inverse[ks]]
+        bad_idx = np.nonzero(back != gp)[0]
+        if len(bad_idx):
+            witness = (gp, int(ks[bad_idx[0]]))
+            break
+    out["e_left_cancellation"] = AxiomCheck(witness is None, witness, checked)
+
+    # g^-1 o (g o g'') = g'' over composable (g, g'')
+    witness = None
+    checked = 0
+    for g in range(K):
+        ks = np.nonzero(defined[g])[0]
+        checked += len(ks)
+        prods = G.compose[g, ks]
+        back = G.compose[G.inverse[g], prods]
+        bad_idx = np.nonzero(back != ks)[0]
+        if len(bad_idx):
+            witness = (g, int(ks[bad_idx[0]]))
+            break
+    out["e_right_cancellation"] = AxiomCheck(witness is None, witness, checked)
+    return out
+
+
+def _scalar_associativity(G, samples, rng) -> AxiomCheck:
+    defined = G.compose != UNDEFINED
+    if G.order <= EXHAUSTIVE_ORDER_LIMIT:
+        checked = 0
+        for g1 in range(G.order):
+            ks = np.nonzero(defined[g1])[0]
+            for g2 in ks:
+                p12 = G.compose[g1, g2]
+                g3s = np.nonzero(defined[p12] | defined[g2])[0]
+                checked += len(g3s)
+                for g3 in g3s:
+                    lhs = rhs = UNDEFINED
+                    if defined[p12, g3]:
+                        lhs = G.compose[p12, g3]
+                    if defined[g2, g3]:
+                        p23 = G.compose[g2, g3]
+                        if defined[g1, p23]:
+                            rhs = G.compose[g1, p23]
+                        # g2 o g3 defined but g1 o (g2 o g3) missing
+                        elif lhs != UNDEFINED:
+                            return AxiomCheck(False, (int(g1), int(g2), int(g3)), checked)
+                    if lhs != rhs:
+                        return AxiomCheck(False, (int(g1), int(g2), int(g3)), checked)
+        return AxiomCheck(True, None, checked)
+
+    rng = rng or np.random.default_rng(0)
+    triple = rng.integers(0, G.order, size=(samples, 3))
+    for g1, g2, g3 in triple:
+        lhs = rhs = UNDEFINED
+        if defined[g1, g2] and defined[G.compose[g1, g2], g3]:
+            lhs = G.compose[G.compose[g1, g2], g3]
+        if defined[g2, g3] and defined[g1, G.compose[g2, g3]]:
+            rhs = G.compose[g1, G.compose[g2, g3]]
+        if lhs != rhs:
+            return AxiomCheck(False, (int(g1), int(g2), int(g3)), samples, sampled=True)
+    return AxiomCheck(True, None, samples, sampled=True)
+
+
+def _base_groupoid(kind: str, a: int, b: int) -> FiniteGroupoid:
+    """A valid groupoid of order 2..36 (``_mutate`` needs two elements)."""
+    if kind == "pair":
+        return pair_groupoid(2 + a % 5)
+    if kind == "group":
+        return group_groupoid(cyclic_group_table(2 + (a * 7 + b) % 35))
+    units = 2 + a % 2
+    return transitive_groupoid(units, cyclic_group_table(1 + b % (36 // (units * units))))
+
+
+def _relabel(G: FiniteGroupoid, perm) -> FiniteGroupoid:
+    """The same groupoid with element g renamed perm[g]."""
+    perm = np.asarray(perm)
+    back = np.argsort(perm)
+    compose = np.full_like(G.compose, UNDEFINED)
+    defined = G.compose != UNDEFINED
+    compose[np.ix_(perm, perm)] = np.where(defined, perm[G.compose], UNDEFINED)
+    return FiniteGroupoid(
+        order=G.order,
+        units=frozenset(int(perm[u]) for u in G.units),
+        source=perm[G.source][back],
+        target=perm[G.target][back],
+        inverse=perm[G.inverse][back],
+        compose=compose,
+    )
+
+
+class TestVectorisedScanMatchesScalar:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        kind=st.sampled_from(["pair", "group", "transitive"]),
+        a=st.integers(0, 35),
+        b=st.integers(0, 35),
+        n_mutations=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_equals_scalar_scan(self, kind, a, b, n_mutations, seed):
+        G = _base_groupoid(kind, a, b)
+        assert G.order <= 36
+        rng = np.random.default_rng(seed)
+        for _ in range(n_mutations):
+            G = _mutate(G, rng)
+        report = validate_axioms(G).to_dict()
+        scalar = AxiomReport(_scalar_reference(G)).to_dict()
+        for name, want in scalar.items():
+            assert report[name] == want, name
+        # the other entries against the brute-force witnesses of criterion 9
+        for name, witness in _oracle_scan(G).items():
+            if name not in scalar:
+                assert report[name]["witness"] == (list(witness) if witness else None), name
+
+    def test_sampled_path_on_corrupted_pair(self):
+        G = pair_groupoid(65)  # order 4225 > EXHAUSTIVE_ORDER_LIMIT
+        compose = np.array(G.compose)
+        rng = np.random.default_rng(65)
+        holes = np.argwhere(compose == UNDEFINED)
+        picked = holes[rng.random(len(holes)) < 0.05]
+        compose[picked[:, 0], picked[:, 1]] = rng.integers(G.order, size=len(picked))
+        broken = FiniteGroupoid(
+            order=G.order, units=G.units, source=G.source, target=G.target,
+            inverse=G.inverse, compose=compose,
+        )
+        got = validate_axioms(broken, associativity_samples=20000).entries["d"]
+        want = _scalar_associativity(broken, 20000, None)
+        assert got == want
+        assert got.sampled and not got.passed and got.checked == 20000
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 3), (2, 2), (2, 5), (3, 2), (3, 4)]),
+        data=st.data(),
+    )
+    def test_json_round_trip_of_relabelled_transitive(self, shape, data):
+        units, k = shape
+        G0 = transitive_groupoid(units, cyclic_group_table(k))
+        perm = data.draw(st.permutations(range(G0.order)))
+        G = _relabel(G0, perm)
+        assert validate_axioms(G).all_passed
+        H = FiniteGroupoid.from_dict(json.loads(json.dumps(G.to_dict())))
+        assert H.order == G.order and H.units == G.units
+        for attr in ("source", "target", "inverse", "compose"):
+            assert np.array_equal(getattr(H, attr), getattr(G, attr)), attr

@@ -329,6 +329,20 @@ class TestManifests:
         assert np.abs(rebuilt.quantizers - pair.quantizers).max() < 1e-14
 
 
+class TestSelfDualStorage:
+    @pytest.mark.parametrize(
+        "pair",
+        [spin_weyl_pair(1.0), spin_block_pair((0.5, 1.0)),
+         coherent_pair(coherent_grid(3, 0.5), 16), position_qdpair(position_grid(-2, 2, 5))],
+        ids=["rank_one", "blocks", "coherent", "position"],
+    )
+    def test_one_read_only_stack(self, pair):
+        assert pair.quantizers is pair.dequantizers
+        assert pair.self_dual
+        with pytest.raises(ValueError):
+            pair.dequantizers[0, 0, 0] = 1.0
+
+
 class TestGridSymbolExport:
     def test_csv_round_trip(self, tmp_path):
         import csv as csvmod
