@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -266,21 +267,17 @@ def _tomo_spin(args, rng, out: Path, t0) -> int:
         "tomo spin", {"j": j, "state": args.state, "samples": args.samples},
         seed=args.seed,
     )
-    rows = []
-    worst_sum = 0.0
-    worst_neg = 0.0
-    for _ in range(args.samples):
-        g = tomography.EulerAngles(*rng.uniform(-np.pi, np.pi, 3))
-        tom = tomography.spin_tomogram(j, g, rho)
-        worst_sum = max(worst_sum, abs(tom.probabilities.sum() - 1.0))
-        worst_neg = max(worst_neg, max(0.0, -tom.probabilities.min()))
-        for idx, prob in enumerate(tom.probabilities):
-            rows.append([j, g.alpha, g.beta, g.gamma, idx - j, prob])
+    angles = rng.uniform(-np.pi, np.pi, (args.samples, 3))
+    probs = tomography.spin_tomogram(j, tomography.EulerAngles(*angles.T), rho).probabilities
+    worst_sum = float(np.abs(probs.sum(axis=1) - 1.0).max(initial=0.0))
+    worst_neg = max(0.0, -float(probs.min(initial=0.0)))
+    alpha, beta, gamma = np.repeat(angles, dim, axis=0).T.tolist()
+    m = np.tile(np.arange(dim) - j, args.samples).tolist()
     path = out / "spin_tomogram.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["j", "alpha", "beta", "gamma", "m", "probability"])
-        writer.writerows(rows)
+        writer.writerows(zip(itertools.repeat(j), alpha, beta, gamma, m, probs.ravel().tolist()))
     print(f"tomograms: {path}")
     report.add("sums_equal_one", worst_sum < 1e-12, worst_sum)
     report.add("entries_nonnegative", worst_neg < 1e-12, worst_neg)
@@ -321,9 +318,9 @@ def _tomo_photon(args, rng, out: Path, t0) -> int:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["re_z", "im_z", "n", "P"])
-        for ip, z in enumerate(lattice.z_points):
-            for n in range(tom.n_max):
-                writer.writerow([z.real, z.imag, n, repr(float(tom.table[n, ip]))])
+        z = np.repeat(lattice.z_points, tom.n_max)
+        n = itertools.cycle(range(tom.n_max))
+        writer.writerows(zip(z.real.tolist(), z.imag.tolist(), n, tom.table.T.ravel().tolist()))
     print(f"tomograms: {path}")
     # column sums equal the trace up to the mass a displaced state leaks
     # beyond n_max; at the lattice edge that truncation tail dominates
@@ -338,7 +335,8 @@ def _tomo_photon(args, rng, out: Path, t0) -> int:
         errs = rec.errors_against(rho)
         report.add("reconstruction_frobenius", errs["frobenius_error"] < args.tol,
                    errs["frobenius_error"], reliable_dim=rec.reliable_dim,
-                   frobenius_error_full=errs["frobenius_error_full"])
+                   frobenius_error_full=errs["frobenius_error_full"],
+                   max_abs_beyond_reliable=rec.max_abs_beyond_reliable)
         (out / "photon_reconstruction.json").write_text(
             json.dumps(rec.report(rho, seed=args.seed), indent=2, default=float)
         )
@@ -381,7 +379,9 @@ def _tomo_symplectic(args, rng, out: Path, t0) -> int:
         errs = rec.errors_against(rho)
         report.add("reconstruction_frobenius", errs["frobenius_error"] < args.tol,
                    errs["frobenius_error"], reliable_dim=rec.reliable_dim,
-                   frobenius_error_full=errs["frobenius_error_full"])
+                   frobenius_error_full=errs["frobenius_error_full"],
+                   max_abs_beyond_reliable=rec.max_abs_beyond_reliable,
+                   boundary_tail=rec.params["boundary_tail"])
         (out / "symplectic_reconstruction.json").write_text(
             json.dumps(rec.report(rho, seed=args.seed), indent=2, default=float)
         )

@@ -41,6 +41,22 @@ class NotTransitiveError(ValueError):
     """Raised by operations defined only for transitive groupoids."""
 
 
+def _element_ids(values, order: int, what: str, row: tuple = ()) -> np.ndarray:
+    """JSON ids as an integer (n, *row) array in 0..order-1; 0.9 is refused, not truncated."""
+    message = f"{what} must be integer element ids in " + (f"rows of {row[0]}" if row else "a list")
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise GroupoidStructureError(message) from exc
+    if arr.shape == (0,):
+        arr = np.empty((0, *row), dtype=np.int64)
+    if arr.ndim != 1 + len(row) or arr.shape[1:] != row or arr.dtype.kind not in "iu":
+        raise GroupoidStructureError(message)
+    if arr.size and (arr.min() < 0 or arr.max() >= order):
+        raise GroupoidStructureError(f"{what} entry outside the element ids 0..{order - 1}")
+    return arr
+
+
 def _frozen_array(values, dtype=np.int64) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     arr.setflags(write=False)
@@ -125,32 +141,27 @@ class FiniteGroupoid:
     def from_dict(data: dict) -> "FiniteGroupoid":
         """Build a groupoid from ``to_dict`` output.
 
-        Raises ``GroupoidStructureError`` when a compose row is not an integer
-        triple, an id is negative or not below ``order``, or a ``(j, k)`` pair
-        is listed twice.  Products that contradict source/target are loaded
-        as given: ``validate_axioms`` reports them with witnesses.
+        Raises ``GroupoidStructureError`` when an id is not an integer, is
+        negative or not below ``order``, a compose row is not a triple, or a
+        ``(j, k)`` pair is listed twice.  Products that contradict
+        source/target are loaded as given: ``validate_axioms`` reports them
+        with witnesses.
         """
         order = int(data["order"])
-        try:
-            triples = np.asarray(data["compose"])
-        except ValueError as exc:
-            raise GroupoidStructureError("compose rows must be [j, k, j o k] triples") from exc
-        if triples.shape == (0,):
-            triples = np.empty((0, 3), dtype=np.int64)
-        if triples.ndim != 2 or triples.shape[1] != 3 or triples.dtype.kind not in "iu":
-            raise GroupoidStructureError("compose rows must be [j, k, j o k] triples")
-        if len(triples) and (triples.min() < 0 or triples.max() >= order):
-            raise GroupoidStructureError(f"compose entry outside the element ids 0..{order - 1}")
+        triples = _element_ids(data["compose"], order, "compose", row=(3,))
         compose = np.full((order, order), UNDEFINED, dtype=np.int64)
         compose[triples[:, 0], triples[:, 1]] = triples[:, 2]
         if np.count_nonzero(compose != UNDEFINED) != len(triples):
             raise GroupoidStructureError("compose lists some (j, k) pair twice")
+        units, source, target, inverse = (
+            _element_ids(data[key], order, key) for key in ("units", "source", "target", "inverse")
+        )
         return FiniteGroupoid(
             order=order,
-            units=frozenset(int(u) for u in data["units"]),
-            source=_frozen_array(data["source"]),
-            target=_frozen_array(data["target"]),
-            inverse=_frozen_array(data["inverse"]),
+            units=frozenset(units.tolist()),
+            source=_frozen_array(source),
+            target=_frozen_array(target),
+            inverse=_frozen_array(inverse),
             compose=_frozen_array(compose),
             name=data.get("name", ""),
         )

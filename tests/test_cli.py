@@ -57,6 +57,16 @@ class TestAxioms:
         assert main(["axioms", "--file", str(path)]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,values", [("source", [0.9, 3.2, 0, 3]), ("units", [0.5, 3.7])])
+    def test_non_integer_map_is_input_error(self, tmp_path, capsys, key, values):
+        # truncated, these would load as the valid pair(2)
+        data = pair_groupoid(2).to_dict()
+        data[key] = values
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(data))
+        assert main(["axioms", "--file", str(path)]) == 2
+        assert "integer element ids" in capsys.readouterr().err
+
     def test_report_json(self, tmp_path, capsys):
         code = main(["axioms", "--pair", "3", "--out", str(tmp_path), "--json", "r.json"])
         assert code == 0
@@ -161,6 +171,30 @@ class TestTomo:
             assert key in rep
         run = json.loads((tmp_path / "run.json").read_text())
         assert run["schema"] == 1 and run["seed"] == 0
+        check = next(c for c in run["checks"] if c["name"] == "reconstruction_frobenius")
+        assert check["boundary_tail"] == rep["boundary_tail"]
+        assert check["max_abs_beyond_reliable"] == rep["max_abs_beyond_reliable"]
+
+    def test_photon_reconstruct_report_sizes_entries_beyond_block(self, tmp_path):
+        code = main([
+            "tomo", "photon", "--state", "vac", "--nt", "32", "--radius", "3",
+            "--spacing", "0.25", "--reconstruct", "--out", str(tmp_path), "--json", "run.json",
+        ])
+        assert code == 0
+        rep = json.loads((tmp_path / "photon_reconstruction.json").read_text())
+        run = json.loads((tmp_path / "run.json").read_text())
+        check = next(c for c in run["checks"] if c["name"] == "reconstruction_frobenius")
+        assert check["max_abs_beyond_reliable"] == rep["max_abs_beyond_reliable"] > 1.0
+
+    @pytest.mark.parametrize("j", ["20", "60"])
+    def test_spin_large_j(self, tmp_path, j):
+        code = main([
+            "tomo", "spin", "--j", j, "--state", "mixed", "--reconstruct",
+            "--out", str(tmp_path), "--json", "run.json",
+        ])
+        assert code == 0
+        rows = list(csv.reader((tmp_path / "spin_tomogram.csv").open()))
+        assert len(rows) == 1 + 100 * (2 * int(j) + 1)
 
 
 class TestKernelRoundtrip:

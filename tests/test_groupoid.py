@@ -356,6 +356,28 @@ class TestLoaderRefusals:
         with pytest.raises(GroupoidStructureError):
             FiniteGroupoid.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key,values",
+        [
+            ("source", [0.9, 3.2, 0, 3]),
+            ("units", [0.5, 3.7]),
+            ("target", [0, 3, 0, 3.0]),
+            ("inverse", [0, 2, 1, "3"]),
+            ("source", [True, False, True, False]),
+            ("units", [[0], [3]]),
+            ("units", 0),
+            ("units", [0, 4]),
+            ("inverse", [0, 2, 1, -3]),
+        ],
+        ids=["float_source", "float_units", "integral_float", "string", "bool", "nested",
+             "scalar", "unit_beyond_order", "negative_inverse"],
+    )
+    def test_malformed_maps_rejected(self, key, values):
+        data = pair_groupoid(2).to_dict()
+        data[key] = values
+        with pytest.raises(GroupoidStructureError):
+            FiniteGroupoid.from_dict(data)
+
     def test_contradicting_product_still_loads(self):
         # source/target violations are the axiom scan's business, with witnesses
         data = pair_groupoid(2).to_dict()

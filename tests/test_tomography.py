@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from groupoidal.realizations import (
@@ -15,6 +17,7 @@ from groupoidal.tomography import (
     DegenerateDirectionError,
     EulerAngles,
     OrderingParameterError,
+    ReconstructionResult,
     WeightRangeError,
     angular_momentum,
     characteristic_value,
@@ -83,6 +86,22 @@ class TestWignerD:
         assert np.abs(d @ d.T - np.eye(3)).max() < 1e-14
         assert abs(np.linalg.det(d) - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("j", [10.0, 20.0, 40.5, 60.0, 100.0])
+    def test_large_j_unitary_and_matches_expm(self, j):
+        _, jy, _ = angular_momentum(j)
+        betas = np.random.default_rng(int(2 * j)).uniform(-2 * np.pi, 2 * np.pi, 3)
+        for beta, d in zip(betas, wigner_little_d(j, betas)):
+            assert np.abs(d - expm(-1j * beta * jy)).max() < 1e-12
+            assert unitarity_defect(d) < 1e-12
+
+    def test_batch_is_stack_of_single_elements(self):
+        g = EulerAngles(*np.random.default_rng(8).uniform(-np.pi, np.pi, (3, 7)))
+        D = wigner_D(2.5, g)
+        assert D.shape == (7, 6, 6)
+        for i in range(7):
+            single = wigner_D(2.5, EulerAngles(g.alpha[i], g.beta[i], g.gamma[i]))
+            assert np.array_equal(D[i], single)
+
 
 class TestSpinScheme:
     def test_identity_g_gives_matrix_elements(self):
@@ -127,6 +146,16 @@ class TestSpinScheme:
         w = spin_symbol(1.5, g1, A)
         assert np.abs(spin_reconstruct_at_g(1.5, g2, w) - A).max() > 0.1
 
+    def test_batched_tomograms(self):
+        rng = np.random.default_rng(10)
+        rho = _rand_density(rng, 4)
+        g = EulerAngles(*rng.uniform(-np.pi, np.pi, (3, 5)))
+        probs = spin_tomogram(1.5, g, rho).probabilities
+        assert probs.shape == (5, 4)
+        for i in range(5):
+            single = spin_tomogram(1.5, EulerAngles(g.alpha[i], g.beta[i], g.gamma[i]), rho)
+            assert np.array_equal(probs[i], single.probabilities)
+
     def test_stochasticity(self):
         rng = np.random.default_rng(4)
         for j in (0.5, 1.0, 2.5):
@@ -166,6 +195,14 @@ class TestDisplacement:
         D = displacement_operator(48, z)
         assert np.abs(R[:, :36] - D[:6, :36]).max() < 1e-12
 
+    def test_displaced_rows_batch_is_stack_of_points(self):
+        zs = np.array([0, 0.9 + 0.3j, -1.5j, 2.0])
+        R = displaced_rows(5, 12, zs)
+        assert R.shape == (4, 5, 12)
+        for z, R_z in zip(zs, R):
+            assert np.array_equal(R_z, displaced_rows(5, 12, z))
+        assert np.array_equal(R[0], np.eye(5, 12))
+
 
 class TestPhotonScheme:
     def test_zero_displacement_is_fock_symbol(self):
@@ -199,6 +236,18 @@ class TestPhotonScheme:
         for n in range(16):
             want = np.exp(-lam) * lam**n / math.factorial(n)
             assert abs(tom.table[n, 0] - want) < 1e-10
+
+    def test_tomogram_matches_displaced_symbol(self):
+        # rho lives on 6 levels and the table is computed there; the oracle
+        # displaces the embedded state with the truncated expm at N = 64
+        rng = np.random.default_rng(9)
+        rho = np.zeros((64, 64), dtype=complex)
+        rho[:6, :6] = _rand_density(rng, 6)
+        zs = np.array([0.3 - 0.2j, 1.5 + 0.5j, -2.0j])
+        tom = photon_tomogram(rho[:6, :6], CoherentGrid(zs, 0.04), n_max=10)
+        for i, z in enumerate(zs):
+            oracle = np.diag(photon_symbol(64, -z, rho))[:10].real
+            assert np.abs(tom.table[:, i] - oracle).max() < 1e-10
 
 
 class TestDisplacedParity:
@@ -243,6 +292,13 @@ class TestNumberPowerBlock:
         G = number_power_block(16, 1.2 - 0.4j, -3.0).astype(complex)
         assert np.abs(G - G.conj().T).max() == 0.0
 
+    def test_batch_is_stack_of_points(self):
+        alphas = np.array([0j, 0.7 + 0.3j, -1.5 + 0.8j])
+        G = number_power_block(8, alphas, -3.0)
+        assert G.shape == (3, 8, 8)
+        for alpha, G_alpha in zip(alphas, G):
+            assert np.array_equal(G_alpha, number_power_block(8, alpha, -3.0))
+
     def test_matches_displaced_parity(self):
         # 2/(1-s) D(z) q^N D(z)^dag with q = (s+1)/(s-1) is the displaced parity
         s, z = -0.4, 0.5 + 0.2j
@@ -268,6 +324,27 @@ class TestPhotonReconstruction:
         errs = rec.errors_against(rho)
         assert rec.reliable_dim == grid_resolvable_dim(0.25, 3.0) == 8
         assert errs["frobenius_error"] < 5e-3
+
+    def test_block_size_does_not_change_the_result(self, monkeypatch):
+        import groupoidal.tomography as tomography
+
+        rho = np.zeros((16, 16), dtype=complex)
+        rho[1, 1] = 1.0
+        tom = photon_tomogram(rho, disk_lattice(3.0, 0.25), n_max=16)
+        one = photon_reconstruct(tom, s=-0.5, n_trunc=16).operator
+        monkeypatch.setattr(tomography, "_POINT_BLOCK", 7)
+        blocks = photon_reconstruct(tom, s=-0.5, n_trunc=16).operator
+        assert np.abs(blocks[:8, :8] - one[:8, :8]).max() < 1e-12
+        assert np.abs(blocks - one).max() < 1e-13 * np.abs(one).max()
+
+    def test_report_gives_largest_entry_beyond_reliable_block(self):
+        op = np.zeros((4, 4), dtype=complex)
+        op[:2, :2] = 100.0
+        op[3, 1] = -7.0
+        rec = ReconstructionResult(op, "photon", n_trunc=4, reliable_dim=2, grid={})
+        assert rec.report()["max_abs_beyond_reliable"] == 7.0
+        whole = ReconstructionResult(op, "photon", n_trunc=4, reliable_dim=4, grid={})
+        assert whole.max_abs_beyond_reliable == 0.0
 
     def test_ordering_domain(self):
         lat = disk_lattice(1.0, 0.5)
@@ -517,3 +594,25 @@ class TestOffDiagonalReconstruction:
         rec = symplectic_reconstruct(n_t, state_tomogram_provider(rho), 6.0, 0.1)
         errs = rec.errors_against(rho)
         assert errs["frobenius_error"] < 5e-3, errs
+
+
+class TestTomogramNormalisation:
+    @settings(max_examples=25, deadline=None)
+    @given(two_j=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    def test_spin_tomograms_are_probability_vectors(self, two_j, seed):
+        rng = np.random.default_rng(seed)
+        rho = _rand_density(rng, two_j + 1)
+        g = EulerAngles(*rng.uniform(-2 * np.pi, 2 * np.pi, (3, 8)))
+        probs = spin_tomogram(two_j / 2, g, rho).probabilities
+        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
+        assert probs.min() > -1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(levels=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_photon_columns_sum_to_trace(self, levels, seed):
+        # |z| <= 2 keeps the displaced low levels far inside N_t = 64
+        rng = np.random.default_rng(seed)
+        rho = np.zeros((64, 64), dtype=complex)
+        rho[:levels, :levels] = rng.uniform(0.5, 2.0) * _rand_density(rng, levels)
+        tom = photon_tomogram(rho, disk_lattice(2.0, 0.4), n_max=64)
+        assert np.abs(tom.table.sum(axis=0) - np.trace(rho).real).max() < 1e-10
