@@ -6,9 +6,9 @@ tomography runs write plot-ready CSV tables.  Exit codes are stable:
 0 pass, 1 check failed, 2 input error, 3 infeasible parameters.
 
 All randomized campaigns run from an explicit seed (default 0) and the
-reports record it, so reruns reproduce every deviation bit for bit in
-single-threaded mode.  Output lands only in the directory selected by
-``--out`` (or the GROUPOIDAL_OUT environment variable).
+reports record it, so reruns reproduce every deviation bit for bit.
+Output lands only in the directory selected by ``--out`` (or the
+GROUPOIDAL_OUT environment variable).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class RunReport:
     command: str
     parameters: dict
     seed: int | None = None
-    threads: int = 1
     checks: list = field(default_factory=list)
     wall_time_s: float = 0.0
 
@@ -57,7 +56,6 @@ class RunReport:
             "command": self.command,
             "parameters": self.parameters,
             "seed": self.seed,
-            "threads": self.threads,
             "checks": self.checks,
             "wall_time_s": self.wall_time_s,
         }
@@ -351,7 +349,6 @@ def _tomo_symplectic(args, rng, out: Path, t0) -> int:
         {"state": args.state, "N_t": n_t, "L": args.L, "step": args.step,
          "mu": args.mu, "nu": args.nu},
         seed=args.seed,
-        threads=args.threads,
     )
     tom = tomography.symplectic_tomogram(n_t, args.mu, args.nu, rho)
     path = out / "symplectic_tomogram.csv"
@@ -374,7 +371,7 @@ def _tomo_symplectic(args, rng, out: Path, t0) -> int:
             return EXIT_INFEASIBLE
         rec = tomography.symplectic_reconstruct(
             n_t, tomography.state_tomogram_provider(rho),
-            grid_limit=args.L, grid_step=args.step, threads=args.threads,
+            grid_limit=args.L, grid_step=args.step,
         )
         errs = rec.errors_against(rho)
         report.add("reconstruction_frobenius", errs["frobenius_error"] < args.tol,
@@ -515,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="reconstruction tolerance (defaults per scheme)")
     p.add_argument("--reconstruct", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     _common(p)
     p.set_defaults(func=cmd_tomo)
 

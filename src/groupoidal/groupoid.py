@@ -141,13 +141,15 @@ class FiniteGroupoid:
     def from_dict(data: dict) -> "FiniteGroupoid":
         """Build a groupoid from ``to_dict`` output.
 
-        Raises ``GroupoidStructureError`` when an id is not an integer, is
-        negative or not below ``order``, a compose row is not a triple, or a
-        ``(j, k)`` pair is listed twice.  Products that contradict
-        source/target are loaded as given: ``validate_axioms`` reports them
-        with witnesses.
+        Raises ``GroupoidStructureError`` when ``order`` is not an integer
+        >= 1, an id is not an integer, is negative or not below ``order``, a
+        compose row is not a triple, or a ``(j, k)`` pair is listed twice.
+        Products that contradict source/target are loaded as given:
+        ``validate_axioms`` reports them with witnesses.
         """
-        order = int(data["order"])
+        order = data["order"]
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
+            raise GroupoidStructureError("order must be an integer >= 1")
         triples = _element_ids(data["compose"], order, "compose", row=(3,))
         compose = np.full((order, order), UNDEFINED, dtype=np.int64)
         compose[triples[:, 0], triples[:, 1]] = triples[:, 2]

@@ -8,14 +8,14 @@ operator from tomographic data.
 Numerical policy: delta measures are always realized as exact spectral
 atoms of truncated operators, never smoothed; smoothing appears only in
 comparison reports against continuum formulas, with bandwidth set by the
-local eigenvalue spacing.  Reconstruction integrals are lattice quadratures
+local eigenvalue spacing; one eigendecomposition of q serves every
+quadrature direction.  Reconstruction integrals are lattice quadratures
 whose grid parameters are part of every report, together with the Fock
 range the grid can actually resolve.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -443,16 +443,33 @@ class SymplecticTomogram:
         return list(zip(self.x.tolist(), self.p.tolist()))
 
 
+class QuadratureFrame:
+    """Spectrum and eigenvectors of every quadrature mu q + nu p from one eigh(q).
+
+    With U_t = diag(e^{itn}), U_t q U_t^dag = cos(t) q + sin(t) p holds exactly
+    on the truncated space, so mu q + nu p (r = hypot(mu, nu), t = atan2(nu, mu))
+    has eigenvalues r x_q and eigenvectors U_t V_q, with the frame's phases.
+    """
+
+    def __init__(self, n_trunc: int):
+        self.x_q, self.V_q = np.linalg.eigh(quadrature_operator(n_trunc, 1.0, 0.0))
+
+    def rotated(self, theta: float) -> np.ndarray:
+        """Eigenvectors U_theta V_q of cos(theta) q + sin(theta) p."""
+        return np.exp(1j * theta * np.arange(len(self.x_q)))[:, None] * self.V_q
+
+    def direction(self, mu: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvector columns) of mu q + nu p."""
+        if mu == 0 and nu == 0:
+            raise DegenerateDirectionError("direction (mu, nu) = (0, 0) is degenerate")
+        return np.hypot(mu, nu) * self.x_q, self.rotated(np.arctan2(nu, mu))
+
+
 def symplectic_tomogram(n_trunc: int, mu: float, nu: float, rho: np.ndarray) -> SymplecticTomogram:
     """Atoms (x_k, <e_k|rho|e_k>) of the truncated quadrature spectral measure."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (n_trunc, n_trunc):
+    if np.shape(rho) != (n_trunc, n_trunc):
         raise ValueError("rho must be n_trunc x n_trunc")
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
-        raise ValueError("rho must be Hermitian")
-    x, V = np.linalg.eigh(quadrature_operator(n_trunc, mu, nu))
-    weights = np.einsum("jk,jl,lk->k", np.conj(V), rho, V).real
-    return SymplecticTomogram(mu=mu, nu=nu, x=x, p=weights)
+    return state_tomogram_provider(rho)(mu, nu)
 
 
 def characteristic_value(tomogram: SymplecticTomogram) -> complex:
@@ -465,55 +482,38 @@ def symplectic_reconstruct(
     provider,
     grid_limit: float = 6.0,
     grid_step: float = 0.1,
-    threads: int = 1,
 ) -> ReconstructionResult:
     """Reconstruct A = (1/2pi) int chi(mu, nu) e^{-i(mu q + nu p)} dmu dnu.
 
     ``provider(mu, nu)`` must return the SymplecticTomogram of the target
     state; the inner x-integral of the reconstruction formula is evaluated
     exactly on the tomogram atoms, the outer integral by a trapezoid lattice
-    over [-L, L]^2.  Worker threads split the mu-rows; partial sums are
-    reduced in a fixed order so results do not depend on the thread count.
+    over [-L, L]^2.  In the quadrature frame the sum is
+    A[j, k] = sum_a V_q[j, a] S[j - k, a] conj(V_q[k, a]) with
+    S[d, a] = sum over points of chi e^{itd} e^{-i r x_a}, accumulated one
+    mu-row at a time; (0, 0) enters with r = t = 0 and chi = Tr[A].
 
     If |chi| has not decayed at the grid boundary the lattice misses
-    characteristic-function mass; a warning reports the measured boundary
-    tail, which is also recorded in the result.
+    characteristic-function mass; a warning reports the largest |chi| on the
+    first row and column of the lattice, which is also recorded in the result.
     """
     import warnings
 
     grid = np.arange(-grid_limit, grid_limit + grid_step / 2, grid_step)
-
-    def row_sum(mu: float) -> np.ndarray:
-        acc = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
-        for nu in grid:
-            if mu == 0 and nu == 0:
-                # chi is continuous at the degenerate direction with
-                # chi(0,0) = Tr[A]; probe it from a negligible offset
-                tom = provider(grid_step * 1e-9, 0.0)
-                acc += np.sum(tom.p) * np.eye(n_trunc)
-                continue
-            tom = provider(mu, nu)
-            chi = characteristic_value(tom)
-            x, V = np.linalg.eigh(quadrature_operator(n_trunc, mu, nu))
-            acc += chi * (V * np.exp(-1j * x)[None, :]) @ V.conj().T
-        return acc
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row_sum, grid))
-    else:
-        rows = [row_sum(mu) for mu in grid]
-    total = np.zeros((n_trunc, n_trunc), dtype=np.complex128)
-    for r in rows:
-        total += r
+    frame = QuadratureFrame(n_trunc)
+    shifts = np.arange(1 - n_trunc, n_trunc)
+    S = np.zeros((len(shifts), n_trunc), dtype=np.complex128)
+    tail = 0.0
+    for mu in grid:
+        chi = np.array([characteristic_value(provider(mu, nu)) if mu or nu
+                        else np.sum(provider(grid_step * 1e-9, 0.0).p) for nu in grid])
+        tail = max(tail, np.abs(chi if mu == grid[0] else chi[:1]).max())
+        phases = chi * np.exp(1j * np.multiply.outer(shifts, np.arctan2(grid, mu)))
+        S += phases @ np.exp(-1j * np.multiply.outer(np.hypot(mu, grid), frame.x_q))
+    j, k = np.indices((n_trunc, n_trunc))
+    total = np.einsum("ja,jka,ka->jk", frame.V_q, S[j - k + n_trunc - 1], frame.V_q.conj())
     total *= grid_step**2 / (2 * np.pi)
 
-    boundary = [(grid[0], nu) for nu in grid] + [(mu, grid[0]) for mu in grid]
-    tail = max(
-        abs(characteristic_value(provider(mu, nu))) for mu, nu in boundary
-    )
     if tail > 1e-3:
         warnings.warn(
             f"characteristic values reach |chi| = {tail:.2e} at the grid "
@@ -528,29 +528,33 @@ def symplectic_reconstruct(
         n_trunc=n_trunc,
         reliable_dim=reliable,
         grid={"limit": grid_limit, "step": grid_step, "points": len(grid) ** 2},
-        params={"threads": threads, "boundary_tail": float(tail)},
+        params={"boundary_tail": float(tail)},
     )
 
 
 def state_tomogram_provider(rho: np.ndarray):
-    """Provider closure feeding symplectic_reconstruct from a density matrix."""
+    """Provider for symplectic_reconstruct: rho is validated once, one frame serves all."""
     rho = np.asarray(rho, dtype=np.complex128)
-    n = rho.shape[0]
+    if rho.shape != (len(rho), len(rho)) or np.abs(rho - rho.conj().T).max() > 1e-10:
+        raise ValueError("rho must be a square Hermitian matrix")
+    frame = QuadratureFrame(len(rho))
 
     def provider(mu: float, nu: float) -> SymplecticTomogram:
-        return symplectic_tomogram(n, mu, nu, rho)
+        x, V = frame.direction(mu, nu)
+        return SymplecticTomogram(mu=mu, nu=nu, x=x, p=((V.conj().T @ rho) * V.T).sum(1).real)
 
     return provider
 
 
 @dataclass(frozen=True)
 class QuasiSymbol:
-    """Operator matrix elements in the eigenbasis of one quadrature direction."""
+    """Operator A as basis^dag A basis, in the frame eigenbasis of one direction."""
 
     mu: float
     nu: float
     x: np.ndarray
     matrix: np.ndarray
+    basis: np.ndarray
 
 
 def symplectic_quasi_symbol(n_trunc: int, mu: float, nu: float, A: np.ndarray) -> QuasiSymbol:
@@ -558,8 +562,8 @@ def symplectic_quasi_symbol(n_trunc: int, mu: float, nu: float, A: np.ndarray) -
     A = np.asarray(A, dtype=np.complex128)
     if A.shape != (n_trunc, n_trunc):
         raise ValueError("operator must be n_trunc x n_trunc")
-    x, V = np.linalg.eigh(quadrature_operator(n_trunc, mu, nu))
-    return QuasiSymbol(mu=mu, nu=nu, x=x, matrix=V.conj().T @ A @ V)
+    x, V = QuadratureFrame(n_trunc).direction(mu, nu)
+    return QuasiSymbol(mu=mu, nu=nu, x=x, matrix=V.conj().T @ A @ V, basis=V)
 
 
 def intertwining_kernel(
@@ -572,16 +576,15 @@ def intertwining_kernel(
 
     D_Sigma = exp[i(x' - mu' q - nu' p)] / 2pi; feeding this kernel into the
     closing integral against diagonal tomograms reproduces the off-diagonal
-    quasi-distribution W_A(x_k, x_l; mu, nu).
+    quasi-distribution W_A(x_k, x_l; mu, nu).  In the quadrature frame it is
+    W diag(e^{i(x' - r' x_q)}) W^dag / 2pi with W = V_q^dag U_{t'-t} V_q.
     """
     xp, mup, nup = xp_prime
-    if mup == 0 and nup == 0:
-        op = np.exp(1j * xp) / (2 * np.pi) * np.eye(n_trunc, dtype=np.complex128)
-    else:
-        xs, Vp = np.linalg.eigh(quadrature_operator(n_trunc, mup, nup))
-        op = (Vp * np.exp(1j * (xp - xs))[None, :]) @ Vp.conj().T / (2 * np.pi)
-    x, V = np.linalg.eigh(quadrature_operator(n_trunc, mu, nu))
-    return QuasiSymbol(mu=mu, nu=nu, x=x, matrix=V.conj().T @ op @ V)
+    frame = QuadratureFrame(n_trunc)
+    x, V = frame.direction(mu, nu)
+    W = V.conj().T @ frame.rotated(np.arctan2(nup, mup))
+    phases = np.exp(1j * (xp - np.hypot(mup, nup) * frame.x_q)) / (2 * np.pi)
+    return QuasiSymbol(mu=mu, nu=nu, x=x, matrix=(W * phases) @ W.conj().T, basis=V)
 
 
 def quasi_symbol_from_tomograms(
@@ -591,7 +594,6 @@ def quasi_symbol_from_tomograms(
     nu: float,
     grid_limit: float = 6.0,
     grid_step: float = 0.1,
-    threads: int = 1,
 ) -> QuasiSymbol:
     """Closing identity: W_A(.,.; mu, nu) from diagonal tomograms alone.
 
@@ -600,9 +602,8 @@ def quasi_symbol_from_tomograms(
     lattice sum over (mu', nu') of chi(mu', nu') e^{-i(mu' q + nu' p)}
     rotated into the (mu, nu) eigenbasis.
     """
-    rec = symplectic_reconstruct(n_trunc, provider, grid_limit, grid_step, threads)
-    x, V = np.linalg.eigh(quadrature_operator(n_trunc, mu, nu))
-    return QuasiSymbol(mu=mu, nu=nu, x=x, matrix=V.conj().T @ rec.operator @ V)
+    rec = symplectic_reconstruct(n_trunc, provider, grid_limit, grid_step)
+    return symplectic_quasi_symbol(n_trunc, mu, nu, rec.operator)
 
 
 def truncation_edge_flags(
@@ -615,9 +616,10 @@ def truncation_edge_flags(
     """Eigenvectors of mu q + nu p with > mass_tol weight on the top Fock levels.
 
     Flagged vectors feel the truncation edge; continuum comparisons and
-    eigenbasis fidelity checks exclude the flagged rows and columns.
+    eigenbasis fidelity checks exclude the flagged rows and columns.  As
+    |U_t V_q|^2 = |V_q|^2, they do not depend on the direction.
     """
-    _, V = np.linalg.eigh(quadrature_operator(n_trunc, mu, nu))
+    _, V = QuadratureFrame(n_trunc).direction(mu, nu)
     top = max(1, int(np.ceil(level_fraction * n_trunc)))
     mass = np.sum(np.abs(V[-top:, :]) ** 2, axis=0)
     return mass > mass_tol
@@ -669,7 +671,3 @@ def smoothed_reference_density(
 def ground_state_position_density(x: np.ndarray) -> np.ndarray:
     """|phi_0(x)|^2 = e^{-x^2} / sqrt(pi)."""
     return hermite_functions(0, x)[0] ** 2
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, default=float)

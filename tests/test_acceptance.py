@@ -319,7 +319,9 @@ def test_criterion_8_intertwining_identity():
     r = max(1, int(0.375 * n_t))
     P = np.zeros((n_t, n_t))
     P[:r, :r] = np.eye(r)
-    _, V = np.linalg.eigh(quadrature_operator(n_t, mu, nu))
+    V = via.basis
+    D = V.conj().T @ quadrature_operator(n_t, mu, nu) @ V
+    assert np.abs(D - np.diag(via.x)).max() < 1e-12
     rec_op = V @ via.matrix @ V.conj().T
     lhs = V.conj().T @ (P @ rho @ P) @ V
     rhs = V.conj().T @ (P @ rec_op @ P) @ V

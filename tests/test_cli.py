@@ -67,6 +67,14 @@ class TestAxioms:
         assert main(["axioms", "--file", str(path)]) == 2
         assert "integer element ids" in capsys.readouterr().err
 
+    def test_fractional_order_is_input_error(self, tmp_path, capsys):
+        data = pair_groupoid(2).to_dict()
+        data["order"] = 4.9
+        path = tmp_path / "fractional_order.json"
+        path.write_text(json.dumps(data))
+        assert main(["axioms", "--file", str(path)]) == 2
+        assert "order must be an integer" in capsys.readouterr().err
+
     def test_report_json(self, tmp_path, capsys):
         code = main(["axioms", "--pair", "3", "--out", str(tmp_path), "--json", "r.json"])
         assert code == 0

@@ -378,6 +378,16 @@ class TestLoaderRefusals:
         with pytest.raises(GroupoidStructureError):
             FiniteGroupoid.from_dict(data)
 
+    @pytest.mark.parametrize("order", [4.9, 4.0, "4", True, 0, -4],
+                             ids=["fractional", "integral_float", "string", "bool", "zero",
+                                  "negative"])
+    def test_malformed_order_rejected(self, order):
+        # int(4.9) would load pair(2) as order 4 and pass every axiom
+        data = pair_groupoid(2).to_dict()
+        data["order"] = order
+        with pytest.raises(GroupoidStructureError, match="order"):
+            FiniteGroupoid.from_dict(data)
+
     def test_contradicting_product_still_loads(self):
         # source/target violations are the axiom scan's business, with witnesses
         data = pair_groupoid(2).to_dict()

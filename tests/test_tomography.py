@@ -17,6 +17,7 @@ from groupoidal.tomography import (
     DegenerateDirectionError,
     EulerAngles,
     OrderingParameterError,
+    QuadratureFrame,
     ReconstructionResult,
     WeightRangeError,
     angular_momentum,
@@ -57,6 +58,18 @@ def _rand_density(rng, d):
 
 def _rand_op(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+# quadrature coordinates: either axis, negative values, never so small that the
+# dense eigh oracle of mu q + nu p loses its eigenvectors to underflow
+_COORD = st.one_of(st.just(0.0), st.floats(0.01, 4.0), st.floats(-4.0, -0.01))
+_DIRECTION = st.tuples(_COORD, _COORD).filter(lambda d: d != (0.0, 0.0))
+
+
+def _assert_diagonalises(qs, n_t, mu, nu):
+    # the quasi-symbol's basis holds eigenvectors of mu q + nu p for its x
+    D = qs.basis.conj().T @ quadrature_operator(n_t, mu, nu) @ qs.basis
+    assert np.abs(D - np.diag(qs.x)).max() < 1e-12
 
 
 class TestWignerD:
@@ -438,6 +451,35 @@ class TestSymplecticTomogram:
         assert np.abs(est - ref).max() < 1e-3
 
 
+class TestQuadratureFrame:
+    def test_degenerate_direction(self):
+        with pytest.raises(DegenerateDirectionError):
+            QuadratureFrame(8).direction(0.0, 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_t=st.integers(2, 40), direction=_DIRECTION, seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_eigh(self, n_t, direction, seed):
+        mu, nu = direction
+        rho = _rand_density(np.random.default_rng(seed), n_t)
+        x_ref, V_ref = np.linalg.eigh(quadrature_operator(n_t, mu, nu))
+        x, basis = QuadratureFrame(n_t).direction(mu, nu)
+        assert np.abs(x - x_ref).max() < 1e-12 * max(1.0, np.hypot(mu, nu))
+        p_ref = np.einsum("jk,jl,lk->k", V_ref.conj(), rho, V_ref).real
+        assert np.abs(symplectic_tomogram(n_t, mu, nu, rho).p - p_ref).max() < 1e-12
+        D = basis.conj().T @ quadrature_operator(n_t, mu, nu) @ basis
+        assert np.abs(D - np.diag(x)).max() < 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_t=st.integers(2, 40), direction=_DIRECTION, prime=_DIRECTION,
+           xp=st.floats(-3.0, 3.0))
+    def test_intertwining_kernel_matches_eigh_form(self, n_t, direction, prime, xp):
+        # explicit W-form against V^dag D_Sigma V with D_Sigma from a dense eigh
+        K = intertwining_kernel(n_t, (xp, *prime), *direction)
+        xs, Vp = np.linalg.eigh(quadrature_operator(n_t, *prime))
+        d_sigma = (Vp * np.exp(1j * (xp - xs))) @ Vp.conj().T / (2 * np.pi)
+        assert np.abs(K.basis.conj().T @ d_sigma @ K.basis - K.matrix).max() < 1e-12
+
+
 class TestSymplecticReconstruction:
     def test_vacuum(self):
         n_t = 32
@@ -447,15 +489,6 @@ class TestSymplecticReconstruction:
         errs = rec.errors_against(rho)
         assert rec.reliable_dim == 12
         assert errs["frobenius_error"] < 1e-3
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_threads_bit_identical(self):
-        n_t = 12
-        rng = np.random.default_rng(12)
-        rho = _rand_density(rng, n_t)
-        a = symplectic_reconstruct(n_t, state_tomogram_provider(rho), 4.0, 0.25, threads=1)
-        b = symplectic_reconstruct(n_t, state_tomogram_provider(rho), 4.0, 0.25, threads=4)
-        assert np.array_equal(a.operator, b.operator)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_report_schema(self):
@@ -483,8 +516,8 @@ class TestQuasiSymbol:
         rng = np.random.default_rng(14)
         A = _rand_op(rng, 10)
         qs = symplectic_quasi_symbol(10, 0.7, 0.7, A)
-        _, V = np.linalg.eigh(quadrature_operator(10, 0.7, 0.7))
-        back = V @ qs.matrix @ V.conj().T
+        _assert_diagonalises(qs, 10, 0.7, 0.7)
+        back = qs.basis @ qs.matrix @ qs.basis.conj().T
         assert np.abs(back - A).max() < 1e-12
 
     def test_diagonal_equals_tomogram(self):
@@ -505,10 +538,11 @@ class TestIntertwining:
         mu, nu = 0.6, -0.8
         xp = (0.4, 0.3, 0.7)
         K = intertwining_kernel(n_t, xp, mu, nu)
+        _assert_diagonalises(K, n_t, mu, nu)
         # kernel of D_Sigma^dagger equals the conjugate transpose
         xs, Vp = np.linalg.eigh(quadrature_operator(n_t, xp[1], xp[2]))
         op_dag = ((Vp * np.exp(-1j * (xp[0] - xs))[None, :]) @ Vp.conj().T / (2 * np.pi))
-        _, V = np.linalg.eigh(quadrature_operator(n_t, mu, nu))
+        V = K.basis
         K_dag = V.conj().T @ op_dag @ V
         assert np.abs(K_dag - K.matrix.conj().T).max() < 1e-14
 
@@ -524,7 +558,8 @@ class TestIntertwining:
         r = max(1, int(0.375 * n_t))
         P = np.zeros((n_t, n_t))
         P[:r, :r] = np.eye(r)
-        _, V = np.linalg.eigh(quadrature_operator(n_t, mu, nu))
+        _assert_diagonalises(via, n_t, mu, nu)
+        V = via.basis
         rec_op = V @ via.matrix @ V.conj().T
         lhs = V.conj().T @ (P @ rho @ P) @ V
         rhs = V.conj().T @ (P @ rec_op @ P) @ V
@@ -616,3 +651,12 @@ class TestTomogramNormalisation:
         rho[:levels, :levels] = rng.uniform(0.5, 2.0) * _rand_density(rng, levels)
         tom = photon_tomogram(rho, disk_lattice(2.0, 0.4), n_max=64)
         assert np.abs(tom.table.sum(axis=0) - np.trace(rho).real).max() < 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_t=st.integers(2, 40), direction=_DIRECTION, seed=st.integers(0, 2**32 - 1))
+    def test_symplectic_weights_sum_to_trace(self, n_t, direction, seed):
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(0.5, 2.0) * _rand_density(rng, n_t)
+        p = symplectic_tomogram(n_t, *direction, rho).p
+        assert abs(p.sum() - np.trace(rho).real) < 1e-12
+        assert p.min() > -1e-12
