@@ -40,7 +40,7 @@ class GroupoidFunction:
         object.__setattr__(self, "values", vals)
 
     def _check_owner(self, other: "GroupoidFunction") -> None:
-        if other.groupoid is not self.groupoid and other.groupoid != self.groupoid:
+        if other.groupoid != self.groupoid:
             raise AlgebraMismatchError("functions live on different groupoids")
 
     def __add__(self, other: "GroupoidFunction") -> "GroupoidFunction":
@@ -282,6 +282,8 @@ def dequantize_D(G: FiniteGroupoid, A: np.ndarray) -> GroupoidFunction:
 def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     """Trapezoid-rule weights for a strictly increasing 1D grid."""
     points = np.asarray(points, dtype=float)
+    if len(points) < 2:
+        raise ValueError(f"a trapezoid grid needs at least 2 points (got {len(points)})")
     if np.any(np.diff(points) <= 0):
         raise ValueError("grid points must be strictly increasing")
     w = np.empty_like(points)
@@ -377,11 +379,15 @@ def operator_to_dict(A: np.ndarray) -> dict:
 
 
 def operator_from_dict(data: dict) -> np.ndarray:
-    n = int(data["dim"])
-    flat = np.array([complex(re, im) for re, im in data["entries"]])
-    if flat.size != n * n:
-        raise ValueError("entry count does not match dim^2")
-    return flat.reshape(n, n)
+    if not isinstance(data, dict) or not {"dim", "entries"} <= data.keys():
+        raise ValueError("operator JSON must be an object with 'dim' and 'entries'")
+    n = data["dim"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError("operator dim must be an integer >= 1")
+    pairs = np.asarray(data["entries"], dtype=float)
+    if pairs.shape != (n * n, 2):
+        raise ValueError("entries must be dim^2 [re, im] pairs")
+    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n)
 
 
 def save_operator(A: np.ndarray, path) -> None:

@@ -3,7 +3,10 @@
 Subcommands: ``axioms``, ``equiv``, ``tomo``, ``kernel``, ``roundtrip``.
 Every run emits a human-readable summary and, on request, a JSON report;
 tomography runs write plot-ready CSV tables.  Exit codes are stable:
-0 pass, 1 check failed, 2 input error, 3 infeasible parameters.
+0 pass, 1 check failed, 2 input error, 3 infeasible parameters.  Each
+``cmd_*`` returns a ``RunReport``; ``main`` alone times it, prints it and
+maps exceptions to exit codes (``INFEASIBLE_ERRORS`` exit 3, other bad
+input exits 2, anything else is a bug and keeps its traceback).
 
 All randomized campaigns run from an explicit seed (default 0) and the
 reports record it, so reruns reproduce every deviation bit for bit.
@@ -31,6 +34,20 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INFEASIBLE = 3
+
+
+class InfeasibleGridError(ValueError):
+    """Raised when a reconstruction lattice is too coarse or too small for the scheme."""
+
+
+# The parameter refusals that exit 3; any other ValueError is bad input (exit 2).
+INFEASIBLE_ERRORS = (
+    starproduct.KernelLimitError,
+    realizations.TruncationRegionError,
+    realizations.GridSupportError,
+    tomography.WeightRangeError,
+    InfeasibleGridError,
+)
 
 
 @dataclass
@@ -68,8 +85,7 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _finish(report: RunReport, args, t0: float) -> int:
-    report.wall_time_s = time.perf_counter() - t0
+def _finish(report: RunReport, args) -> int:
     for c in report.checks:
         mark = "PASS" if c["passed"] else "FAIL"
         dev = "" if c["deviation"] is None else f"  deviation={c['deviation']:.3e}"
@@ -82,9 +98,7 @@ def _finish(report: RunReport, args, t0: float) -> int:
 
 
 def _build_groupoid(args) -> groupoid.FiniteGroupoid:
-    chosen = [
-        bool(args.pair), bool(args.group), bool(args.file), args.units is not None
-    ]
+    chosen = [bool(args.pair), bool(args.group), bool(args.file), args.units is not None]
     if sum(chosen) != 1:
         raise ValueError(
             "choose exactly one of --pair / --group / --units+--isotropy / --file"
@@ -105,12 +119,9 @@ def _build_groupoid(args) -> groupoid.FiniteGroupoid:
 
 def _cyclic_order(spec: str) -> int:
     spec = spec.strip()
-    if not spec.upper().startswith("Z"):
+    if spec[:1].upper() != "Z" or not spec[1:].isdecimal():
         raise ValueError(f"group spec {spec!r} not understood; use e.g. Z4")
-    try:
-        return int(spec[1:])
-    except ValueError as exc:
-        raise ValueError(f"group spec {spec!r} not understood; use e.g. Z4") from exc
+    return int(spec[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +129,9 @@ def _cyclic_order(spec: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_axioms(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        G = _build_groupoid(args)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    report = RunReport(
-        "axioms", {"order": G.order, "name": G.name}, seed=args.seed
-    )
+def cmd_axioms(args) -> RunReport:
+    G = _build_groupoid(args)
+    report = RunReport("axioms", {"order": G.order, "name": G.name}, seed=args.seed)
     ax = groupoid.validate_axioms(G)
     for name, check in ax.entries.items():
         detail = {}
@@ -146,7 +150,7 @@ def cmd_axioms(args) -> int:
     else:
         for name, check in ax.failures().items():
             print(f"violated {name}: witness {check.witness}")
-    return _finish(report, args, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -154,37 +158,19 @@ def cmd_axioms(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_equiv(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        report = _equiv_report(args)
-    except (starproduct.KernelLimitError, realizations.TruncationRegionError) as exc:
-        print(f"infeasible parameters: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    return _finish(report, args, t0)
-
-
-def _equiv_report(args) -> RunReport:
+def cmd_equiv(args) -> RunReport:
     if args.scheme == "prop1":
         rep = starproduct.verify_prop1(args.n, n_pairs=args.pairs, seed=args.seed)
         report = RunReport("equiv prop1", {"n": args.n, "pairs": args.pairs}, seed=args.seed)
         report.add("kernel_is_boolean", rep.kernel_is_boolean)
         report.add("star_equals_convolution", rep.max_dev < 1e-12, rep.max_dev)
-        report.add(
-            "integer_symbols_exact",
-            rep.details["integer_max_dev"] == 0.0,
-            rep.details["integer_max_dev"],
-        )
+        exact_dev = rep.details["integer_max_dev"]
+        report.add("integer_symbols_exact", exact_dev == 0.0, exact_dev)
         return report
     if args.scheme == "genconv":
         G = _build_groupoid(args)
         rep = starproduct.verify_gen_conv(G, seed=args.seed)
-        report = RunReport(
-            "equiv genconv", {"order": G.order, "name": G.name}, seed=args.seed
-        )
+        report = RunReport("equiv genconv", {"order": G.order, "name": G.name}, seed=args.seed)
         norm = rep.details["normalization"]
         print(f"normalization constant: {norm}")
         report.add("kernel_equals_delta", rep.details["kernel_vs_delta_dev"] == 0.0,
@@ -195,16 +181,11 @@ def _equiv_report(args) -> RunReport:
     # coherent counterexample: passes when the discrepancy is LARGE
     grid = realizations.coherent_grid(args.grid, args.spacing)
     rep = realizations.coherent_discrepancy_report(grid, args.nt)
-    report = RunReport(
-        "equiv coherent",
-        {"grid": args.grid, "spacing": args.spacing, "n_trunc": args.nt},
-        seed=args.seed,
-    )
-    report.add(
-        "star_differs_from_convolution",
-        rep["star_vs_convolution_gap"] > 1e-2,
-        rep["star_vs_convolution_gap"],
-    )
+    report = RunReport("equiv coherent",
+                       {"grid": args.grid, "spacing": args.spacing, "n_trunc": args.nt},
+                       seed=args.seed)
+    gap = rep["star_vs_convolution_gap"]
+    report.add("star_differs_from_convolution", gap > 1e-2, gap)
     report.add("duality_residual_large", rep["duality_residual"] > 0.1,
                rep["duality_residual"])
     report.add("overlap_matches_series", rep["overlap_series_dev"] < 1e-10,
@@ -218,14 +199,16 @@ def _equiv_report(args) -> RunReport:
 
 
 def _parse_state(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
+    if dim < 1:
+        raise ValueError(f"state dimension must be at least 1 (got {dim})")
     if spec == "vac":
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
         return rho
     if spec.startswith("fock:"):
         k = int(spec.split(":", 1)[1])
-        if k >= dim:
-            raise ValueError(f"fock index {k} outside truncation {dim}")
+        if not 0 <= k < dim:
+            raise ValueError(f"fock index {k} outside 0..{dim - 1}")
         rho = np.zeros((dim, dim), dtype=complex)
         rho[k, k] = 1.0
         return rho
@@ -242,33 +225,35 @@ def _parse_state(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"state spec {spec!r} not understood")
 
 
-def cmd_tomo(args) -> int:
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(args.seed)
-    out = _out_dir(args)
-    try:
-        if args.scheme == "spin":
-            return _tomo_spin(args, rng, out, t0)
-        if args.scheme == "photon":
-            return _tomo_photon(args, rng, out, t0)
-        return _tomo_symplectic(args, rng, out, t0)
-    except (ValueError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+def cmd_tomo(args) -> RunReport:
+    tomo = {"spin": _tomo_spin, "photon": _tomo_photon, "symplectic": _tomo_symplectic}
+    return tomo[args.scheme](args, np.random.default_rng(args.seed), _out_dir(args))
 
 
-def _tomo_spin(args, rng, out: Path, t0) -> int:
+def _add_reconstruction(report: RunReport, rec, rho, args, out: Path, **details) -> None:
+    """The reconstruction_frobenius check plus the ``<scheme>_reconstruction.json`` file."""
+    errs = rec.errors_against(rho)
+    report.add("reconstruction_frobenius", errs["frobenius_error"] < args.tol,
+               errs["frobenius_error"], reliable_dim=rec.reliable_dim,
+               frobenius_error_full=errs["frobenius_error_full"],
+               max_abs_beyond_reliable=rec.max_abs_beyond_reliable, **details)
+    (out / f"{rec.scheme}_reconstruction.json").write_text(
+        json.dumps(rec.report(rho, seed=args.seed), indent=2, default=float)
+    )
+
+
+def _tomo_spin(args, rng, out: Path) -> RunReport:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1 (got {args.samples})")
     j = args.j
     dim = int(round(2 * j)) + 1
     rho = _parse_state(args.state, dim, rng)
-    report = RunReport(
-        "tomo spin", {"j": j, "state": args.state, "samples": args.samples},
-        seed=args.seed,
-    )
+    report = RunReport("tomo spin", {"j": j, "state": args.state, "samples": args.samples},
+                       seed=args.seed)
     angles = rng.uniform(-np.pi, np.pi, (args.samples, 3))
     probs = tomography.spin_tomogram(j, tomography.EulerAngles(*angles.T), rho).probabilities
-    worst_sum = float(np.abs(probs.sum(axis=1) - 1.0).max(initial=0.0))
-    worst_neg = max(0.0, -float(probs.min(initial=0.0)))
+    worst_sum = float(np.abs(probs.sum(axis=1) - 1.0).max())
+    worst_neg = max(0.0, -float(probs.min()))
     alpha, beta, gamma = np.repeat(angles, dim, axis=0).T.tolist()
     m = np.tile(np.arange(dim) - j, args.samples).tolist()
     path = out / "spin_tomogram.csv"
@@ -287,10 +272,10 @@ def _tomo_spin(args, rng, out: Path, t0) -> int:
             back = tomography.spin_reconstruct_at_g(j, g, w)
             worst = max(worst, float(np.abs(back - rho).max()))
         report.add("fixed_g_roundtrip", worst < 1e-12, worst)
-    return _finish(report, args, t0)
+    return report
 
 
-def _tomo_photon(args, rng, out: Path, t0) -> int:
+def _tomo_photon(args, rng, out: Path) -> RunReport:
     n_t = args.nt
     rho = _parse_state(args.state, n_t, rng)
     report = RunReport(
@@ -301,13 +286,11 @@ def _tomo_photon(args, rng, out: Path, t0) -> int:
     )
     if args.reconstruct:
         if args.spacing > 0.25 or args.radius < 3.0:
-            print(
-                "infeasible grid for reconstruction: need spacing <= 0.25 and "
-                f"radius >= 3 (got spacing={args.spacing}, radius={args.radius}); "
-                "suggested: --spacing 0.2 --radius 4",
-                file=sys.stderr,
+            raise InfeasibleGridError(
+                "reconstruction needs spacing <= 0.25 and radius >= 3 "
+                f"(got spacing={args.spacing}, radius={args.radius}); "
+                "suggested: --spacing 0.2 --radius 4"
             )
-            return EXIT_INFEASIBLE
         lattice = realizations.disk_lattice(args.radius, args.spacing)
     else:
         lattice = realizations.CoherentGrid(np.array([complex(args.z)]), args.spacing**2)
@@ -330,18 +313,11 @@ def _tomo_photon(args, rng, out: Path, t0) -> int:
     )
     if args.reconstruct:
         rec = tomography.photon_reconstruct(tom, s=args.s, n_trunc=n_t)
-        errs = rec.errors_against(rho)
-        report.add("reconstruction_frobenius", errs["frobenius_error"] < args.tol,
-                   errs["frobenius_error"], reliable_dim=rec.reliable_dim,
-                   frobenius_error_full=errs["frobenius_error_full"],
-                   max_abs_beyond_reliable=rec.max_abs_beyond_reliable)
-        (out / "photon_reconstruction.json").write_text(
-            json.dumps(rec.report(rho, seed=args.seed), indent=2, default=float)
-        )
-    return _finish(report, args, t0)
+        _add_reconstruction(report, rec, rho, args, out)
+    return report
 
 
-def _tomo_symplectic(args, rng, out: Path, t0) -> int:
+def _tomo_symplectic(args, rng, out: Path) -> RunReport:
     n_t = args.nt
     rho = _parse_state(args.state, n_t, rng)
     report = RunReport(
@@ -363,26 +339,17 @@ def _tomo_symplectic(args, rng, out: Path, t0) -> int:
                abs(float(tom.p.sum() - np.trace(rho).real)))
     if args.reconstruct:
         if args.L < 6.0 or args.step > 0.15:
-            print(
-                "infeasible grid for reconstruction: need L >= 6 and step <= 0.15 "
-                f"(got L={args.L}, step={args.step}); suggested: --L 6 --step 0.1",
-                file=sys.stderr,
+            raise InfeasibleGridError(
+                f"reconstruction needs L >= 6 and step <= 0.15 (got L={args.L}, "
+                f"step={args.step}); suggested: --L 6 --step 0.1"
             )
-            return EXIT_INFEASIBLE
         rec = tomography.symplectic_reconstruct(
             n_t, tomography.state_tomogram_provider(rho),
             grid_limit=args.L, grid_step=args.step,
         )
-        errs = rec.errors_against(rho)
-        report.add("reconstruction_frobenius", errs["frobenius_error"] < args.tol,
-                   errs["frobenius_error"], reliable_dim=rec.reliable_dim,
-                   frobenius_error_full=errs["frobenius_error_full"],
-                   max_abs_beyond_reliable=rec.max_abs_beyond_reliable,
-                   boundary_tail=rec.params["boundary_tail"])
-        (out / "symplectic_reconstruction.json").write_text(
-            json.dumps(rec.report(rho, seed=args.seed), indent=2, default=float)
-        )
-    return _finish(report, args, t0)
+        _add_reconstruction(report, rec, rho, args, out,
+                            boundary_tail=rec.params["boundary_tail"])
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -390,48 +357,30 @@ def _tomo_symplectic(args, rng, out: Path, t0) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_kernel(args) -> int:
-    t0 = time.perf_counter()
-    out = _out_dir(args)
+def cmd_kernel(args) -> RunReport:
     if args.weyl:
         pair = starproduct.weyl_qdpair(args.weyl)
         name = f"weyl{args.weyl}"
     else:
-        try:
-            G = _build_groupoid(args)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-            print(f"input error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+        G = _build_groupoid(args)
         pair = starproduct.d_realization_qdpair(G)
         name = f"dreal{G.order}"
     report = RunReport("kernel", {"pair": name}, seed=args.seed)
-    try:
-        path = out / f"kernel_{name}.csv"
-        starproduct.export_kernel_csv(pair, path)
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    path = _out_dir(args) / f"kernel_{name}.csv"
+    starproduct.export_kernel_csv(pair, path)
     print(f"kernel: {path}")
     report.add("kernel_exported", True)
-    return _finish(report, args, t0)
+    return report
 
 
-def cmd_roundtrip(args) -> int:
-    t0 = time.perf_counter()
+def cmd_roundtrip(args) -> RunReport:
     rng = np.random.default_rng(args.seed)
     grid = realizations.position_grid(-args.xmax, args.xmax, args.points)
-    report = RunReport(
-        "roundtrip",
-        {"N_t": args.nt, "xmax": args.xmax, "points": args.points},
-        seed=args.seed,
-    )
+    report = RunReport("roundtrip", {"N_t": args.nt, "xmax": args.xmax, "points": args.points},
+                       seed=args.seed)
     F = rng.standard_normal((args.nt, args.nt)) + 1j * rng.standard_normal((args.nt, args.nt))
-    try:
-        f = realizations.fock_to_position_symbol(F, grid)
-        F2 = realizations.position_to_fock_symbol(f, grid, args.nt)
-    except realizations.GridSupportError as exc:
-        print(f"infeasible parameters: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    f = realizations.fock_to_position_symbol(F, grid)
+    F2 = realizations.position_to_fock_symbol(f, grid, args.nt)
     dev = float(np.abs(F2 - F).max())
     report.add("fock_position_roundtrip", dev < args.tol, dev)
     # product carried through the position representation = matrix product
@@ -445,7 +394,7 @@ def cmd_roundtrip(args) -> int:
         path = _out_dir(args) / args.csv
         realizations.save_grid_symbol_csv(f, grid, path)
         print(f"grid symbol: {path}")
-    return _finish(report, args, t0)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +488,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "tol", None) is None and args.command == "tomo":
         args.tol = {"spin": 1e-12, "photon": 5e-3, "symplectic": 1e-3}[args.scheme]
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except SystemExit:
-        raise
-    except groupoid.GroupoidStructureError as exc:
+        report = args.func(args)
+        report.wall_time_s = time.perf_counter() - t0
+        return _finish(report, args)
+    except INFEASIBLE_ERRORS as exc:
+        print(f"infeasible parameters: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    # GroupoidStructureError and JSONDecodeError are ValueErrors; anything
+    # else is a bug and keeps its traceback
+    except (OSError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -100,6 +100,15 @@ class FiniteGroupoid:
         if not all(0 <= u < self.order for u in self.units):
             raise GroupoidStructureError("unit id out of range")
 
+    def __eq__(self, other) -> bool:
+        """Structural equality: same order, units, maps and table (the name is ignored)."""
+        if not isinstance(other, FiniteGroupoid):
+            return NotImplemented
+        return self is other or (self.order, self.units) == (other.order, other.units) and all(
+            np.array_equal(getattr(self, a), getattr(other, a))
+            for a in ("source", "target", "inverse", "compose")
+        )
+
     def __len__(self) -> int:
         return self.order
 
@@ -141,12 +150,16 @@ class FiniteGroupoid:
     def from_dict(data: dict) -> "FiniteGroupoid":
         """Build a groupoid from ``to_dict`` output.
 
-        Raises ``GroupoidStructureError`` when ``order`` is not an integer
-        >= 1, an id is not an integer, is negative or not below ``order``, a
-        compose row is not a triple, or a ``(j, k)`` pair is listed twice.
+        Raises ``GroupoidStructureError`` when ``data`` is not an object with
+        the six ``to_dict`` keys, ``order`` is not an integer >= 1, an id is
+        not an integer, is negative or not below ``order``, a compose row is
+        not a triple, or a ``(j, k)`` pair is listed twice.
         Products that contradict source/target are loaded as given:
         ``validate_axioms`` reports them with witnesses.
         """
+        keys = ("order", "units", "source", "target", "inverse", "compose")
+        if not isinstance(data, dict) or not set(keys) <= data.keys():
+            raise GroupoidStructureError(f"groupoid JSON must be an object with keys {keys}")
         order = data["order"]
         if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
             raise GroupoidStructureError("order must be an integer >= 1")

@@ -134,6 +134,8 @@ def coherent_grid(size: int, spacing: float, center: complex = 0j) -> CoherentGr
 
 def disk_lattice(radius: float, spacing: float) -> CoherentGrid:
     """Lattice of coherent labels covering the disk |z| <= radius."""
+    if spacing <= 0:
+        raise ValueError(f"lattice spacing must be positive (got {spacing})")
     ax = np.arange(-radius, radius + spacing / 2, spacing)
     z = (ax[:, None] + 1j * ax[None, :]).reshape(-1)
     z = z[np.abs(z) <= radius + 1e-12]
@@ -215,6 +217,8 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1},
     which keeps every row O(1) (no raw Hermite polynomials, no overflow).
     """
+    if n_max < 0:
+        raise ValueError(f"Hermite order must be nonnegative (got {n_max})")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros((n_max + 1, len(x)))
     out[0] = np.pi**-0.25 * np.exp(-0.5 * x**2)
@@ -227,8 +231,6 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
 
 def hermite_function(n: int, x):
     """phi_n(x) = <x|n> for scalar or array x."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     vals = hermite_functions(n, x)[n]
     return vals[0] if np.isscalar(x) else vals
 
@@ -250,6 +252,8 @@ def position_to_fock_symbol(f: np.ndarray, grid: PositionGrid, n_trunc: int) -> 
         When the grid endpoints cannot contain the support of the highest
         requested Hermite function; the message suggests a sufficient bound.
     """
+    if n_trunc < 1:
+        raise ValueError(f"Fock truncation must be at least 1 (got {n_trunc})")
     f = np.asarray(f, dtype=np.complex128)
     m = len(grid)
     if f.shape != (m, m):
@@ -272,8 +276,8 @@ def _fock_symbol_matrix(F: Symbol | np.ndarray) -> np.ndarray:
         n = int(round(np.sqrt(len(F.space))))
         return F.values.reshape(n, n)
     F = np.asarray(F, dtype=np.complex128)
-    if F.ndim != 2 or F.shape[0] != F.shape[1]:
-        raise ValueError("Fock symbol must be square")
+    if F.ndim != 2 or F.shape[0] != F.shape[1] or len(F) < 1:
+        raise ValueError("Fock symbol must be a square matrix of dimension at least 1")
     return F
 
 
@@ -332,6 +336,8 @@ def coherent_overlap(w: complex, z: complex) -> complex:
 
 def coherent_state_vector(n_trunc: int, z: complex) -> np.ndarray:
     """Truncated coherent vector sum_n e^{-|z|^2/2} z^n / sqrt(n!) |n>."""
+    if n_trunc < 1:
+        raise ValueError(f"Fock truncation must be at least 1 (got {n_trunc})")
     n = np.arange(n_trunc)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_trunc)))))
     if z == 0:

@@ -58,6 +58,13 @@ class IndexSpace:
             raise ValueError("weights must be positive")
         object.__setattr__(self, "weights", w)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IndexSpace):
+            return NotImplemented
+        return self is other or (
+            self.labels == other.labels and np.array_equal(self.weights, other.weights)
+        )
+
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -126,7 +133,7 @@ class Kernel3:
 
 
 def _check_space(pair: QDPair, f: Symbol) -> None:
-    if f.space is not pair.space and f.space != pair.space:
+    if f.space != pair.space:
         raise SpaceMismatchError("symbol does not live on the pair's index space")
 
 

@@ -499,7 +499,10 @@ def symplectic_reconstruct(
     """
     import warnings
 
-    grid = np.arange(-grid_limit, grid_limit + grid_step / 2, grid_step)
+    if not (0 < grid_limit < np.inf and 0 < grid_step < np.inf):
+        raise ValueError("grid_limit and grid_step must be positive and finite")
+    n_half = round(grid_limit / grid_step)
+    grid = grid_step * np.arange(-n_half, n_half + 1)
     frame = QuadratureFrame(n_trunc)
     shifts = np.arange(1 - n_trunc, n_trunc)
     S = np.zeros((len(shifts), n_trunc), dtype=np.complex128)

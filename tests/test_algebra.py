@@ -33,6 +33,22 @@ from groupoidal.groupoid import (
 )
 
 
+class TestOwnerCheck:
+    def test_structurally_equal_groupoids_combine(self):
+        f, g = (GroupoidFunction(pair_groupoid(2), np.arange(4.0)) for _ in range(2))
+        assert np.array_equal((f + g).values, 2 * np.arange(4.0))
+        assert np.array_equal((f - g).values, np.zeros(4))
+        assert np.array_equal(convolve(f, g).values, convolve(f, f).values)
+
+    def test_different_groupoids_of_equal_order_refused(self):
+        f = GroupoidFunction(pair_groupoid(2), np.ones(4))
+        g = GroupoidFunction(group_groupoid(cyclic_group_table(4)), np.ones(4))
+        with pytest.raises(AlgebraMismatchError):
+            f + g
+        with pytest.raises(AlgebraMismatchError):
+            convolve(f, g)
+
+
 class TestConvolution:
     def test_pair_convolution_is_matrix_product(self):
         G = pair_groupoid(2)

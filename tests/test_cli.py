@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import groupoidal
 from groupoidal.cli import main
 from groupoidal.groupoid import FiniteGroupoid, disjoint_union, pair_groupoid
 
@@ -252,6 +257,70 @@ class TestKernelRoundtrip:
             "roundtrip", "--nt", "24", "--xmax", "4", "--out", str(tmp_path),
         ])
         assert code == 3
+
+
+class TestExitCodes:
+    """main alone maps errors to exit codes: 2 for bad input, 3 for infeasible parameters."""
+
+    @pytest.fixture()
+    def state_files(self, tmp_path):
+        (tmp_path / "empty.json").write_text("{}")
+        (tmp_path / "list.json").write_text("[]")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "kernel --weyl -3",
+            "roundtrip --xmax -8",
+            "roundtrip --points 0",
+            "roundtrip --points 1",
+            "roundtrip --nt 0",
+            "tomo photon --nt 0",
+            "tomo symplectic --nt 0",
+            "equiv coherent --nt 0",
+            "tomo photon --spacing 0 --reconstruct",
+            "tomo symplectic --nt 4 --L inf --reconstruct",
+            "tomo symplectic --state file:{dir}/empty.json",
+            "tomo symplectic --state file:{dir}/list.json",
+            "axioms --file {dir}/empty.json",
+            "axioms --file {dir}/list.json",
+        ],
+    )
+    def test_bad_input_exits_2_with_one_line(self, state_files, capsys, argv):
+        code = main([*argv.format(dir=state_files).split(), "--out", str(state_files)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    def test_module_entry_point_prints_no_traceback(self, tmp_path):
+        src = str(Path(groupoidal.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupoidal.cli", "roundtrip", "--points", "1",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: a trapezoid grid needs at least 2 points (got 1)\n"
+
+    def test_negative_fock_index_no_longer_wraps(self, tmp_path, capsys):
+        assert main(["tomo", "photon", "--nt", "4", "--state", "fock:3", "--out", str(tmp_path)]) == 0
+        assert main(["tomo", "photon", "--nt", "4", "--state", "fock:-1", "--out", str(tmp_path)]) == 2
+        assert "fock index -1 outside 0..3" in capsys.readouterr().err
+
+    def test_spin_without_samples_checks_nothing_so_is_refused(self, tmp_path, capsys):
+        assert main(["tomo", "spin", "--samples", "0", "--out", str(tmp_path)]) == 2
+        assert "--samples must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "spin_tomogram.csv").exists()
+
+    def test_photon_weight_overflow_is_infeasible(self, tmp_path, capsys):
+        code = main([
+            "tomo", "photon", "--s", "-0.9999999999999", "--reconstruct", "--out", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("infeasible parameters: ") and "n_max <= 22" in err
 
 
 class TestDeterminism:

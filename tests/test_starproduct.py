@@ -12,7 +12,7 @@ from groupoidal.groupoid import (
     pair_groupoid,
     transitive_groupoid,
 )
-from groupoidal.realizations import coherent_grid, coherent_pair, fock_weyl_pair
+from groupoidal.realizations import coherent_grid, coherent_pair, fock_weyl_pair, spin_weyl_pair
 from groupoidal.starproduct import (
     IndexSpace,
     Kernel3,
@@ -184,6 +184,27 @@ class TestKernel:
         with pytest.raises(SpaceMismatchError):
             kernel(pair)
         assert kernel(pair, force=True).values.shape == (81, 81, 81)
+
+
+class TestSpaceCheck:
+    def test_structurally_equal_spaces_combine(self):
+        rng = np.random.default_rng(5)
+        A, B = _rand_op(rng, 2), _rand_op(rng, 2)
+        other = weyl_qdpair(2)
+        f, g = symbol(other, A), symbol(other, B)
+        got = star(weyl_qdpair(2), f, g)
+        assert np.abs(got.values - star(other, f, g).values).max() == 0.0
+        assert np.abs(reconstruct(weyl_qdpair(2), got) - A @ B).max() < 1e-12
+
+    def test_other_space_of_equal_size_refused(self):
+        pair = weyl_qdpair(2)
+        f = symbol(pair, np.eye(2))
+        reweighted = Symbol(IndexSpace(pair.space.labels, 2 * pair.space.weights), f.values)
+        for alien in (symbol(spin_weyl_pair(0.5), np.eye(2)), reweighted):
+            with pytest.raises(SpaceMismatchError):
+                star(pair, f, alien)
+            with pytest.raises(SpaceMismatchError):
+                reconstruct(pair, alien)
 
 
 class TestStar:

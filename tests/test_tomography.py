@@ -499,6 +499,29 @@ class TestSymplecticReconstruction:
         for key in ("schema", "scheme", "grid", "N_t", "frobenius_error", "trace_error", "seed"):
             assert key in rep
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_default_lattice_is_symmetric_and_holds_origin(self):
+        seen = []
+        inner = state_tomogram_provider(np.eye(2, dtype=complex) / 2)
+
+        def provider(mu, nu):
+            seen.append((mu, nu))
+            return inner(mu, nu)
+
+        rec = symplectic_reconstruct(2, provider)
+        nus = np.array([nu for mu, nu in seen[:121]])
+        assert rec.grid["points"] == len(seen) == 121**2
+        assert np.array_equal(nus, -nus[::-1]) and nus[60] == 0.0
+        # the origin is served by the exact chi(0, 0) = Tr branch
+        assert (0.0, 0.0) not in seen and (0.1 * 1e-9, 0.0) in seen
+
+    @pytest.mark.parametrize(
+        "limit,step", [(6.0, 0.0), (0.0, 0.1), (6.0, -0.1), (np.inf, 0.1), (6.0, np.nan)]
+    )
+    def test_degenerate_lattice_refused(self, limit, step):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            symplectic_reconstruct(2, state_tomogram_provider(np.eye(2) / 2), limit, step)
+
 
 class TestQuasiSymbol:
     def test_diagonal_of_position_operator(self):
