@@ -42,6 +42,7 @@ class InfeasibleGridError(ValueError):
 
 # The parameter refusals that exit 3; any other ValueError is bad input (exit 2).
 INFEASIBLE_ERRORS = (
+    groupoid.DenseSizeError,
     starproduct.KernelLimitError,
     realizations.TruncationRegionError,
     realizations.GridSupportError,
@@ -201,6 +202,7 @@ def cmd_equiv(args) -> RunReport:
 def _parse_state(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
     if dim < 1:
         raise ValueError(f"state dimension must be at least 1 (got {dim})")
+    groupoid.check_dense_size((dim, dim), np.complex128, "density matrix")
     if spec == "vac":
         rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
@@ -247,6 +249,7 @@ def _tomo_spin(args, rng, out: Path) -> RunReport:
         raise ValueError(f"--samples must be at least 1 (got {args.samples})")
     j = args.j
     dim = int(round(2 * j)) + 1
+    groupoid.check_dense_size((args.samples, dim, dim), np.complex128, "rotation batch")
     rho = _parse_state(args.state, dim, rng)
     report = RunReport("tomo spin", {"j": j, "state": args.state, "samples": args.samples},
                        seed=args.seed)

@@ -93,6 +93,17 @@ class QDPair:
             self.quantizers.setflags(write=False)
             object.__setattr__(self, "dequantizers", self.quantizers)
 
+    def __eq__(self, other) -> bool:
+        """Structural equality: same space, dimension, kind and operators (params ignored)."""
+        if not isinstance(other, QDPair):
+            return NotImplemented
+        key = ("space", "hilbert_dim", "kind")
+        return self is other or (
+            all(getattr(self, a) == getattr(other, a) for a in key)
+            and np.array_equal(self.quantizers, other.quantizers)
+            and np.array_equal(self.dequantizers, other.dequantizers)
+        )
+
     @property
     def self_dual(self) -> bool:
         return self.quantizers is self.dequantizers or np.array_equal(

@@ -322,6 +322,26 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("infeasible parameters: ") and "n_max <= 22" in err
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            ("tomo spin --j 1e6 --samples 1", "rotation batch"),
+            ("tomo spin --j 300 --samples 2000", "rotation batch"),
+            ("tomo photon --nt 100000", "density matrix"),
+            ("axioms --pair 300", "composition table"),
+            ("axioms --file {dir}/huge.json", "composition table"),
+        ],
+    )
+    def test_sizes_beyond_the_dense_limit_are_infeasible(self, tmp_path, capsys, argv, what):
+        data = {"order": 100_000, "units": [], "source": [], "target": [], "inverse": [],
+                "compose": []}
+        (tmp_path / "huge.json").write_text(json.dumps(data))
+        code = main([*argv.format(dir=tmp_path).split(), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"infeasible parameters: {what} of shape") and err.count("\n") == 1
+        assert "GiB limit" in err
+
 
 class TestDeterminism:
     def test_same_seed_reproduces_report(self, tmp_path):

@@ -6,16 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _mutate, _oracle_scan
 
+from groupoidal import groupoid
 from groupoidal.groupoid import (
     DEFAULT_ASSOCIATIVITY_SAMPLES,
     EXHAUSTIVE_ORDER_LIMIT,
+    MAX_DENSE_BYTES,
     UNDEFINED,
     ActionLawError,
     AxiomCheck,
     AxiomReport,
+    DenseSizeError,
     FiniteGroupoid,
     GroupoidStructureError,
     action_groupoid,
+    check_dense_size,
     classify,
     connecting_coset,
     cyclic_group_table,
@@ -569,3 +573,117 @@ class TestVectorisedScanMatchesScalar:
         assert H.order == G.order and H.units == G.units
         for attr in ("source", "target", "inverse", "compose"):
             assert np.array_equal(getattr(H, attr), getattr(G, attr)), attr
+
+
+def _corrupt(G: FiniteGroupoid, rng, kind: str, rows=None) -> FiniteGroupoid:
+    """``G`` with one product redirected, defined or undefined, in ``rows`` if given."""
+    compose = np.array(G.compose)
+    mask = compose != UNDEFINED if kind in ("redirect", "undefine") else compose == UNDEFINED
+    if rows is not None:
+        mask[np.setdiff1d(np.arange(G.order), rows)] = False
+    j, k = np.argwhere(mask)[rng.integers(np.count_nonzero(mask))]
+    if kind == "redirect":
+        compose[j, k] = (compose[j, k] + 1 + rng.integers(G.order - 1)) % G.order
+    else:
+        compose[j, k] = rng.integers(G.order) if kind == "define" else UNDEFINED
+    return FiniteGroupoid(order=G.order, units=G.units, source=G.source, target=G.target,
+                          inverse=G.inverse, compose=compose)
+
+
+_SCAN_BASES = {
+    "pair6": pair_groupoid(6),
+    "transitive3z4": transitive_groupoid(3, cyclic_group_table(4)),
+}
+
+
+class TestCompositionTripleScan:
+    """The block-wise scan over composable triples against the scalar oracle.
+
+    Tiny blocks make one table span hundreds of blocks, so block edges fall
+    between and right after the witnesses.
+    """
+
+    @pytest.fixture(params=[1, 7, 64], ids=lambda b: f"block{b}")
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(groupoid, "_ASSOCIATIVITY_BLOCK", request.param)
+        return request.param
+
+    def _scan_equals_oracle(self, G) -> AxiomCheck:
+        got = validate_axioms(G).entries["d"]
+        assert got == _scalar_associativity(G, DEFAULT_ASSOCIATIVITY_SAMPLES, None)
+        return got
+
+    @pytest.mark.parametrize("base", sorted(_SCAN_BASES))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_corrupted_relabelled_tables(self, block, base, seed):
+        rng = np.random.default_rng([seed, len(base)])
+        G = _relabel(_SCAN_BASES[base], rng.permutation(_SCAN_BASES[base].order))
+        assert self._scan_equals_oracle(G).passed
+        for _ in range(1 + seed % 3):
+            G = _corrupt(G, rng, ("redirect", "define", "undefine")[rng.integers(3)])
+        self._scan_equals_oracle(G)
+
+    @pytest.mark.parametrize("base", sorted(_SCAN_BASES))
+    @pytest.mark.parametrize("kind", ["redirect", "define", "undefine"])
+    def test_witness_past_the_first_block(self, block, base, kind):
+        # a product changed in the last rows of the table is first used by a
+        # triple some hundred composable triples into the scan, several blocks on
+        G = _SCAN_BASES[base]
+        rng = np.random.default_rng(len(kind))
+        last_rows = np.arange(G.order - G.order // 6, G.order)
+        got = self._scan_equals_oracle(_corrupt(G, rng, kind, rows=last_rows))
+        assert not got.passed
+        assert got.checked > 3 * block
+
+    def test_scan_counts_every_composable_triple_of_a_valid_table(self, block):
+        # pair(n) has n^4 composable triples and none with only one side defined
+        assert self._scan_equals_oracle(pair_groupoid(6)) == AxiomCheck(True, None, 6**4)
+
+    def test_int32_table_round_trips_exactly(self):
+        for G in (
+            *_SCAN_BASES.values(),
+            group_groupoid(cyclic_group_table(5)),
+            action_groupoid(cyclic_group_table(2), swap_action, 2),
+            disjoint_union([pair_groupoid(2), group_groupoid(cyclic_group_table(3))]),
+        ):
+            assert G.compose.dtype == np.int32
+            H = FiniteGroupoid.from_dict(json.loads(json.dumps(G.to_dict())))
+            assert H.compose.dtype == np.int32
+            assert np.array_equal(H.compose, G.compose)
+            assert H == G
+
+
+class TestDenseSizeLimit:
+    def test_table_beyond_the_limit_is_refused_before_allocation(self):
+        with pytest.raises(DenseSizeError, match="composition table"):
+            pair_groupoid(300)
+        data = pair_groupoid(1).to_dict()
+        data["order"] = 10**6
+        with pytest.raises(DenseSizeError):
+            FiniteGroupoid.from_dict(data)
+
+    def test_limit_is_inclusive(self):
+        check_dense_size((MAX_DENSE_BYTES // 4,), np.int32, "table")
+        with pytest.raises(DenseSizeError):
+            check_dense_size((MAX_DENSE_BYTES // 4 + 1,), np.int32, "table")
+
+
+class TestOrbitLabels:
+    def test_orbits_of_relabelled_chains_match_a_graph_search(self):
+        # a chain of units joined one element at a time is the slowest case
+        # for label propagation; the relabelling scrambles the unit order
+        rng = np.random.default_rng(3)
+        n = 40
+        ids = rng.permutation(2 * n)
+        units, links = ids[:n], ids[n:]
+        source, target = np.empty(2 * n, int), np.empty(2 * n, int)
+        source[units] = target[units] = units
+        source[links[:-1]], target[links[:-1]] = units[:-1], units[1:]  # chain u0 - ... - u39
+        cut = n // 2
+        source[links[cut - 1]] = target[links[cut - 1]] = units[cut - 1]  # split it in two
+        source[links[-1]] = target[links[-1]] = units[-1]
+        G = FiniteGroupoid(order=2 * n, units=frozenset(units.tolist()), source=source,
+                           target=target, inverse=np.arange(2 * n),
+                           compose=np.full((2 * n, 2 * n), UNDEFINED))
+        want = sorted([frozenset(units[:cut].tolist()), frozenset(units[cut:].tolist())], key=min)
+        assert [o.members for o in orbits(G)] == want

@@ -207,6 +207,27 @@ class TestSpaceCheck:
                 reconstruct(pair, alien)
 
 
+class TestQDPairEquality:
+    def test_equal_pairs_compare_structurally(self):
+        pair = weyl_qdpair(2)
+        assert pair == weyl_qdpair(2)
+        assert not pair != weyl_qdpair(2)
+        assert pair != weyl_qdpair(3)
+        assert pair != spin_weyl_pair(0.5)  # same dimension, other kind and operators
+        assert pair != "weyl"
+
+    def test_operators_and_space_are_compared(self):
+        pair = weyl_qdpair(2)
+        changed_ops = QDPair(pair.space, pair.quantizers, 2 * pair.dequantizers, 2, pair.kind)
+        reweighted = IndexSpace(pair.space.labels, 2 * pair.space.weights)
+        changed_space = QDPair(reweighted, pair.quantizers, pair.dequantizers, 2, pair.kind)
+        same = QDPair(pair.space, pair.quantizers.copy(), pair.dequantizers.copy(), 2, pair.kind,
+                      params={"note": "params are not compared"})
+        assert pair == same
+        assert pair != changed_ops
+        assert pair != changed_space
+
+
 class TestStar:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_star_equals_convolution_on_weyl(self, n):
