@@ -19,6 +19,7 @@ from .groupoid import (
     NotTransitiveError,
     classify,
     isotropy_group,
+    pair_groupoid,
 )
 
 
@@ -131,25 +132,7 @@ def weyl_units(n: int) -> np.ndarray:
 def pair_size(G: FiniteGroupoid) -> int | None:
     """Return n when G is structurally pair_groupoid(n) in canonical indexing."""
     n = int(round(np.sqrt(G.order)))
-    if n * n != G.order:
-        return None
-    ids = np.arange(G.order)
-    x, y = divmod(ids, n)
-    ok = (
-        G.units == frozenset(int(i * n + i) for i in range(n))
-        and np.array_equal(G.source, y * n + y)
-        and np.array_equal(G.target, x * n + x)
-    )
-    if not ok:
-        return None
-    for a in range(n):
-        for t in range(n):
-            row = G.compose[a * n + t]
-            expected = np.full(G.order, UNDEFINED, dtype=np.int64)
-            expected[t * n : t * n + n] = a * n + np.arange(n)
-            if not np.array_equal(row, expected):
-                return None
-    return n
+    return n if n * n == G.order and G == pair_groupoid(n) else None
 
 
 def realize_pair_function(f: GroupoidFunction) -> np.ndarray:
@@ -219,10 +202,6 @@ class NormalizationInfo:
     value: int
     unit_count: int
     isotropy_excess: int
-
-    @property
-    def isotropy_order(self) -> int:
-        return self.isotropy_excess + 1
 
     @property
     def formula_value(self) -> int:
@@ -388,11 +367,6 @@ def operator_from_dict(data: dict) -> np.ndarray:
     if pairs.shape != (n * n, 2):
         raise ValueError("entries must be dim^2 [re, im] pairs")
     return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n)
-
-
-def save_operator(A: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(operator_to_dict(A), fh)
 
 
 def load_operator(path) -> np.ndarray:

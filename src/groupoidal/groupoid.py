@@ -144,9 +144,6 @@ class FiniteGroupoid:
     def __len__(self) -> int:
         return self.order
 
-    def is_unit(self, g: int) -> bool:
-        return g in self.units
-
     def base_space(self) -> tuple:
         """The units as an ordered base space (the outer view of G0)."""
         return tuple(sorted(self.units))

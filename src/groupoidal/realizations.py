@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import gauss_legendre_rule, trapezoid_weights, weyl_units
-from .starproduct import IndexSpace, QDPair, Symbol, kernel, rank_one_pair, star
+from .algebra import gauss_legendre_rule, trapezoid_weights
+from .starproduct import QDPair, Symbol, duality_residual, kernel, rank_one_pair, star
 
 
 class GridSupportError(ValueError):
@@ -157,14 +157,14 @@ def spin_weyl_pair(j: float) -> QDPair:
     sp = SpinSpace(j)
     ms = sp.m_values
     labels = tuple((float(m), float(mp)) for m in ms for mp in ms)
-    return rank_one_pair(sp.dim, labels, "spin", {"j": sp.j})
+    return rank_one_pair(np.eye(sp.dim), labels, "spin", {"j": sp.j})
 
 
 def fock_weyl_pair(n_trunc: int) -> QDPair:
     """Self-dual pair |n><m| on the truncated Fock space."""
     fs = FockSpace(n_trunc)
     labels = tuple((n, m) for n in range(fs.dim) for m in range(fs.dim))
-    return rank_one_pair(fs.dim, labels, "fock", {"n_trunc": fs.dim})
+    return rank_one_pair(np.eye(fs.dim), labels, "fock", {"n_trunc": fs.dim})
 
 
 def two_mode_weyl_pair(n1: int, n2: int) -> QDPair:
@@ -179,7 +179,7 @@ def two_mode_weyl_pair(n1: int, n2: int) -> QDPair:
         for b1 in range(n1)
         for b2 in range(n2)
     )
-    return rank_one_pair(dim, labels, "two_mode", {"n1": n1, "n2": n2})
+    return rank_one_pair(np.eye(dim), labels, "two_mode", {"n1": n1, "n2": n2})
 
 
 def spin_block_pair(js: tuple) -> QDPair:
@@ -199,10 +199,8 @@ def spin_block_pair(js: tuple) -> QDPair:
         units.append((idx[:, None] * dim + idx[None, :]).reshape(-1))
         labels += [((s.j, float(m)), (s.j, float(mp))) for m in s.m_values for mp in s.m_values]
         off += s.dim
-    ops = weyl_units(dim)[np.concatenate(units)]
-    space = IndexSpace(tuple(labels), np.ones(len(labels)))
-    return QDPair(space, ops, ops, hilbert_dim=dim, kind="spin_blocks",
-                  params={"js": [s.j for s in spaces]})
+    return rank_one_pair(np.eye(dim), tuple(labels), "spin_blocks",
+                         {"js": [s.j for s in spaces]}, select=np.concatenate(units))
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +282,18 @@ def _fock_symbol_matrix(F: Symbol | np.ndarray) -> np.ndarray:
 def position_qdpair(grid: PositionGrid) -> QDPair:
     """Quadrature-level pair |x_i><y_j| / sqrt(w_i w_j) with weights w_i w_j.
 
-    The grid vectors mimic delta-normalized position kets, so the duality
-    relation holds exactly at the lattice level.  Intended for small grids;
-    the physical 512-point grids are handled through the symbol transforms
-    and ``weighted_grid_convolve`` instead of materialized operators.
+    The kets e_i / sqrt(w_i) mimic delta-normalized position kets, so the
+    duality relation holds exactly at the lattice level.  Intended for small
+    grids (m^2 index points); the physical 512-point grids are handled through
+    the symbol transforms and ``weighted_grid_convolve`` instead.
     """
     m = len(grid)
     weights = np.outer(grid.weights, grid.weights).reshape(-1)
-    ops = weyl_units(m) / np.sqrt(weights)[:, None, None]
     pts = grid.points.tolist()
-    space = IndexSpace(tuple((x, y) for x in pts for y in pts), weights)
-    params = {
-        "m": m,
-        "rule": grid.rule,
-        "a": float(grid.points[0]),
-        "b": float(grid.points[-1]),
-    }
-    return QDPair(space, ops, ops, hilbert_dim=m, kind="position", params=params)
+    labels = tuple((x, y) for x in pts for y in pts)
+    params = {"m": m, "rule": grid.rule, "a": float(grid.points[0]), "b": float(grid.points[-1])}
+    kets = np.eye(m) / np.sqrt(grid.weights)[:, None]
+    return rank_one_pair(kets, labels, "position", params, weights=weights)
 
 
 def save_grid_symbol_csv(f: np.ndarray, grid: PositionGrid, path) -> None:
@@ -334,81 +327,52 @@ def coherent_overlap(w: complex, z: complex) -> complex:
     return np.exp(-(abs(w) ** 2 + abs(z) ** 2) / 2 + np.conj(w) * z)
 
 
-def coherent_state_vector(n_trunc: int, z: complex) -> np.ndarray:
-    """Truncated coherent vector sum_n e^{-|z|^2/2} z^n / sqrt(n!) |n>."""
+def coherent_state_vector(n_trunc: int, z) -> np.ndarray:
+    """Truncated coherent vectors sum_n e^{-|z|^2/2} z^n / sqrt(n!) |n>.
+
+    ``z`` may be an array of labels: the result is one row per label, and a
+    scalar gives the single vector.  z = 0 is exactly the vacuum |0>.
+    """
     if n_trunc < 1:
         raise ValueError(f"Fock truncation must be at least 1 (got {n_trunc})")
+    z = np.asarray(z, dtype=complex)
+    zs = z.reshape(-1, 1)
     n = np.arange(n_trunc)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_trunc)))))
-    if z == 0:
-        vec = np.zeros(n_trunc, dtype=np.complex128)
-        vec[0] = 1.0
-        return vec
-    mag = np.exp(-abs(z) ** 2 / 2 + n * np.log(abs(z)) - 0.5 * log_fact)
-    return mag * np.exp(1j * np.angle(z) * n)
-
-
-def coherent_truncation_tail(n_trunc: int, z: complex) -> float:
-    """Probability mass of |z> beyond the truncated space (Poisson tail)."""
-    vec = coherent_state_vector(n_trunc, z)
-    return float(max(0.0, 1.0 - np.vdot(vec, vec).real))
+    r = np.abs(zs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag = np.exp(-r**2 / 2 + n * np.log(r) - 0.5 * log_fact)
+    vecs = mag * np.exp(1j * np.angle(zs) * n)
+    vecs[zs[:, 0] == 0] = np.eye(1, n_trunc)
+    return vecs.reshape(z.shape + (n_trunc,))
 
 
 def coherent_pair(grid: CoherentGrid, n_trunc: int) -> QDPair:
     """Self-dual coherent pair |z><w| over the lattice; not orthonormal.
 
     The index set is the full lattice square {(z, w)} with the product
-    measure weight (cell/pi)^2.  Lattice points must stay inside the
-    truncation reliability region |z| <= sqrt(n_trunc)/2.
+    measure weight (cell/pi)^2, stored as the truncated coherent vectors of
+    each side.  Lattice points must stay inside the truncation reliability
+    region |z| <= sqrt(n_trunc)/2.
     """
     zmax = float(np.abs(grid.z_points).max())
     if zmax > np.sqrt(n_trunc) / 2:
-        worst = max(coherent_truncation_tail(n_trunc, z) for z in grid.z_points)
+        # probability mass beyond the truncated space (Poisson tail)
+        kept = np.sum(np.abs(coherent_state_vector(n_trunc, grid.z_points)) ** 2, axis=1)
+        worst = max(0.0, 1.0 - float(kept.min()))
         raise TruncationRegionError(
             f"lattice reaches |z| = {zmax:.2f} beyond sqrt(n_trunc)/2 = "
             f"{np.sqrt(n_trunc) / 2:.2f}; worst truncated mass {worst:.2e}"
         )
-    vecs = np.stack([coherent_state_vector(n_trunc, z) for z in grid.z_points])
     mlat = len(grid)
-    ops = np.einsum("za,wb->zwab", vecs, np.conj(vecs)).reshape(mlat * mlat, n_trunc, n_trunc)
     labels = tuple((z, w) for z in grid.z_points for w in grid.z_points)
-    weights = np.full(mlat * mlat, grid.point_weight**2)
-    space = IndexSpace(labels, weights)
-    return QDPair(
-        space,
-        ops,
-        ops,
-        hilbert_dim=n_trunc,
-        kind="coherent",
-        params={"lattice": len(grid), "cell_area": grid.cell_area, "n_trunc": n_trunc},
+    return rank_one_pair(
+        coherent_state_vector(n_trunc, grid.z_points),
+        labels,
+        "coherent",
+        {"lattice": mlat, "cell_area": grid.cell_area, "n_trunc": n_trunc},
+        weights=np.full(mlat * mlat, grid.point_weight**2),
     )
-
-
-def coherent_grid_convolve(f: np.ndarray, g: np.ndarray, grid: CoherentGrid) -> np.ndarray:
-    """Lattice pair-groupoid convolution (f * g)(z, w) = sum_s f(z, s) g(s, w) cell/pi."""
-    m = len(grid)
-    f = np.asarray(f, dtype=np.complex128)
-    g = np.asarray(g, dtype=np.complex128)
-    if f.shape != (m, m) or g.shape != (m, m):
-        raise ValueError("symbols must be m x m matrices over the lattice")
-    return f @ g * grid.point_weight
-
-
-def coherent_duality_residual(grid: CoherentGrid, n_trunc: int) -> float:
-    """Duality residual of the coherent lattice pair via Gram factorization.
-
-    Tr[D(z,w) U(z',w')^dag] = <w|w'><z'|z>, so the full residual over the
-    lattice square follows from one small Gram matrix of truncated coherent
-    vectors; equals the generic pair computation exactly.
-    """
-    vecs = np.stack([coherent_state_vector(n_trunc, z) for z in grid.z_points])
-    gram_abs = np.abs(vecs.conj() @ vecs.T)
-    m = len(grid)
-    wgt = grid.point_weight**2
-    out = gram_abs[None, :, None, :] * gram_abs[:, None, :, None]
-    out = wgt * out.reshape(m * m, m * m)
-    # the identity is real positive on the diagonal, so |.| commutes with -I
-    return float(np.abs(out - np.eye(m * m)).max())
 
 
 def coherent_discrepancy_report(
@@ -417,61 +381,35 @@ def coherent_discrepancy_report(
     """Quantify how far the coherent lattice pair is from a groupoid immersion.
 
     Returns the duality residual, the max gap between the star product and
-    the lattice pair-groupoid convolution on Gaussian test symbols, the
-    distance of the kernel from the nearest 0/1 tensor (on a small
-    sublattice), and the agreement of the analytic overlap with the
-    truncated series.  The counterexample is quantitative: all three
-    discrepancy figures stay bounded away from zero under grid refinement.
+    the lattice pair-groupoid convolution (f * g)(z, w) = sum_s f(z, s)
+    g(s, w) cell/pi on Gaussian test symbols, the distance of the kernel from
+    the nearest 0/1 tensor (on a small sublattice), and the agreement of the
+    analytic overlap with the truncated series.  The counterexample is
+    quantitative: all three discrepancy figures stay bounded away from zero
+    under grid refinement.
     """
     pair = coherent_pair(grid, n_trunc)
     m = len(grid)
     z = grid.z_points
     f = np.exp(-np.abs(z[:, None] - 0.25) ** 2 - np.abs(z[None, :] + 0.25j) ** 2)
     g = np.exp(-np.abs(z[:, None] + 0.25) ** 2 - np.abs(z[None, :] - 0.25j) ** 2)
-    conv = coherent_grid_convolve(f, g, grid)
+    conv = f @ g * grid.point_weight
     fsym, gsym = (Symbol(pair.space, h.reshape(-1)) for h in (f, g))
     gap = float(np.abs(star(pair, fsym, gsym).values.reshape(m, m) - conv).max())
 
     sub = CoherentGrid(z[: min(m, 4)], grid.cell_area)
-    sub_pair = coherent_pair(sub, n_trunc)
-    K = kernel(sub_pair).values
+    K = kernel(coherent_pair(sub, n_trunc)).values
     nonboolean = float(np.minimum(np.abs(K), np.abs(K - 1)).max())
 
-    dev = 0.0
-    for zi in z:
-        for wi in z:
-            series = np.vdot(
-                coherent_state_vector(overlap_check_dim, wi),
-                coherent_state_vector(overlap_check_dim, zi),
-            )
-            dev = max(dev, abs(coherent_overlap(wi, zi) - series))
+    vecs = coherent_state_vector(overlap_check_dim, z)
+    series = np.conj(vecs) @ vecs.T  # [w, z] = <w|z>
+    dev = np.abs(coherent_overlap(z[:, None], z[None, :]) - series).max()
 
     return {
-        "duality_residual": coherent_duality_residual(grid, n_trunc),
+        "duality_residual": duality_residual(pair),
         "star_vs_convolution_gap": gap,
         "kernel_nonboolean_margin": nonboolean,
         "overlap_series_dev": float(dev),
         "lattice_points": m,
         "n_trunc": n_trunc,
     }
-
-
-def build_pair_from_manifest(manifest: dict) -> QDPair:
-    kind = manifest["kind"]
-    params = manifest["params"]
-    if kind == "spin":
-        return spin_weyl_pair(params["j"])
-    if kind == "fock":
-        return fock_weyl_pair(params["n_trunc"])
-    if kind == "two_mode":
-        return two_mode_weyl_pair(params["n1"], params["n2"])
-    if kind == "spin_blocks":
-        return spin_block_pair(tuple(params["js"]))
-    if kind == "coherent":
-        side = int(round(np.sqrt(params["lattice"])))
-        grid = coherent_grid(side, np.sqrt(params["cell_area"]))
-        return coherent_pair(grid, params["n_trunc"])
-    if kind == "position":
-        grid = position_grid(params["a"], params["b"], params["m"], params["rule"])
-        return position_qdpair(grid)
-    raise ValueError(f"cannot rebuild pair of kind {kind!r}")

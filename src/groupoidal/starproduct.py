@@ -2,11 +2,14 @@
 
 A ``QDPair`` carries two operator families over a weighted index set: the
 quantizer D(x) used to rebuild operators from symbols and the dequantizer
-U(x) used to take symbols f_A(x) = Tr[A U(x)^dagger].  The star product of
-symbols is the image of the operator product, and ``star`` computes it in
-that factored form, symbol(reconstruct(f) @ reconstruct(g)), at every size.
-``kernel`` materializes K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] only as a
-dense oracle (m <= 64) for the 0/1 checks and the CSV export.
+U(x) used to take symbols f_A(x) = Tr[A U(x)^dagger].  Every family here
+but the regular realization is rank-one, |a_x><b_x|, and is stored as its
+vectors: symbols, reconstructions, kernels and residuals are then Gram
+products.  The star product of symbols is the image of the operator product,
+and ``star`` computes it in that factored form, symbol(reconstruct(f) @
+reconstruct(g)), at every size.  ``kernel`` materializes K(x1, x2, x) =
+Tr[D(x1) D(x2) U(x)^dagger] only as an oracle (m <= 64) for the 0/1 checks
+and the CSV export.
 
 The equivalence checks at the bottom confirm, instance by instance, that
 for Weyl-unit pairs and for regular-realization pairs the star product is
@@ -22,17 +25,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    GroupoidFunction,
     convolve,
     d_realization_stack,
     normalization_constant,
     random_function,
-    weyl_units,
 )
 from .groupoid import FiniteGroupoid, classify, pair_groupoid
 
 # Dense m^3 kernels above this index count are refused (memory).
 KERNEL_MATERIALIZE_LIMIT = 64
+# Entries per row block of the m x m duality overlap (16 MB of complex128).
+_OVERLAP_BLOCK = 2**20
 
 
 class SpaceMismatchError(ValueError):
@@ -69,52 +72,81 @@ class IndexSpace:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QDPair:
-    """Quantizer/dequantizer families over an index space."""
+    """Quantizer/dequantizer families over an index space.
+
+    ``families`` is either (D, U), the dense (m, d, d) stacks of D(x) and
+    U(x), or (a, b, c, d), the (m, d) vector stacks of a rank-one pair
+    D(x) = |a_x><b_x|, U(x) = |c_x><d_x|.  A rank-one pair stores m*d numbers,
+    every operation below is then a product of m x d and m x m matrices, and
+    ``quantizers`` / ``dequantizers`` build its dense stacks only as a test
+    oracle.  A self-dual pair, (D, D) or (a, b, a, b), keeps one read-only
+    storage for both families.
+    """
 
     space: IndexSpace
-    quantizers: np.ndarray  # (m, d, d)
-    dequantizers: np.ndarray  # (m, d, d)
-    hilbert_dim: int
+    families: tuple = field(repr=False)
     kind: str = "custom"
-    params: dict = field(default_factory=dict, compare=False)
+    params: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        m, d = len(self.space), self.hilbert_dim
-        shared = self.dequantizers is self.quantizers
-        for attr in ("quantizers",) if shared else ("quantizers", "dequantizers"):
-            A = np.asarray(getattr(self, attr), dtype=np.complex128)
-            if A.shape != (m, d, d):
-                raise SpaceMismatchError(f"{attr} must have shape (m, d, d)")
-            object.__setattr__(self, attr, A)
+        fam = tuple(self.families)
+        h = len(fam) // 2
+        if len(fam) not in (2, 4):
+            raise SpaceMismatchError("families must be (D, U) or (a, b, c, d)")
+        shared = all(u is v for u, v in zip(fam[:h], fam[h:]))
+        stored = tuple(np.asarray(v, dtype=np.complex128) for v in (fam[:h] if shared else fam))
+        shape = (len(self.space),) + stored[0].shape[1:2] * (3 - h)
+        if len(shape) != 4 - h or any(v.shape != shape for v in stored):
+            raise SpaceMismatchError(f"each family must be a stack of shape (m, d{', d' * (2 - h)})")
         if shared:
-            # one read-only stack serves both families of a self-dual pair
-            self.quantizers.setflags(write=False)
-            object.__setattr__(self, "dequantizers", self.quantizers)
+            for v in stored:
+                v.setflags(write=False)
+            stored *= 2
+        object.__setattr__(self, "families", stored)
 
     def __eq__(self, other) -> bool:
-        """Structural equality: same space, dimension, kind and operators (params ignored)."""
+        """Structural equality: same space, kind and stored families (params ignored)."""
         if not isinstance(other, QDPair):
             return NotImplemented
-        key = ("space", "hilbert_dim", "kind")
         return self is other or (
-            all(getattr(self, a) == getattr(other, a) for a in key)
-            and np.array_equal(self.quantizers, other.quantizers)
-            and np.array_equal(self.dequantizers, other.dequantizers)
+            (self.space, self.kind) == (other.space, other.kind)
+            and len(self.families) == len(other.families)
+            and all(np.array_equal(u, v) for u, v in zip(self.families, other.families))
         )
 
     @property
+    def hilbert_dim(self) -> int:
+        return self.families[0].shape[-1]
+
+    @property
+    def factors(self) -> tuple | None:
+        """The (a, b, c, d) vector stacks of a rank-one pair; None for a dense pair."""
+        return self.families if len(self.families) == 4 else None
+
+    @property
+    def quantizers(self) -> np.ndarray:
+        """(m, d, d) stack of D(x); built afresh for a rank-one pair."""
+        return self._stack(0)
+
+    @property
+    def dequantizers(self) -> np.ndarray:
+        """(m, d, d) stack of U(x); built afresh for a rank-one pair."""
+        return self._stack(1)
+
+    def _stack(self, k: int) -> np.ndarray:
+        f = self.families
+        return f[k] if len(f) == 2 else np.einsum("xi,xj->xij", f[2 * k], np.conj(f[2 * k + 1]))
+
+    @property
     def self_dual(self) -> bool:
-        return self.quantizers is self.dequantizers or np.array_equal(
-            self.quantizers, self.dequantizers
-        )
-
-    def manifest(self) -> dict:
-        return {"kind": self.kind, "params": self.params}
+        f = self.families
+        h = len(f) // 2
+        return all(u is v or np.array_equal(u, v) for u, v in zip(f[:h], f[h:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Symbol:
     """Scalar function on a pair's index space representing an operator."""
 
@@ -126,6 +158,13 @@ class Symbol:
         if v.shape != (len(self.space),):
             raise SpaceMismatchError("one value per index point required")
         object.__setattr__(self, "values", v)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Symbol):
+            return NotImplemented
+        return self is other or (
+            self.space == other.space and np.array_equal(self.values, other.values)
+        )
 
 
 @dataclass(frozen=True)
@@ -149,11 +188,15 @@ def _check_space(pair: QDPair, f: Symbol) -> None:
 
 
 def symbol(pair: QDPair, A: np.ndarray) -> Symbol:
-    """Dequantization: f_A(x) = Tr[A U(x)^dagger]."""
+    """Dequantization: f_A(x) = Tr[A U(x)^dagger], = <c_x|A|d_x> for a rank-one pair."""
     A = np.asarray(A, dtype=np.complex128)
     if A.shape != (pair.hilbert_dim, pair.hilbert_dim):
         raise SpaceMismatchError("operator dimension does not match the pair")
-    vals = np.einsum("ab,xab->x", A, np.conj(pair.dequantizers))
+    if pair.factors is None:
+        vals = np.einsum("ab,xab->x", A, np.conj(pair.dequantizers))
+    else:
+        _, _, c, d = pair.factors
+        vals = np.sum((np.conj(c) @ A) * d, axis=1)
     return Symbol(pair.space, vals)
 
 
@@ -165,47 +208,92 @@ def reconstruct(pair: QDPair, f: Symbol) -> np.ndarray:
     reconstruction defect rather than hiding it.
     """
     _check_space(pair, f)
-    return np.einsum("x,x,xab->ab", f.values, pair.space.weights, pair.quantizers)
+    if pair.factors is None:
+        return np.einsum("x,x,xab->ab", f.values, pair.space.weights, pair.quantizers)
+    a, b, _, _ = pair.factors
+    return a.T @ ((f.values * pair.space.weights)[:, None] * np.conj(b))
 
 
 def duality_residual(pair: QDPair) -> float:
-    """max over (x, x') of |Tr[D(x) U(x')^dagger] w(x') - delta_xx'|."""
-    overlap = np.einsum("xab,yab->xy", pair.quantizers, np.conj(pair.dequantizers))
-    overlap = overlap * pair.space.weights[None, :]
-    return float(np.abs(overlap - np.eye(len(pair.space))).max())
+    """max over (x, x') of |Tr[D(x) U(x')^dagger] w(x') - delta_xx'|.
+
+    For a rank-one pair Tr[D(x) U(x')^dagger] = <c_x'|a_x><b_x|d_x'>, two
+    Gram matrices.  The m x m overlap is taken in row blocks of about
+    _OVERLAP_BLOCK entries, so memory stays O(m) per row at any lattice size.
+    """
+    m, w = len(pair.space), pair.space.weights
+    if pair.factors is None:
+        D, Uc = pair.quantizers, np.conj(pair.dequantizers)
+    else:
+        a, b, c, d = pair.factors
+        bc, ch = np.conj(b), np.conj(c).T
+    worst = 0.0
+    step = max(1, _OVERLAP_BLOCK // m)
+    for lo in range(0, m, step):
+        rows = np.arange(lo, min(lo + step, m))
+        if pair.factors is None:
+            overlap = np.einsum("xab,yab->xy", D[rows], Uc)
+        else:
+            overlap = a[rows] @ ch
+            overlap *= bc[rows] @ d.T
+        overlap *= w[None, :]
+        overlap[np.arange(len(rows)), rows] -= 1.0
+        worst = max(worst, float(np.abs(overlap).max()))
+    return worst
 
 
 def resolution_residual(pair: QDPair) -> float:
-    """Frobenius distance of sum_x w_x vec D(x) vec U(x)^dagger from the identity.
+    """Frobenius distance of S = sum_x w_x vec D(x) vec U(x)^dagger from the identity.
 
     Zero exactly when symbol followed by reconstruct is the identity on all
-    operators (the family resolves the identity on operator space).
+    operators (the family resolves the identity on operator space).  For a
+    rank-one pair the (i, k) block of S is the weighted Gram product
+    sum_x w_x a_x[i] conj(c_x[k]) conj(b_x) d_x^T, so S is never held whole and
+    the identity is subtracted block by block (no cancellation near zero).
     """
-    d2 = pair.hilbert_dim**2
-    Dv = pair.quantizers.reshape(len(pair.space), d2)
-    Uv = np.conj(pair.dequantizers.reshape(len(pair.space), d2))
-    S = np.einsum("x,xa,xb->ab", pair.space.weights, Dv, Uv)
-    return float(np.linalg.norm(S - np.eye(d2)))
+    w = pair.space.weights
+    if pair.factors is None:
+        d2 = pair.hilbert_dim**2
+        Dv = pair.quantizers.reshape(len(pair.space), d2)
+        Uv = np.conj(pair.dequantizers.reshape(len(pair.space), d2))
+        S = np.einsum("x,xa,xb->ab", w, Dv, Uv)
+        return float(np.linalg.norm(S - np.eye(d2)))
+    a, b, c, d = pair.factors
+    bh, cc, eye = np.conj(b).T, np.conj(c), np.eye(pair.hilbert_dim)
+    total = 0.0
+    for i in range(pair.hilbert_dim):
+        wa = w * a[:, i]
+        for k in range(pair.hilbert_dim):
+            block = (bh * (wa * cc[:, k])) @ d - (eye if i == k else 0.0)
+            total += float(np.vdot(block, block).real)
+    return float(np.sqrt(total))
 
 
 def kernel(pair: QDPair, force: bool = False) -> Kernel3:
-    """Materialize K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger], one x1 slice at a time."""
+    """Materialize K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger].
+
+    A rank-one pair gives K = <b1|a2><b2|d_x><c_x|a1>, a product of three m x m
+    Gram matrices; a dense pair is contracted one x1 slice at a time.
+    """
     m = len(pair.space)
     if m > KERNEL_MATERIALIZE_LIMIT and not force:
         raise KernelLimitError(
             f"kernel tensor for m={m} index points exceeds the materialization "
             f"limit ({KERNEL_MATERIALIZE_LIMIT})"
         )
-    D = pair.quantizers
-    Uf = np.conj(pair.dequantizers.reshape(m, -1))
-    K = np.stack([(D[a] @ D).reshape(m, -1) @ Uf.T for a in range(m)])
+    if pair.factors is None:
+        D = pair.quantizers
+        Uf = np.conj(pair.dequantizers.reshape(m, -1))
+        K = np.stack([(D[a] @ D).reshape(m, -1) @ Uf.T for a in range(m)])
+    else:
+        a, b, c, d = pair.factors
+        bc = np.conj(b)
+        K = (bc @ a.T)[:, :, None] * (bc @ d.T)[None, :, :] * (a @ np.conj(c).T)[:, None, :]
     return Kernel3(pair.space, K)
 
 
 def star(pair: QDPair, f: Symbol, g: Symbol) -> Symbol:
     """Star product symbol(reconstruct(f) @ reconstruct(g)); equals the kernel double sum."""
-    _check_space(pair, f)
-    _check_space(pair, g)
     return symbol(pair, reconstruct(pair, f) @ reconstruct(pair, g))
 
 
@@ -227,17 +315,25 @@ def associativity_residual(pair: QDPair) -> float:
 # ---------------------------------------------------------------------------
 
 
-def rank_one_pair(dim: int, labels: tuple, kind: str, params: dict) -> QDPair:
-    """Self-dual pair of the dim^2 rank-one units |a><b|, w = 1."""
-    E = weyl_units(dim)
-    space = IndexSpace(labels, np.ones(dim * dim))
-    return QDPair(space, E, E, hilbert_dim=dim, kind=kind, params=params)
+def rank_one_pair(vectors, labels: tuple, kind: str, params: dict,
+                  weights=None, select=None) -> QDPair:
+    """Self-dual pair D = U = |v_i><v_k| over index pairs (i, k), flat index i*n + k.
+
+    ``select`` keeps a subset of the flat indices and ``weights`` default to 1.
+    The pair stores two (m, d) vector stacks, never the m x d x d operators.
+    """
+    n = len(vectors)
+    kets, bras = np.repeat(vectors, n, axis=0), np.tile(vectors, (n, 1))
+    if select is not None:
+        kets, bras = kets[select], bras[select]
+    space = IndexSpace(labels, np.ones(len(labels)) if weights is None else weights)
+    return QDPair(space, (kets, bras, kets, bras), kind, params)
 
 
 def weyl_qdpair(n: int) -> QDPair:
-    """Self-dual Weyl-unit pair over the pair-groupoid index set, w = 1."""
+    """Self-dual Weyl-unit pair |i><k| over the pair-groupoid index set, w = 1."""
     labels = tuple((i, k) for i in range(n) for k in range(n))
-    return rank_one_pair(n, labels, "weyl", {"n": n})
+    return rank_one_pair(np.eye(n), labels, "weyl", {"n": n})
 
 
 def d_realization_qdpair(G: FiniteGroupoid) -> QDPair:
@@ -246,14 +342,8 @@ def d_realization_qdpair(G: FiniteGroupoid) -> QDPair:
     D = d_realization_stack(G).astype(np.complex128)
     labels = tuple(range(G.order))
     space = IndexSpace(labels, np.ones(G.order))
-    return QDPair(
-        space,
-        D,
-        D / info.value,
-        hilbert_dim=G.order,
-        kind="d_realization",
-        params={"order": G.order, "normalization": info.value},
-    )
+    return QDPair(space, (D, D / info.value), "d_realization",
+                  {"order": G.order, "normalization": info.value})
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from groupoidal.realizations import (
     coherent_overlap,
     coherent_pair,
     coherent_state_vector,
-    build_pair_from_manifest,
     disk_lattice,
     fock_to_position_symbol,
     fock_weyl_pair,
@@ -28,7 +27,14 @@ from groupoidal.realizations import (
     spin_weyl_pair,
     two_mode_weyl_pair,
 )
-from groupoidal.starproduct import Symbol, duality_residual, resolution_residual, star, symbol
+from groupoidal.starproduct import (
+    QDPair,
+    Symbol,
+    duality_residual,
+    resolution_residual,
+    star,
+    symbol,
+)
 from groupoidal.tomography import displacement_operator
 
 
@@ -274,12 +280,19 @@ class TestCoherent:
         ]
         assert all(g > 1e-2 for g in gaps)
 
-    def test_factored_duality_residual_matches_generic(self):
-        from groupoidal.realizations import coherent_duality_residual
+    def test_factored_duality_residual_matches_dense_oracle(self):
+        pair = coherent_pair(coherent_grid(3, 0.6), 24)
+        oracle = QDPair(pair.space, (pair.quantizers, pair.dequantizers))
+        assert abs(duality_residual(pair) - duality_residual(oracle)) < 1e-12
 
-        grid = coherent_grid(3, 0.6)
-        pair = coherent_pair(grid, 24)
-        assert abs(coherent_duality_residual(grid, 24) - duality_residual(pair)) < 1e-12
+    def test_batched_vectors_equal_single_calls(self):
+        z = np.concatenate([coherent_grid(5, 0.5).z_points, [0j, 1e-300, -2.5j]])
+        batch = coherent_state_vector(40, z)
+        assert batch.shape == (len(z), 40)
+        assert np.array_equal(batch, np.stack([coherent_state_vector(40, zi) for zi in z]))
+        assert np.array_equal(coherent_state_vector(40, z.reshape(4, 7)), batch.reshape(4, 7, 40))
+        vac = coherent_state_vector(40, 0)
+        assert vac.shape == (40,) and np.array_equal(vac, np.eye(40)[0])
 
     def test_disk_lattice(self):
         lat = disk_lattice(2.0, 0.5)
@@ -315,20 +328,6 @@ class TestSpinBlocks:
         assert resolution_residual(pair) > 0
 
 
-class TestManifests:
-    @pytest.mark.parametrize(
-        "pair",
-        [spin_weyl_pair(1.0), fock_weyl_pair(3), two_mode_weyl_pair(2, 2),
-         spin_block_pair((0.5, 1.0)), coherent_pair(coherent_grid(3, 0.5), 16),
-         position_qdpair(position_grid(-2, 2, 5))],
-        ids=["spin", "fock", "two_mode", "blocks", "coherent", "position"],
-    )
-    def test_round_trip(self, pair):
-        rebuilt = build_pair_from_manifest(pair.manifest())
-        assert rebuilt.hilbert_dim == pair.hilbert_dim
-        assert np.abs(rebuilt.quantizers - pair.quantizers).max() < 1e-14
-
-
 class TestSelfDualStorage:
     @pytest.mark.parametrize(
         "pair",
@@ -337,10 +336,21 @@ class TestSelfDualStorage:
         ids=["rank_one", "blocks", "coherent", "position"],
     )
     def test_one_read_only_stack(self, pair):
-        assert pair.quantizers is pair.dequantizers
+        a, b, c, d = pair.factors
+        assert c is a and d is b
         assert pair.self_dual
-        with pytest.raises(ValueError):
-            pair.dequantizers[0, 0, 0] = 1.0
+        for v in (a, b):
+            with pytest.raises(ValueError):
+                v[0, 0] = 1.0
+
+    def test_coherent_pair_holds_no_operator_stack(self):
+        pair = coherent_pair(coherent_grid(5, 0.5), 64)
+        m, d = len(pair.space), pair.hilbert_dim
+        held = [pair.space.weights]
+        for v in vars(pair).values():
+            held += list(v) if isinstance(v, tuple) else [v]
+        sizes = [v.size for v in held if isinstance(v, np.ndarray)]
+        assert len(sizes) == 5 and max(sizes) == m * d < m * d * d
 
 
 class TestGridSymbolExport:

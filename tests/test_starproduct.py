@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupoidal import starproduct
 from groupoidal.algebra import convolve, random_function, weyl_units
 from groupoidal.groupoid import (
     cyclic_group_table,
@@ -12,7 +13,16 @@ from groupoidal.groupoid import (
     pair_groupoid,
     transitive_groupoid,
 )
-from groupoidal.realizations import coherent_grid, coherent_pair, fock_weyl_pair, spin_weyl_pair
+from groupoidal.realizations import (
+    coherent_grid,
+    coherent_pair,
+    fock_weyl_pair,
+    position_grid,
+    position_qdpair,
+    spin_block_pair,
+    spin_weyl_pair,
+    two_mode_weyl_pair,
+)
 from groupoidal.starproduct import (
     IndexSpace,
     Kernel3,
@@ -218,14 +228,34 @@ class TestQDPairEquality:
 
     def test_operators_and_space_are_compared(self):
         pair = weyl_qdpair(2)
-        changed_ops = QDPair(pair.space, pair.quantizers, 2 * pair.dequantizers, 2, pair.kind)
+        a, b, c, d = pair.factors
+        changed_ops = QDPair(pair.space, (a, b, 2 * c, d), pair.kind)
         reweighted = IndexSpace(pair.space.labels, 2 * pair.space.weights)
-        changed_space = QDPair(reweighted, pair.quantizers, pair.dequantizers, 2, pair.kind)
-        same = QDPair(pair.space, pair.quantizers.copy(), pair.dequantizers.copy(), 2, pair.kind,
+        changed_space = QDPair(reweighted, (a, b, a, b), pair.kind)
+        same = QDPair(pair.space, (a.copy(), b.copy(), a, b), pair.kind,
                       params={"note": "params are not compared"})
         assert pair == same
         assert pair != changed_ops
         assert pair != changed_space
+
+    def test_dense_pairs_compare_their_stacks(self):
+        pair = weyl_qdpair(2)
+        D, U = pair.quantizers, pair.dequantizers
+        dense = QDPair(pair.space, (D, U), pair.kind)
+        assert dense == QDPair(pair.space, (D.copy(), U.copy()), pair.kind, {"n": 2})
+        assert dense != QDPair(pair.space, (D, 2 * U), pair.kind)
+        assert dense != pair  # same operators, other stored form
+
+
+class TestSymbolEquality:
+    def test_equal_symbols_compare_structurally(self):
+        space = weyl_qdpair(2).space
+        v = np.arange(4) + 1j
+        assert Symbol(space, v) == Symbol(space, v.copy())
+        assert not Symbol(space, v) != Symbol(space, v)
+        assert Symbol(space, v) != Symbol(space, 2 * v)
+        assert Symbol(space, v) != Symbol(IndexSpace(space.labels, 2 * space.weights), v)
+        assert Symbol(space, v) != "symbol"
 
 
 class TestStar:
@@ -282,6 +312,69 @@ class TestStarProperties:
         rhs = star(pair, sf, star(pair, sg, sh)).values
         # triple products reach |.| ~ 1e2 at order 64; compare relative to that
         assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(lhs).max())
+
+
+# every rank-one family, sized by k; the Weyl-unit ones have 0/1 factors
+_RANK_ONE_FAMILIES = {
+    "weyl": lambda k: weyl_qdpair(1 + k % 5),
+    "spin": lambda k: spin_weyl_pair((k % 5) / 2),
+    "fock": lambda k: fock_weyl_pair(2 + k % 4),
+    "two_mode": lambda k: two_mode_weyl_pair(2 + k % 2, 2 + k // 2 % 2),
+    "spin_blocks": lambda k: spin_block_pair(((k % 3) / 2, 1 + k // 3 % 2 / 2)),
+    "position": lambda k: position_qdpair(
+        position_grid(-2, 2, 2 + k % 4, ("trapezoid", "gauss-legendre")[k // 4 % 2])),
+    "coherent": lambda k: coherent_pair(coherent_grid(1 + k % 3, 0.3 + 0.1 * (k % 5)),
+                                        8 + 4 * (k // 5 % 4)),
+}
+_UNIT_FAMILIES = {"weyl", "spin", "fock", "two_mode", "spin_blocks"}
+
+
+class TestRankOneMatchesDenseOracle:
+    """Factored operations against the dense formulas on the materialized stacks."""
+
+    @pytest.mark.parametrize("family", sorted(_RANK_ONE_FAMILIES))
+    @settings(max_examples=12, deadline=None)
+    @given(k=st.integers(0, 59), seed=st.integers(0, 2**32 - 1))
+    def test_factored_equals_dense(self, family, k, seed):
+        pair = _RANK_ONE_FAMILIES[family](k)
+        assert pair.factors is not None
+        oracle = QDPair(pair.space, (pair.quantizers, pair.dequantizers))
+        assert oracle.factors is None
+        rng = np.random.default_rng(seed)
+        m, d = len(pair.space), pair.hilbert_dim
+        A = _rand_op(rng, d)
+        f, g = (Symbol(pair.space, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+                for _ in range(2))
+        got = [symbol(pair, A).values, reconstruct(pair, f), star(pair, f, g).values,
+               duality_residual(pair), resolution_residual(pair)]
+        want = [symbol(oracle, A).values, reconstruct(oracle, f), star(oracle, f, g).values,
+                duality_residual(oracle), resolution_residual(oracle)]
+        if m <= 64:
+            got.append(kernel(pair).values)
+            want.append(kernel(oracle).values)
+        for x, y in zip(got, want):
+            if family in _UNIT_FAMILIES:
+                assert np.array_equal(x, y)
+            else:
+                assert np.abs(x - y).max() <= 1e-13 * max(1.0, np.abs(y).max())
+
+
+class TestDualityResidualBlocks:
+    @pytest.mark.parametrize("block", [1, 40])
+    def test_row_blocks_give_the_same_residual(self, monkeypatch, block):
+        # m = 9 with block 40 gives row blocks 0-3, 4-7 and a short last one,
+        # which alone holds the defect |3 - 1| of the rescaled last dequantizer
+        weyl = weyl_qdpair(3)
+        a, b, c, d = weyl.factors
+        U = weyl.dequantizers
+        U[-1] *= 3
+        pairs = [QDPair(weyl.space, (a, b, np.vstack([c[:-1], 3 * c[-1:]]), d)),
+                 QDPair(weyl.space, (weyl.quantizers, U)),
+                 coherent_pair(coherent_grid(2, 0.5), 12)]
+        want = [duality_residual(p) for p in pairs]
+        monkeypatch.setattr(starproduct, "_OVERLAP_BLOCK", block)
+        assert [duality_residual(p) for p in pairs] == want
+        assert want[:2] == [2.0, 2.0] and want[2] > 0.1
 
 
 class TestAssociativity:
@@ -397,12 +490,12 @@ class TestValidation:
     def test_qdpair_shape(self):
         sp = IndexSpace(("a",), np.ones(1))
         with pytest.raises(SpaceMismatchError):
-            QDPair(sp, np.zeros((2, 2, 2)), np.zeros((1, 2, 2)), 2)
+            QDPair(sp, (np.zeros((2, 2, 2)), np.zeros((1, 2, 2))))
 
     def test_self_dual_flag(self):
         pair = weyl_qdpair(2)
         assert pair.self_dual
-        other = QDPair(pair.space, pair.quantizers, pair.quantizers * 2, 2)
+        other = QDPair(pair.space, (pair.quantizers, pair.quantizers * 2))
         assert not other.self_dual
 
 
