@@ -1,9 +1,11 @@
 """Functions on a finite groupoid and their convolution algebra.
 
-Includes the Weyl-unit realization of pair groupoids, the regular
-(left-convolution) realization of an arbitrary finite groupoid, its trace
-normalization, and the quadrature-scale convolution variants for grids and
-matrices of group-algebra entries.
+Includes the Weyl matrix units, the regular (left-convolution) realization
+of an arbitrary finite groupoid, its trace normalization, and the
+quadrature-scale convolution variants for grids and matrices of
+group-algebra entries.  Functions are (de)quantized only through the pairs
+of ``starproduct``: ``weyl_qdpair(n)`` for pair groupoids and
+``d_realization_qdpair(G)`` for the regular realization.
 """
 
 from __future__ import annotations
@@ -13,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groupoid import (
-    UNDEFINED,
-    FiniteGroupoid,
-    NotTransitiveError,
-    classify,
-    isotropy_group,
-    pair_groupoid,
-)
+from .groupoid import UNDEFINED, FiniteGroupoid, NotTransitiveError, classify, isotropy_group
 
 
 class AlgebraMismatchError(ValueError):
@@ -56,26 +51,6 @@ class GroupoidFunction:
         return GroupoidFunction(self.groupoid, self.values * scalar)
 
     __rmul__ = __mul__
-
-    def to_dict(self, inline_groupoid: bool = True) -> dict:
-        return {
-            "groupoid": self.groupoid.to_dict() if inline_groupoid else None,
-            "values": [[float(v.real), float(v.imag)] for v in self.values],
-        }
-
-    @staticmethod
-    def from_dict(data: dict, groupoid: FiniteGroupoid | None = None) -> "GroupoidFunction":
-        owner = groupoid
-        if owner is None:
-            g = data.get("groupoid")
-            if isinstance(g, str):
-                owner = FiniteGroupoid.load(g)
-            elif isinstance(g, dict):
-                owner = FiniteGroupoid.from_dict(g)
-            else:
-                raise AlgebraMismatchError("no groupoid supplied for the function")
-        vals = np.array([complex(re, im) for re, im in data["values"]])
-        return GroupoidFunction(owner, vals)
 
 
 def delta(G: FiniteGroupoid, gamma: int) -> GroupoidFunction:
@@ -114,7 +89,7 @@ def random_function(
 
 
 # ---------------------------------------------------------------------------
-# Weyl units and the pair-groupoid realization
+# Weyl units
 # ---------------------------------------------------------------------------
 
 
@@ -127,38 +102,6 @@ def weyl_units(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("weyl_units needs n >= 1")
     return np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
-
-
-def pair_size(G: FiniteGroupoid) -> int | None:
-    """Return n when G is structurally pair_groupoid(n) in canonical indexing."""
-    n = int(round(np.sqrt(G.order)))
-    return n if n * n == G.order and G == pair_groupoid(n) else None
-
-
-def realize_pair_function(f: GroupoidFunction) -> np.ndarray:
-    """The matrix A_f = sum f(i,k) E_ik of a pair-groupoid function.
-
-    With elements indexed (i, k) -> i*n + k this is exactly a reshape; the
-    map is a linear bijection intertwining convolution with the matrix
-    product.
-    """
-    n = pair_size(f.groupoid)
-    if n is None:
-        raise AlgebraMismatchError(
-            "realize_pair_function needs a canonical pair groupoid owner"
-        )
-    return f.values.reshape(n, n).copy()
-
-
-def pair_function_from_matrix(G: FiniteGroupoid, A: np.ndarray) -> GroupoidFunction:
-    """Inverse of realize_pair_function: f(i,k) = Tr[A E_ik^T] = A[i,k]."""
-    n = pair_size(G)
-    if n is None:
-        raise AlgebraMismatchError("owner is not a canonical pair groupoid")
-    A = np.asarray(A, dtype=np.complex128)
-    if A.shape != (n, n):
-        raise AlgebraMismatchError(f"matrix must be {n}x{n}")
-    return GroupoidFunction(G, A.reshape(-1).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -230,27 +173,6 @@ def normalization_constant(G: FiniteGroupoid) -> NormalizationInfo:
     u = len(G.units)
     h = isotropy_group(G, next(iter(G.units))).order
     return NormalizationInfo(value=u * h, unit_count=u, isotropy_excess=h - 1)
-
-
-def quantize_D(f: GroupoidFunction) -> np.ndarray:
-    """A_f = sum f(g) D(g): groupoid functions to operators on the algebra."""
-    G = f.groupoid
-    j, k, i = G.composable_triples().T
-    A = np.zeros((G.order, G.order), dtype=np.complex128)
-    np.add.at(A, (i, k), f.values[j])
-    return A
-
-
-def dequantize_D(G: FiniteGroupoid, A: np.ndarray) -> GroupoidFunction:
-    """f(g) = Tr[A D(g)^T] / N; left-inverse of quantize_D on its image."""
-    A = np.asarray(A, dtype=np.complex128)
-    if A.shape != (G.order, G.order):
-        raise AlgebraMismatchError(f"operator must be {G.order}x{G.order}")
-    norm = normalization_constant(G).value
-    j, k, i = G.composable_triples().T
-    vals = np.zeros(G.order, dtype=np.complex128)
-    np.add.at(vals, j, A[i, k])
-    return GroupoidFunction(G, vals / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +264,8 @@ def matrix_group_convolve(F1: np.ndarray, F2: np.ndarray, table: np.ndarray) -> 
 
 
 # ---------------------------------------------------------------------------
-# operator (de)serialization
+# operator files
 # ---------------------------------------------------------------------------
-
-
-def operator_to_dict(A: np.ndarray) -> dict:
-    A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    flat = A.reshape(-1)
-    return {
-        "dim": A.shape[0],
-        "entries": [[float(v.real), float(v.imag)] for v in flat],
-    }
 
 
 def operator_from_dict(data: dict) -> np.ndarray:

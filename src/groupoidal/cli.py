@@ -164,20 +164,22 @@ def cmd_equiv(args) -> RunReport:
         rep = starproduct.verify_prop1(args.n, n_pairs=args.pairs, seed=args.seed)
         report = RunReport("equiv prop1", {"n": args.n, "pairs": args.pairs}, seed=args.seed)
         report.add("kernel_is_boolean", rep.kernel_is_boolean)
-        report.add("star_equals_convolution", rep.max_dev < 1e-12, rep.max_dev)
+        report.add("star_equals_convolution", rep.max_dev < starproduct.STAR_CONVOLUTION_TOL,
+                   rep.max_dev)
         exact_dev = rep.details["integer_max_dev"]
         report.add("integer_symbols_exact", exact_dev == 0.0, exact_dev)
         return report
     if args.scheme == "genconv":
         G = _build_groupoid(args)
-        rep = starproduct.verify_gen_conv(G, seed=args.seed)
-        report = RunReport("equiv genconv", {"order": G.order, "name": G.name}, seed=args.seed)
+        rep = starproduct.verify_gen_conv(G, n_pairs=args.pairs, seed=args.seed)
+        report = RunReport("equiv genconv", {"order": G.order, "name": G.name, "pairs": args.pairs},
+                           seed=args.seed)
         norm = rep.details["normalization"]
         print(f"normalization constant: {norm}")
         report.add("kernel_equals_delta", rep.details["kernel_vs_delta_dev"] == 0.0,
                    rep.details["kernel_vs_delta_dev"])
-        report.add("star_equals_convolution", rep.max_dev < 1e-12, rep.max_dev,
-                   normalization=norm)
+        report.add("star_equals_convolution", rep.max_dev < starproduct.STAR_CONVOLUTION_TOL,
+                   rep.max_dev, normalization=norm)
         return report
     # coherent counterexample: passes when the discrepancy is LARGE
     grid = realizations.coherent_grid(args.grid, args.spacing)
@@ -334,8 +336,8 @@ def _tomo_symplectic(args, rng, out: Path) -> RunReport:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mu", "nu", "x_k", "p_k"])
-        for x, p in tom.atoms:
-            writer.writerow([args.mu, args.nu, repr(x), repr(p)])
+        writer.writerows(zip(itertools.repeat(args.mu), itertools.repeat(args.nu),
+                             tom.x.tolist(), tom.p.tolist()))
     print(f"tomogram: {path}")
     report.add("weights_sum_to_trace",
                abs(tom.p.sum() - np.trace(rho).real) < 1e-12,
@@ -438,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="star-product vs convolution equivalence checks")
     p.add_argument("scheme", choices=["prop1", "genconv", "coherent"])
     p.add_argument("--n", type=int, default=4, help="pair-groupoid size for prop1")
-    p.add_argument("--pairs", type=int, default=100, help="random symbol pairs")
+    p.add_argument("--pairs", type=int, default=None,
+                   help="random symbol pairs (default 100 for prop1, 20 for genconv)")
     p.add_argument("--grid", type=int, default=5, help="coherent lattice side")
     p.add_argument("--spacing", type=float, default=0.5, help="coherent lattice spacing")
     p.add_argument("--nt", type=int, default=64, help="Fock truncation")
@@ -491,6 +494,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "tol", None) is None and args.command == "tomo":
         args.tol = {"spin": 1e-12, "photon": 5e-3, "symplectic": 1e-3}[args.scheme]
+    if getattr(args, "pairs", None) is None and args.command == "equiv":
+        args.pairs = {"prop1": 100, "genconv": 20}.get(args.scheme)
     t0 = time.perf_counter()
     try:
         report = args.func(args)

@@ -68,8 +68,8 @@ class NotTransitiveError(ValueError):
     """Raised by operations defined only for transitive groupoids."""
 
 
-def _element_ids(values, order: int, what: str, row: tuple = ()) -> np.ndarray:
-    """JSON ids as an integer (n, *row) array in 0..order-1; 0.9 is refused, not truncated."""
+def _element_ids(values, order: int, what: str, row: tuple = (), low: int = 0) -> np.ndarray:
+    """Ids as an integer (n, *row) array in low..order-1; 0.9 is refused, not truncated."""
     message = f"{what} must be integer element ids in " + (f"rows of {row[0]}" if row else "a list")
     try:
         arr = np.asarray(values)
@@ -79,20 +79,20 @@ def _element_ids(values, order: int, what: str, row: tuple = ()) -> np.ndarray:
         arr = np.empty((0, *row), dtype=np.int64)
     if arr.ndim != 1 + len(row) or arr.shape[1:] != row or arr.dtype.kind not in "iu":
         raise GroupoidStructureError(message)
-    if arr.size and (arr.min() < 0 or arr.max() >= order):
-        raise GroupoidStructureError(f"{what} entry outside the element ids 0..{order - 1}")
+    if arr.size and (arr.min() < low or arr.max() >= order):
+        raise GroupoidStructureError(f"{what} entry outside the element ids {low}..{order - 1}")
     return arr
+
+
+def _order(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise GroupoidStructureError("order must be an integer >= 1")
+    return int(value)
 
 
 def _nonzero_pairs(mask: np.ndarray) -> np.ndarray:
     """``np.argwhere`` of a 2-D mask, same rows in the same order, but several times faster."""
     return np.column_stack(np.divmod(np.flatnonzero(mask), mask.shape[1]))
-
-
-def _frozen_array(values, dtype=np.int64) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -117,20 +117,29 @@ class FiniteGroupoid:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if self.order < 1:
-            raise GroupoidStructureError("groupoid needs at least one element")
-        for attr in ("source", "target", "inverse"):
-            arr = getattr(self, attr)
-            if arr.shape != (self.order,):
-                raise GroupoidStructureError(f"{attr} map has wrong length")
-            if arr.min() < 0 or arr.max() >= self.order:
-                raise GroupoidStructureError(f"{attr} map leaves the element range")
-        if self.compose.shape != (self.order, self.order):
+        """Coerce and freeze the fields; the one place the storage is decided.
+
+        ``units`` becomes a frozenset of ints, the maps read-only int64 arrays
+        and ``compose`` a read-only ``TABLE_DTYPE`` array (an int32 table is
+        not copied).  Ids are checked before any narrowing cast, so a float or
+        out-of-range id is refused rather than truncated.
+        """
+        order = _order(self.order)
+        units = list(self.units) if isinstance(self.units, (set, frozenset)) else self.units
+        units = _element_ids(units, order, "units")
+        fields = {"compose": _element_ids(self.compose, order, "compose", (order,), UNDEFINED)}
+        if fields["compose"].shape[0] != order:
             raise GroupoidStructureError("composition table must be KxK")
-        if self.compose.max() >= self.order or self.compose.min() < UNDEFINED:
-            raise GroupoidStructureError("composition table entry out of range")
-        if not all(0 <= u < self.order for u in self.units):
-            raise GroupoidStructureError("unit id out of range")
+        for attr in ("source", "target", "inverse"):
+            fields[attr] = _element_ids(getattr(self, attr), order, attr)
+            if fields[attr].shape != (order,):
+                raise GroupoidStructureError(f"{attr} map has wrong length")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "units", frozenset(units.tolist()))
+        for attr, arr in fields.items():
+            arr = np.asarray(arr, dtype=TABLE_DTYPE if attr == "compose" else np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, attr, arr)
 
     def __eq__(self, other) -> bool:
         """Structural equality: same order, units, maps and table (the name is ignored)."""
@@ -143,10 +152,6 @@ class FiniteGroupoid:
 
     def __len__(self) -> int:
         return self.order
-
-    def base_space(self) -> tuple:
-        """The units as an ordered base space (the outer view of G0)."""
-        return tuple(sorted(self.units))
 
     def product(self, j: int, k: int) -> int | None:
         """Return ``j o k`` or None when the pair is not composable."""
@@ -168,7 +173,7 @@ class FiniteGroupoid:
     def to_dict(self) -> dict:
         return {
             "order": self.order,
-            "units": sorted(int(u) for u in self.units),
+            "units": sorted(self.units),
             "source": self.source.tolist(),
             "target": self.target.tolist(),
             "inverse": self.inverse.tolist(),
@@ -189,26 +194,14 @@ class FiniteGroupoid:
         keys = ("order", "units", "source", "target", "inverse", "compose")
         if not isinstance(data, dict) or not set(keys) <= data.keys():
             raise GroupoidStructureError(f"groupoid JSON must be an object with keys {keys}")
-        order = data["order"]
-        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
-            raise GroupoidStructureError("order must be an integer >= 1")
+        order = _order(data["order"])
         triples = _element_ids(data["compose"], order, "compose", row=(3,))
         compose = _undefined_table(order)
         compose[triples[:, 0], triples[:, 1]] = triples[:, 2]
         if np.count_nonzero(compose != UNDEFINED) != len(triples):
             raise GroupoidStructureError("compose lists some (j, k) pair twice")
-        units, source, target, inverse = (
-            _element_ids(data[key], order, key) for key in ("units", "source", "target", "inverse")
-        )
-        return FiniteGroupoid(
-            order=order,
-            units=frozenset(units.tolist()),
-            source=_frozen_array(source),
-            target=_frozen_array(target),
-            inverse=_frozen_array(inverse),
-            compose=_frozen_array(compose, TABLE_DTYPE),
-            name=data.get("name", ""),
-        )
+        return FiniteGroupoid(order, *(data[key] for key in keys[1:5]), compose,
+                              name=data.get("name", ""))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -232,24 +225,12 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     """
     if n < 1:
         raise GroupoidStructureError("pair groupoid needs n >= 1 base points")
-    order = n * n
-    ids = np.arange(order)
-    x, y = divmod(ids, n)
-    source = y * n + y
-    target = x * n + x
-    inverse = y * n + x
-    compose = _undefined_table(order)
+    x, y = divmod(np.arange(n * n), n)
+    compose = _undefined_table(n * n)
     a, t, b = np.ix_(range(n), range(n), range(n))
     compose[a * n + t, t * n + b] = a * n + b
-    return FiniteGroupoid(
-        order=order,
-        units=frozenset(int(i * n + i) for i in range(n)),
-        source=_frozen_array(source),
-        target=_frozen_array(target),
-        inverse=_frozen_array(inverse),
-        compose=_frozen_array(compose, TABLE_DTYPE),
-        name=f"pair({n})",
-    )
+    return FiniteGroupoid(n * n, np.arange(n) * (n + 1), y * (n + 1), x * (n + 1), y * n + x,
+                          compose, name=f"pair({n})")
 
 
 def cyclic_group_table(n: int) -> np.ndarray:
@@ -260,38 +241,28 @@ def cyclic_group_table(n: int) -> np.ndarray:
     return (a[:, None] + a[None, :]) % n
 
 
-def _group_identity(table: np.ndarray) -> int:
+def _group_structure(table) -> tuple[np.ndarray, int, np.ndarray]:
+    """(table, identity, inverse map) of a group multiplication table; float entries refused."""
+    table = _element_ids(table, len(table), "group table", row=(len(table),))
     ids = np.arange(table.shape[0])
     two_sided = np.flatnonzero((table == ids).all(axis=1) & (table.T == ids).all(axis=1))
     if len(two_sided) == 0:
         raise GroupoidStructureError("table has no two-sided identity")
-    return int(two_sided[0])
-
-
-def _group_inverses(table: np.ndarray, e: int) -> np.ndarray:
+    e = int(two_sided[0])
     hits = table == e
     inv = hits.argmax(axis=1)
-    bad = np.flatnonzero((hits.sum(axis=1) != 1) | (table[inv, np.arange(len(inv))] != e))
+    bad = np.flatnonzero((hits.sum(axis=1) != 1) | (table[inv, ids] != e))
     if len(bad):
         raise GroupoidStructureError(f"element {bad[0]} has no two-sided inverse")
-    return inv
+    return table, e, inv
 
 
 def group_groupoid(table: np.ndarray, name: str = "") -> FiniteGroupoid:
     """A finite group seen as a groupoid with the single unit {e}."""
-    table = np.asarray(table, dtype=np.int64)
-    m = table.shape[0]
-    e = _group_identity(table)
-    inv = _group_inverses(table, e)
-    return FiniteGroupoid(
-        order=m,
-        units=frozenset([int(e)]),
-        source=_frozen_array(np.full(m, e)),
-        target=_frozen_array(np.full(m, e)),
-        inverse=_frozen_array(inv),
-        compose=_frozen_array(table, TABLE_DTYPE),
-        name=name or f"group({m})",
-    )
+    table, e, inv = _group_structure(table)
+    m = len(table)
+    return FiniteGroupoid(m, [e], np.full(m, e), np.full(m, e), inv, table,
+                          name=name or f"group({m})")
 
 
 def action_groupoid(
@@ -311,13 +282,11 @@ def action_groupoid(
         If the identity does not act trivially or compatibility
         ``(x^g)^h = x^(gh)`` fails; the message names the law and a witness.
     """
-    table = np.asarray(table, dtype=np.int64)
-    m = table.shape[0]
-    e = _group_identity(table)
-    inv = _group_inverses(table, e)
-    act = np.array(
-        [[action(x, g) for g in range(m)] for x in range(n_points)], dtype=np.int64
-    ).reshape(n_points, m)
+    table, e, inv = _group_structure(table)
+    m = len(table)
+    act = np.array([[action(x, g) for g in range(m)] for x in range(n_points)]).reshape(n_points, m)
+    if act.size and act.dtype.kind not in "iu":
+        raise ActionLawError("the action must map to integer point ids")
     moved = np.flatnonzero(act[:, e] != np.arange(n_points))
     if len(moved):
         raise ActionLawError(f"identity law violated: point {moved[0]} moves under e")
@@ -332,23 +301,13 @@ def action_groupoid(
             f"compatibility law violated at (x={x}, g={g}, h={h}): (x^g)^h != x^(gh)"
         )
 
-    order = n_points * m
     units = np.arange(n_points) * m + e
-    source = act.reshape(-1) * m + e
-    target = np.repeat(units, m)
-    inverse = (act * m + inv).reshape(-1)
-    compose = _undefined_table(order)
+    compose = _undefined_table(n_points * m)
     x, g, h = np.ix_(range(n_points), range(m), range(m))
     compose[x * m + g, act[x, g] * m + h] = x * m + table[g, h]
-    return FiniteGroupoid(
-        order=order,
-        units=frozenset(units.tolist()),
-        source=_frozen_array(source),
-        target=_frozen_array(target),
-        inverse=_frozen_array(inverse),
-        compose=_frozen_array(compose, TABLE_DTYPE),
-        name=name or f"action({n_points}x{m})",
-    )
+    return FiniteGroupoid(n_points * m, units, act.reshape(-1) * m + e, np.repeat(units, m),
+                          (act * m + inv).reshape(-1), compose,
+                          name=name or f"action({n_points}x{m})")
 
 
 def transitive_groupoid(n_units: int, table: np.ndarray, name: str = "") -> FiniteGroupoid:
@@ -358,66 +317,38 @@ def transitive_groupoid(n_units: int, table: np.ndarray, name: str = "") -> Fini
     label h, composed by ``(u, v, h) o (v, w, h') = (u, w, h h')``.  Every
     finite transitive groupoid is of this form.
     """
-    table = np.asarray(table, dtype=np.int64)
-    m = table.shape[0]
-    e = _group_identity(table)
-    inv = _group_inverses(table, e)
+    table, e, inv = _group_structure(table)
+    m = len(table)
     order = n_units * n_units * m
 
     def idx(u, v, h):
         return (u * n_units + v) * m + h
 
-    ids = np.arange(order)
-    uv, h_of = divmod(ids, m)
+    uv, h_of = divmod(np.arange(order), m)
     u_of, v_of = divmod(uv, n_units)
-    target = idx(u_of, u_of, e)
-    source = idx(v_of, v_of, e)
-    inverse = idx(v_of, u_of, inv[h_of])
     compose = _undefined_table(order)
     u, v, h, w, h2 = np.ix_(*map(range, (n_units, n_units, m, n_units, m)))
     compose[idx(u, v, h), idx(v, w, h2)] = idx(u, w, table[h, h2])
-    return FiniteGroupoid(
-        order=order,
-        units=frozenset(int(idx(u, u, e)) for u in range(n_units)),
-        source=_frozen_array(source),
-        target=_frozen_array(target),
-        inverse=_frozen_array(inverse),
-        compose=_frozen_array(compose, TABLE_DTYPE),
-        name=name or f"transitive({n_units},H{m})",
-    )
+    diag = np.arange(n_units)
+    return FiniteGroupoid(order, idx(diag, diag, e), idx(v_of, v_of, e), idx(u_of, u_of, e),
+                          idx(v_of, u_of, inv[h_of]), compose,
+                          name=name or f"transitive({n_units},H{m})")
 
 
 def disjoint_union(parts: Sequence[FiniteGroupoid], name: str = "") -> FiniteGroupoid:
     """Index-shifted union of groupoids; cross-part products stay undefined."""
     if not parts:
         raise GroupoidStructureError("disjoint union of an empty list")
-    order = sum(p.order for p in parts)
-    source = np.empty(order, dtype=np.int64)
-    target = np.empty(order, dtype=np.int64)
-    inverse = np.empty(order, dtype=np.int64)
-    compose = _undefined_table(order)
-    units = set()
-    off = 0
-    for p in parts:
-        sl = slice(off, off + p.order)
-        source[sl] = p.source + off
-        target[sl] = p.target + off
-        inverse[sl] = p.inverse + off
-        block = p.compose.copy()
-        defined = block != UNDEFINED
-        block[defined] += off
-        compose[sl, sl] = block
-        units.update(int(u) + off for u in p.units)
-        off += p.order
-    return FiniteGroupoid(
-        order=order,
-        units=frozenset(units),
-        source=_frozen_array(source),
-        target=_frozen_array(target),
-        inverse=_frozen_array(inverse),
-        compose=_frozen_array(compose, TABLE_DTYPE),
-        name=name or "+".join(p.name or "?" for p in parts),
-    )
+    offsets = np.cumsum([0] + [p.order for p in parts]).tolist()
+    compose = _undefined_table(offsets[-1])
+    for p, off in zip(parts, offsets):
+        defined = p.compose != UNDEFINED
+        compose[off:off + p.order, off:off + p.order] = np.where(defined, p.compose + off, UNDEFINED)
+    maps = [np.concatenate([getattr(p, attr) + off for p, off in zip(parts, offsets)])
+            for attr in ("source", "target", "inverse")]
+    units = [u + off for p, off in zip(parts, offsets) for u in p.units]
+    return FiniteGroupoid(offsets[-1], units, *maps, compose,
+                          name=name or "+".join(p.name or "?" for p in parts))
 
 
 # ---------------------------------------------------------------------------

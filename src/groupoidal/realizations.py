@@ -9,12 +9,21 @@ the equality fails by a finite, reportable gap.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import gauss_legendre_rule, trapezoid_weights
-from .starproduct import QDPair, Symbol, duality_residual, kernel, rank_one_pair, star
+from .starproduct import (
+    QDPair,
+    Symbol,
+    duality_residual,
+    kernel,
+    nonboolean_margin,
+    rank_one_pair,
+    star,
+)
 
 
 class GridSupportError(ValueError):
@@ -134,9 +143,11 @@ def coherent_grid(size: int, spacing: float, center: complex = 0j) -> CoherentGr
 
 def disk_lattice(radius: float, spacing: float) -> CoherentGrid:
     """Lattice of coherent labels covering the disk |z| <= radius."""
-    if spacing <= 0:
-        raise ValueError(f"lattice spacing must be positive (got {spacing})")
-    ax = np.arange(-radius, radius + spacing / 2, spacing)
+    if not (0 < spacing < np.inf and 0 <= radius < np.inf):
+        raise ValueError(f"lattice spacing must be positive and radius finite "
+                         f"(got spacing {spacing}, radius {radius})")
+    n = round(radius / spacing)
+    ax = spacing * np.arange(-n, n + 1)
     z = (ax[:, None] + 1j * ax[None, :]).reshape(-1)
     z = z[np.abs(z) <= radius + 1e-12]
     return CoherentGrid(z, spacing**2)
@@ -298,8 +309,6 @@ def position_qdpair(grid: PositionGrid) -> QDPair:
 
 def save_grid_symbol_csv(f: np.ndarray, grid: PositionGrid, path) -> None:
     """Export a grid symbol f(x, y) as CSV rows (x, y, re, im)."""
-    import csv
-
     f = np.asarray(f, dtype=np.complex128)
     m = len(grid)
     if f.shape != (m, m):
@@ -307,14 +316,8 @@ def save_grid_symbol_csv(f: np.ndarray, grid: PositionGrid, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "re", "im"])
-        for i in range(m):
-            for j in range(m):
-                writer.writerow([
-                    repr(float(grid.points[i])),
-                    repr(float(grid.points[j])),
-                    repr(float(f[i, j].real)),
-                    repr(float(f[i, j].imag)),
-                ])
+        writer.writerows(zip(np.repeat(grid.points, m).tolist(), np.tile(grid.points, m).tolist(),
+                             f.real.ravel().tolist(), f.imag.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +401,7 @@ def coherent_discrepancy_report(
     gap = float(np.abs(star(pair, fsym, gsym).values.reshape(m, m) - conv).max())
 
     sub = CoherentGrid(z[: min(m, 4)], grid.cell_area)
-    K = kernel(coherent_pair(sub, n_trunc)).values
-    nonboolean = float(np.minimum(np.abs(K), np.abs(K - 1)).max())
+    nonboolean = nonboolean_margin(kernel(coherent_pair(sub, n_trunc)))
 
     vecs = coherent_state_vector(overlap_check_dim, z)
     series = np.conj(vecs) @ vecs.T  # [w, z] = <w|z>

@@ -19,7 +19,6 @@ exactly the groupoid convolution.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,8 @@ from .groupoid import FiniteGroupoid, classify, pair_groupoid
 
 # Dense m^3 kernels above this index count are refused (memory).
 KERNEL_MATERIALIZE_LIMIT = 64
+# Largest max deviation at which a float star product counts as the convolution.
+STAR_CONVOLUTION_TOL = 1e-12
 # Entries per row block of the m x m duality overlap (16 MB of complex128).
 _OVERLAP_BLOCK = 2**20
 
@@ -167,21 +168,6 @@ class Symbol:
         )
 
 
-@dataclass(frozen=True)
-class Kernel3:
-    """Dense star-product kernel K(x1, x2, x) over one index space."""
-
-    space: IndexSpace
-    values: np.ndarray
-
-    def __post_init__(self):
-        m = len(self.space)
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (m, m, m):
-            raise SpaceMismatchError("kernel must be an m x m x m tensor")
-        object.__setattr__(self, "values", v)
-
-
 def _check_space(pair: QDPair, f: Symbol) -> None:
     if f.space != pair.space:
         raise SpaceMismatchError("symbol does not live on the pair's index space")
@@ -269,8 +255,8 @@ def resolution_residual(pair: QDPair) -> float:
     return float(np.sqrt(total))
 
 
-def kernel(pair: QDPair, force: bool = False) -> Kernel3:
-    """Materialize K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger].
+def kernel(pair: QDPair, force: bool = False) -> np.ndarray:
+    """Materialize K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] as an (m, m, m) array.
 
     A rank-one pair gives K = <b1|a2><b2|d_x><c_x|a1>, a product of three m x m
     Gram matrices; a dense pair is contracted one x1 slice at a time.
@@ -284,12 +270,10 @@ def kernel(pair: QDPair, force: bool = False) -> Kernel3:
     if pair.factors is None:
         D = pair.quantizers
         Uf = np.conj(pair.dequantizers.reshape(m, -1))
-        K = np.stack([(D[a] @ D).reshape(m, -1) @ Uf.T for a in range(m)])
-    else:
-        a, b, c, d = pair.factors
-        bc = np.conj(b)
-        K = (bc @ a.T)[:, :, None] * (bc @ d.T)[None, :, :] * (a @ np.conj(c).T)[:, None, :]
-    return Kernel3(pair.space, K)
+        return np.stack([(D[a] @ D).reshape(m, -1) @ Uf.T for a in range(m)])
+    a, b, c, d = pair.factors
+    bc = np.conj(b)
+    return (bc @ a.T)[:, :, None] * (bc @ d.T)[None, :, :] * (a @ np.conj(c).T)[:, None, :]
 
 
 def star(pair: QDPair, f: Symbol, g: Symbol) -> Symbol:
@@ -303,7 +287,7 @@ def associativity_residual(pair: QDPair) -> float:
     max over (x1, x2, x3, x) of
     |sum_y K(x1,x2,y) w_y K(y,x3,x) - sum_y K(x2,x3,y) w_y K(x1,y,x)|.
     """
-    K = kernel(pair).values
+    K = kernel(pair)
     w = pair.space.weights
     lhs = np.einsum("aby,y,ycd->abcd", K, w, K)
     rhs = np.einsum("bcy,y,ayd->abcd", K, w, K)
@@ -363,26 +347,10 @@ class EquivalenceReport:
     passed: bool
     details: dict = field(default_factory=dict, compare=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "groupoid_order": self.groupoid_order,
-            "hilbert_dim": self.hilbert_dim,
-            "max_dev": self.max_dev,
-            "frobenius_dev": self.frobenius_dev,
-            "kernel_is_boolean": self.kernel_is_boolean,
-            "seed": self.seed,
-            "passed": self.passed,
-            **self.details,
-        }
 
-    def to_json(self) -> str:
-        return json.dumps({"schema": 1, **self.to_dict()})
-
-
-def _kernel_is_boolean(K: np.ndarray, tol: float = 0.0) -> bool:
-    dist = np.minimum(np.abs(K), np.abs(K - 1.0))
-    return bool(dist.max() <= tol)
+def nonboolean_margin(K: np.ndarray) -> float:
+    """Distance of a kernel from the nearest 0/1 tensor (0.0 for a boolean kernel)."""
+    return float(np.minimum(np.abs(K), np.abs(K - 1.0)).max())
 
 
 def _star_vs_convolve(
@@ -422,11 +390,11 @@ def verify_prop1(n: int, n_pairs: int = 100, seed: int = 0) -> EquivalenceReport
         raise KernelLimitError(f"verify_prop1 needs n^2 <= {KERNEL_MATERIALIZE_LIMIT}, got n={n}")
     G = pair_groupoid(n)
     pair = weyl_qdpair(n)
-    K = kernel(pair).values
+    K = kernel(pair)
     rng = np.random.default_rng(seed)
     int_max, _ = _star_vs_convolve(pair, G, max(1, n_pairs // 10), rng, integer=True)
     max_dev, frob = _star_vs_convolve(pair, G, n_pairs, rng, integer=False)
-    boolean = _kernel_is_boolean(K)
+    boolean = nonboolean_margin(K) == 0.0
     ones = int(np.count_nonzero(np.abs(K - 1.0) < 1e-14))
     return EquivalenceReport(
         scheme="prop1",
@@ -436,7 +404,7 @@ def verify_prop1(n: int, n_pairs: int = 100, seed: int = 0) -> EquivalenceReport
         frobenius_dev=frob,
         kernel_is_boolean=boolean,
         seed=seed,
-        passed=boolean and int_max == 0.0 and max_dev < 1e-12,
+        passed=boolean and int_max == 0.0 and max_dev < STAR_CONVOLUTION_TOL,
         details={"kernel_ones": ones, "integer_max_dev": int_max},
     )
 
@@ -447,12 +415,14 @@ def verify_gen_conv(G: FiniteGroupoid, n_pairs: int = 20, seed: int = 0) -> Equi
     Checks the kernel entrywise against delta_{j o k}(i) (exact 0/1 values)
     and the star product against convolve on random functions.
     """
+    if n_pairs < 1:
+        raise ValueError("verify_gen_conv needs at least one symbol pair (n_pairs >= 1)")
     if not classify(G).transitive:
         raise ValueError("verify_gen_conv needs a transitive groupoid")
     if G.order > KERNEL_MATERIALIZE_LIMIT:
         raise KernelLimitError(f"verify_gen_conv caps the order at {KERNEL_MATERIALIZE_LIMIT}")
     pair = d_realization_qdpair(G)
-    K = kernel(pair).values
+    K = kernel(pair)
     expected = np.zeros_like(K, dtype=np.float64)
     triples = G.composable_triples()
     if len(triples):
@@ -466,9 +436,9 @@ def verify_gen_conv(G: FiniteGroupoid, n_pairs: int = 20, seed: int = 0) -> Equi
         hilbert_dim=G.order,
         max_dev=max_dev,
         frobenius_dev=frob,
-        kernel_is_boolean=_kernel_is_boolean(K, tol=0.0),
+        kernel_is_boolean=nonboolean_margin(K) == 0.0,
         seed=seed,
-        passed=kernel_dev == 0.0 and max_dev < 1e-12,
+        passed=kernel_dev == 0.0 and max_dev < STAR_CONVOLUTION_TOL,
         details={
             "kernel_vs_delta_dev": kernel_dev,
             "normalization": pair.params["normalization"],
@@ -481,12 +451,9 @@ def export_kernel_csv(pair: QDPair, path) -> None:
     m = len(pair.space)
     if m > 16:
         raise ValueError("kernel CSV export is limited to m <= 16 index points")
-    K = kernel(pair).values
+    K = kernel(pair)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x1", "x2", "x", "re", "im"])
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    v = K[a, b, c]
-                    writer.writerow([a, b, c, repr(float(v.real)), repr(float(v.imag))])
+        writer.writerows(zip(*np.indices(K.shape).reshape(3, -1).tolist(),
+                             K.real.ravel().tolist(), K.imag.ravel().tolist()))

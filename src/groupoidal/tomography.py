@@ -438,10 +438,6 @@ class SymplecticTomogram:
         object.__setattr__(self, "x", x[order])
         object.__setattr__(self, "p", p[order])
 
-    @property
-    def atoms(self) -> list:
-        return list(zip(self.x.tolist(), self.p.tolist()))
-
 
 class QuadratureFrame:
     """Spectrum and eigenvectors of every quadrature mu q + nu p from one eigh(q).
@@ -607,25 +603,6 @@ def quasi_symbol_from_tomograms(
     """
     rec = symplectic_reconstruct(n_trunc, provider, grid_limit, grid_step)
     return symplectic_quasi_symbol(n_trunc, mu, nu, rec.operator)
-
-
-def truncation_edge_flags(
-    n_trunc: int,
-    mu: float,
-    nu: float,
-    level_fraction: float = 0.1,
-    mass_tol: float = 0.01,
-) -> np.ndarray:
-    """Eigenvectors of mu q + nu p with > mass_tol weight on the top Fock levels.
-
-    Flagged vectors feel the truncation edge; continuum comparisons and
-    eigenbasis fidelity checks exclude the flagged rows and columns.  As
-    |U_t V_q|^2 = |V_q|^2, they do not depend on the direction.
-    """
-    _, V = QuadratureFrame(n_trunc).direction(mu, nu)
-    top = max(1, int(np.ceil(level_fraction * n_trunc)))
-    mass = np.sum(np.abs(V[-top:, :]) ** 2, axis=0)
-    return mass > mass_tol
 
 
 # ---------------------------------------------------------------------------

@@ -9,28 +9,44 @@ from groupoidal.algebra import (
     d_realization,
     d_realization_stack,
     delta,
-    dequantize_D,
     group_convolve,
     matrix_group_convolve,
     normalization_constant,
     operator_from_dict,
-    operator_to_dict,
-    pair_function_from_matrix,
-    quantize_D,
     random_function,
-    realize_pair_function,
     trapezoid_weights,
     weighted_grid_convolve,
     weyl_units,
 )
 from groupoidal.groupoid import (
     NotTransitiveError,
+    classify,
     cyclic_group_table,
     disjoint_union,
     group_groupoid,
     pair_groupoid,
     transitive_groupoid,
 )
+from groupoidal.starproduct import (
+    SpaceMismatchError,
+    Symbol,
+    d_realization_qdpair,
+    reconstruct,
+    symbol,
+    weyl_qdpair,
+)
+
+
+def _weyl_matrix(f: GroupoidFunction) -> np.ndarray:
+    """sum f(i, k) E_ik of a pair-groupoid function, through the Weyl pair."""
+    pair = weyl_qdpair(round(np.sqrt(f.groupoid.order)))
+    return reconstruct(pair, Symbol(pair.space, f.values))
+
+
+def _d_quantize(f: GroupoidFunction) -> np.ndarray:
+    """sum f(g) D(g), through the regular-realization pair."""
+    pair = d_realization_qdpair(f.groupoid)
+    return reconstruct(pair, Symbol(pair.space, f.values))
 
 
 class TestOwnerCheck:
@@ -54,8 +70,8 @@ class TestConvolution:
         G = pair_groupoid(2)
         rng = np.random.default_rng(0)
         f1, f2 = random_function(G, rng), random_function(G, rng)
-        got = realize_pair_function(convolve(f1, f2))
-        want = realize_pair_function(f1) @ realize_pair_function(f2)
+        got = _weyl_matrix(convolve(f1, f2))
+        want = _weyl_matrix(f1) @ _weyl_matrix(f2)
         assert np.abs(got - want).max() < 1e-13
 
     def test_delta_convolution(self):
@@ -150,7 +166,7 @@ class TestWeylUnits:
 class TestPairRealization:
     def test_delta_realizes_to_unit(self):
         G = pair_groupoid(2)
-        A = realize_pair_function(delta(G, 1))  # element (0,1)
+        A = _weyl_matrix(delta(G, 1))  # element (0,1)
         assert np.array_equal(A, weyl_units(2)[1])
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -159,8 +175,8 @@ class TestPairRealization:
         rng = np.random.default_rng(n)
         for _ in range(5):
             f1, f2 = random_function(G, rng), random_function(G, rng)
-            lhs = realize_pair_function(convolve(f1, f2))
-            rhs = realize_pair_function(f1) @ realize_pair_function(f2)
+            lhs = _weyl_matrix(convolve(f1, f2))
+            rhs = _weyl_matrix(f1) @ _weyl_matrix(f2)
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_exact_for_integer_functions(self):
@@ -168,8 +184,8 @@ class TestPairRealization:
         rng = np.random.default_rng(7)
         f1 = random_function(G, rng, integer=True)
         f2 = random_function(G, rng, integer=True)
-        lhs = realize_pair_function(convolve(f1, f2))
-        rhs = realize_pair_function(f1) @ realize_pair_function(f2)
+        lhs = _weyl_matrix(convolve(f1, f2))
+        rhs = _weyl_matrix(f1) @ _weyl_matrix(f2)
         assert np.array_equal(lhs, rhs)
 
     def test_unit_indicator_realizes_to_identity(self):
@@ -177,17 +193,19 @@ class TestPairRealization:
         vals = np.zeros(9, dtype=complex)
         for i in range(3):
             vals[i * 3 + i] = 1
-        assert np.array_equal(realize_pair_function(GroupoidFunction(G, vals)), np.eye(3))
+        assert np.array_equal(_weyl_matrix(GroupoidFunction(G, vals)), np.eye(3))
 
     def test_round_trip_with_matrix(self):
-        G = pair_groupoid(3)
+        pair = weyl_qdpair(3)
         A = np.arange(9).reshape(3, 3).astype(complex)
-        assert np.array_equal(realize_pair_function(pair_function_from_matrix(G, A)), A)
+        assert np.array_equal(symbol(pair, A).values, A.reshape(-1))
+        assert np.array_equal(reconstruct(pair, symbol(pair, A)), A)
 
     def test_non_pair_owner_rejected(self):
-        G = group_groupoid(cyclic_group_table(4))
-        with pytest.raises(AlgebraMismatchError):
-            realize_pair_function(delta(G, 0))
+        # a symbol on another index space of the same size is refused
+        other = d_realization_qdpair(group_groupoid(cyclic_group_table(4)))
+        with pytest.raises(SpaceMismatchError):
+            reconstruct(weyl_qdpair(2), Symbol(other.space, np.eye(4)[0]))
 
 
 class TestDRealization:
@@ -277,17 +295,16 @@ class TestDQuantization:
     def test_round_trip(self, G):
         rng = np.random.default_rng(5)
         f = random_function(G, rng)
-        back = dequantize_D(G, quantize_D(f))
+        back = symbol(d_realization_qdpair(G), _d_quantize(f))
         assert np.abs(back.values - f.values).max() < 1e-12
 
     def test_zero_operator(self):
-        G = pair_groupoid(2)
-        out = dequantize_D(G, np.zeros((4, 4)))
+        out = symbol(d_realization_qdpair(pair_groupoid(2)), np.zeros((4, 4)))
         assert np.all(out.values == 0)
 
     def test_delta_recovered_from_d_matrix(self):
         G = transitive_groupoid(2, cyclic_group_table(2))
-        out = dequantize_D(G, d_realization(G, 3))
+        out = symbol(d_realization_qdpair(G), d_realization(G, 3))
         assert np.array_equal(out.values, delta(G, 3).values)
 
 
@@ -312,7 +329,9 @@ class TestScatterRealization:
     def test_quantize_matches_sum(self, G):
         f = random_function(G, np.random.default_rng(G.order))
         want = sum(f.values[g] * d_realization(G, g) for g in range(G.order))
-        assert np.array_equal(quantize_D(f), want)
+        assert np.array_equal(np.tensordot(f.values, d_realization_stack(G), 1), want)
+        if classify(G).transitive:  # the regular-realization pair needs a transitive G
+            assert np.array_equal(_d_quantize(f), want)
 
     @pytest.mark.parametrize(
         "G", [pair_groupoid(3), transitive_groupoid(2, cyclic_group_table(2)),
@@ -324,7 +343,7 @@ class TestScatterRealization:
         A = rng.standard_normal((G.order,) * 2) + 1j * rng.standard_normal((G.order,) * 2)
         norm = normalization_constant(G).value
         want = [np.trace(A @ d_realization(G, g).T) / norm for g in range(G.order)]
-        assert np.abs(dequantize_D(G, A).values - want).max() < 1e-12
+        assert np.abs(symbol(d_realization_qdpair(G), A).values - want).max() < 1e-12
 
 
 class TestGridConvolution:
@@ -423,24 +442,5 @@ class TestMatrixGroupConvolve:
 class TestSerialization:
     def test_operator_round_trip(self):
         A = np.array([[1 + 2j, 0.5], [-1j, 3.25]])
-        assert np.array_equal(operator_from_dict(operator_to_dict(A)), A)
-
-    def test_function_round_trip(self):
-        G = pair_groupoid(2)
-        f = random_function(G, np.random.default_rng(0))
-        g = GroupoidFunction.from_dict(f.to_dict())
-        assert np.array_equal(g.values, f.values)
-        assert g.groupoid.order == G.order
-
-
-class TestFunctionFileReference:
-    def test_groupoid_by_path(self, tmp_path):
-        G = pair_groupoid(2)
-        gpath = tmp_path / "g.json"
-        G.save(gpath)
-        f = random_function(G, np.random.default_rng(1))
-        data = f.to_dict(inline_groupoid=False)
-        data["groupoid"] = str(gpath)
-        g = GroupoidFunction.from_dict(data)
-        assert g.groupoid.order == 4
-        assert np.array_equal(g.values, f.values)
+        data = {"dim": 2, "entries": [[1.0, 2.0], [0.5, 0.0], [0.0, -1.0], [3.25, 0.0]]}
+        assert np.array_equal(operator_from_dict(data), A)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import groupoidal
+from groupoidal import starproduct
 from groupoidal.cli import main
 from groupoidal.groupoid import FiniteGroupoid, disjoint_union, pair_groupoid
 
@@ -222,6 +223,32 @@ class TestKernelRoundtrip:
     def test_prop1_without_pairs_is_input_error(self, capsys):
         assert main(["equiv", "prop1", "--n", "3", "--pairs", "0"]) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_genconv_without_pairs_is_input_error(self, capsys):
+        assert main(["equiv", "genconv", "--pair", "2", "--pairs", "0"]) == 2
+        assert "n_pairs >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,pairs,verify",
+        [
+            (["prop1", "--n", "3"], 100, lambda p: starproduct.verify_prop1(3, n_pairs=p, seed=5)),
+            (["prop1", "--n", "2", "--pairs", "7"], 7,
+             lambda p: starproduct.verify_prop1(2, n_pairs=p, seed=5)),
+            (["genconv", "--pair", "3"], 20,
+             lambda p: starproduct.verify_gen_conv(pair_groupoid(3), n_pairs=p, seed=5)),
+            (["genconv", "--pair", "2", "--pairs", "3"], 3,
+             lambda p: starproduct.verify_gen_conv(pair_groupoid(2), n_pairs=p, seed=5)),
+        ],
+        ids=["prop1_default", "prop1_pairs", "genconv_default", "genconv_pairs"],
+    )
+    def test_cli_checks_agree_with_report(self, tmp_path, argv, pairs, verify):
+        assert main(["equiv", *argv, "--seed", "5", "--out", str(tmp_path), "--json", "r.json"]) == 0
+        data = json.loads((tmp_path / "r.json").read_text())
+        assert data["parameters"]["pairs"] == pairs
+        rep = verify(pairs)
+        assert rep.passed == all(c["passed"] for c in data["checks"])
+        star_check = next(c for c in data["checks"] if c["name"] == "star_equals_convolution")
+        assert star_check["deviation"] == rep.max_dev
 
     @pytest.mark.parametrize(
         "argv",

@@ -74,7 +74,7 @@ class TestPairGroupoid:
             for y in range(4):
                 g = x * 4 + y
                 assert G.inverse[g] == y * 4 + x
-        assert G.base_space() == tuple(i * 4 + i for i in range(4))
+        assert G.units == frozenset(i * 4 + i for i in range(4))
 
 
 class TestActionGroupoid:
@@ -133,6 +133,11 @@ class TestActionGroupoid:
 
         with pytest.raises(ActionLawError, match="compatibility"):
             action_groupoid(cyclic_group_table(3), incompatible, 3)
+
+    def test_non_integer_action_refused(self):
+        # truncated, 1.9 - x would act as the swap and build pair(2)
+        with pytest.raises(ActionLawError, match="integer"):
+            action_groupoid(cyclic_group_table(2), lambda x, g: x if g == 0 else 1.9 - x, 2)
 
 
 class TestDisjointUnion:
@@ -323,6 +328,99 @@ class TestSerialization:
             assert np.array_equal(H.target, G.target)
             assert np.array_equal(H.inverse, G.inverse)
             assert np.array_equal(H.compose, G.compose)
+
+
+def _pair2_fields(as_arrays: bool) -> dict:
+    """pair(2) as constructor keywords, from Python lists or from int64 arrays."""
+    G = pair_groupoid(2)
+    fields = {a: np.array(getattr(G, a), dtype=np.int64)
+              for a in ("source", "target", "inverse", "compose")}
+    if not as_arrays:
+        fields = {a: v.tolist() for a, v in fields.items()}
+    return {"order": 4, "units": [0, 3], **fields}
+
+
+_STORAGE_CASES = {
+    "pair": lambda: pair_groupoid(3),
+    "group": lambda: group_groupoid(cyclic_group_table(4)),
+    "action": lambda: action_groupoid(cyclic_group_table(2), swap_action, 2),
+    "transitive": lambda: transitive_groupoid(2, cyclic_group_table(3)),
+    "disjoint_union": lambda: disjoint_union([pair_groupoid(2), group_groupoid(cyclic_group_table(3))]),
+    "from_dict": lambda: FiniteGroupoid.from_dict(pair_groupoid(2).to_dict()),
+    "lists": lambda: FiniteGroupoid(**_pair2_fields(as_arrays=False)),
+    "int64_arrays": lambda: FiniteGroupoid(**_pair2_fields(as_arrays=True)),
+}
+
+
+class TestStorage:
+    """FiniteGroupoid.__post_init__ decides the storage for every way of building one."""
+
+    @pytest.mark.parametrize("build", _STORAGE_CASES.values(), ids=_STORAGE_CASES.keys())
+    def test_dtypes_and_read_only(self, build):
+        G = build()
+        assert type(G.order) is int
+        assert isinstance(G.units, frozenset) and all(type(u) is int for u in G.units)
+        for attr in ("source", "target", "inverse", "compose"):
+            arr = getattr(G, attr)
+            assert arr.dtype == (np.int32 if attr == "compose" else np.int64), attr
+            assert not arr.flags.writeable, attr
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert validate_axioms(G).all_passed
+
+    def test_lists_and_arrays_build_the_same_groupoid(self):
+        G = pair_groupoid(2)
+        assert FiniteGroupoid(**_pair2_fields(as_arrays=False)) == G
+        assert FiniteGroupoid(**_pair2_fields(as_arrays=True)) == G
+
+    def test_int32_table_is_not_copied(self):
+        fields = _pair2_fields(as_arrays=True)
+        table = fields["compose"].astype(np.int32)
+        G = FiniteGroupoid(**{**fields, "compose": table})
+        assert np.shares_memory(G.compose, table)
+
+    @pytest.mark.parametrize("as_arrays", [False, True], ids=["lists", "int64_arrays"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("source", [0.0, 3.0, 0.0, 3.0]),
+            ("inverse", [0, 2, 1, 4]),
+            ("target", [0, 0, 3, -1]),
+            ("units", [0.0, 3.0]),
+            ("units", [0, 4]),
+            ("compose", np.full((4, 4), 1.0)),
+            ("compose", np.full((4, 4), 2**32 + 1, dtype=np.int64)),
+            ("compose", np.full((4, 4), -2)),
+            ("order", 4.0),
+        ],
+        ids=["float_source", "inverse_beyond_order", "negative_target", "float_units",
+             "unit_beyond_order", "float_table", "table_wraps_int32", "table_below_undefined",
+             "float_order"],
+    )
+    def test_float_or_out_of_range_ids_refused(self, as_arrays, key, value):
+        # truncated or wrapped, several of these would build a valid pair(2)
+        fields = _pair2_fields(as_arrays)
+        fields[key] = np.asarray(value) if as_arrays and key != "order" else value
+        with pytest.raises(GroupoidStructureError):
+            FiniteGroupoid(**fields)
+
+    @pytest.mark.parametrize(
+        "build", [group_groupoid, lambda t: transitive_groupoid(2, t),
+                  lambda t: action_groupoid(t, swap_action, 2)],
+        ids=["group", "transitive", "action"],
+    )
+    @pytest.mark.parametrize("table", [[[0.0, 1.0], [1.0, 0.0]], [[0, 1], [1, 2]]],
+                             ids=["float_table", "entry_beyond_order"])
+    def test_group_table_ids_refused(self, build, table):
+        with pytest.raises(GroupoidStructureError):
+            build(np.array(table))
+
+    @pytest.mark.parametrize("key", ["source", "compose"])
+    def test_wrong_shape_refused(self, key):
+        fields = _pair2_fields(as_arrays=True)
+        fields[key] = fields[key][:3]
+        with pytest.raises(GroupoidStructureError):
+            FiniteGroupoid(**fields)
 
 
 class TestSampledAssociativity:

@@ -259,7 +259,7 @@ class TestCoherent:
         pair = coherent_pair(grid, 16)
         from groupoidal.starproduct import kernel
 
-        K = kernel(pair).values
+        K = kernel(pair)
         assert abs(K[0, 0, 0] - 1.0) < 1e-14  # <0|0>^3
 
     def test_reliability_region_enforced(self):
@@ -298,6 +298,14 @@ class TestCoherent:
         lat = disk_lattice(2.0, 0.5)
         assert np.all(np.abs(lat.z_points) <= 2.0 + 1e-12)
         assert lat.cell_area == 0.25
+
+    @pytest.mark.parametrize("radius,spacing,points", [(4.0, 0.2, 1257), (3.0, 0.25, 441),
+                                                       (2.0, 0.4, 81)])
+    def test_disk_lattice_is_symmetric_with_exact_centre(self, radius, spacing, points):
+        z = disk_lattice(radius, spacing).z_points
+        assert len(z) == points
+        assert 0j in z.tolist()
+        assert np.array_equal(np.sort_complex(-z), np.sort_complex(z))
 
 
 class TestSpinBlocks:
@@ -369,3 +377,13 @@ class TestGridSymbolExport:
         assert len(rows) == 1 + 16
         back = np.array([float(r[2]) + 1j * float(r[3]) for r in rows[1:]]).reshape(4, 4)
         assert np.array_equal(back, f)
+
+    def test_exact_text_of_two_point_grid(self, tmp_path):
+        from groupoidal.realizations import save_grid_symbol_csv
+
+        path = tmp_path / "sym.csv"
+        f = np.array([[1 + 0.5j, -2.0], [0.25j, 1 / 3]])
+        save_grid_symbol_csv(f, position_grid(-1.5, 1.5, 2), path)
+        rows = ["x,y,re,im", "-1.5,-1.5,1.0,0.5", "-1.5,1.5,-2.0,0.0", "1.5,-1.5,0.0,0.25",
+                "1.5,1.5,0.3333333333333333,0.0"]
+        assert path.read_bytes() == "".join(r + "\r\n" for r in rows).encode()

@@ -43,7 +43,6 @@ from groupoidal.tomography import (
     symplectic_quasi_symbol,
     symplectic_reconstruct,
     symplectic_tomogram,
-    truncation_edge_flags,
     unitarity_defect,
     wigner_D,
     wigner_little_d,
@@ -587,12 +586,6 @@ class TestIntertwining:
         lhs = V.conj().T @ (P @ rho @ P) @ V
         rhs = V.conj().T @ (P @ rec_op @ P) @ V
         assert np.linalg.norm(lhs - rhs) < 5e-3
-
-    def test_truncation_edge_flags(self):
-        flags = truncation_edge_flags(64, 1.0, 0.0)
-        # extreme eigenvalues always live at the truncation edge
-        assert flags[0] and flags[-1]
-        assert flags.shape == (64,)
 
 
 class TestConvergenceWarning:
