@@ -1,98 +1,1 @@
 """Finite groupoid algebras, star products, and tomographic schemes."""
-
-from .groupoid import (
-    FiniteGroupoid,
-    GroupoidStructureError,
-    ActionLawError,
-    NotTransitiveError,
-    DenseSizeError,
-    AxiomReport,
-    Orbit,
-    IsotropyGroup,
-    Classification,
-    ConnectingSet,
-    pair_groupoid,
-    group_groupoid,
-    action_groupoid,
-    transitive_groupoid,
-    disjoint_union,
-    cyclic_group_table,
-    validate_axioms,
-    orbits,
-    isotropy_group,
-    classify,
-    connecting_coset,
-)
-from .algebra import (
-    GroupoidFunction,
-    AlgebraMismatchError,
-    NormalizationInfo,
-    delta,
-    convolve,
-    weyl_units,
-    d_realization,
-    normalization_constant,
-    weighted_grid_convolve,
-    matrix_group_convolve,
-    group_convolve,
-)
-from .starproduct import (
-    IndexSpace,
-    QDPair,
-    Symbol,
-    EquivalenceReport,
-    symbol,
-    reconstruct,
-    duality_residual,
-    resolution_residual,
-    kernel,
-    star,
-    associativity_residual,
-    weyl_qdpair,
-    d_realization_qdpair,
-    verify_prop1,
-    verify_gen_conv,
-)
-from .realizations import (
-    SpinSpace,
-    FockSpace,
-    PositionGrid,
-    CoherentGrid,
-    spin_weyl_pair,
-    fock_weyl_pair,
-    two_mode_weyl_pair,
-    spin_block_pair,
-    hermite_function,
-    hermite_functions,
-    position_grid,
-    fock_to_position_symbol,
-    position_to_fock_symbol,
-    coherent_overlap,
-    coherent_state_vector,
-    coherent_grid,
-    coherent_pair,
-)
-from .tomography import (
-    EulerAngles,
-    SpinTomogram,
-    PhotonTomogram,
-    SymplecticTomogram,
-    ReconstructionResult,
-    wigner_D,
-    spin_symbol,
-    spin_tomogram,
-    spin_reconstruct_at_g,
-    displacement_operator,
-    photon_symbol,
-    photon_tomogram,
-    photon_reconstruct,
-    displaced_parity,
-    quadrature_operator,
-    QuadratureFrame,
-    symplectic_tomogram,
-    symplectic_reconstruct,
-    symplectic_quasi_symbol,
-    intertwining_kernel,
-)
-
-__version__ = "0.1.0"

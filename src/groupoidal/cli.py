@@ -17,6 +17,7 @@ GROUPOIDAL_OUT environment variable).
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import itertools
 import json
@@ -96,6 +97,13 @@ def _finish(report: RunReport, args) -> int:
         path.write_text(json.dumps(report.to_dict(), indent=2, default=float))
         print(f"report: {path}")
     return EXIT_PASS if report.all_passed else EXIT_CHECK_FAILED
+
+
+def _finite(value, what: str):
+    """``value`` if it is a finite float or complex number, else bad input (exit 2)."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what} must be finite (got {value})")
+    return value
 
 
 def _build_groupoid(args) -> groupoid.FiniteGroupoid:
@@ -217,7 +225,7 @@ def _parse_state(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
         rho[k, k] = 1.0
         return rho
     if spec.startswith("coherent:"):
-        z = complex(spec.split(":", 1)[1])
+        z = _finite(complex(spec.split(":", 1)[1]), "coherent label")
         v = realizations.coherent_state_vector(dim, z)
         return np.outer(v, v.conj())
     if spec == "mixed":
@@ -250,7 +258,7 @@ def _tomo_spin(args, rng, out: Path) -> RunReport:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1 (got {args.samples})")
     j = args.j
-    dim = int(round(2 * j)) + 1
+    dim = realizations.SpinSpace(j).dim
     groupoid.check_dense_size((args.samples, dim, dim), np.complex128, "rotation batch")
     rho = _parse_state(args.state, dim, rng)
     report = RunReport("tomo spin", {"j": j, "state": args.state, "samples": args.samples},
@@ -298,7 +306,8 @@ def _tomo_photon(args, rng, out: Path) -> RunReport:
             )
         lattice = realizations.disk_lattice(args.radius, args.spacing)
     else:
-        lattice = realizations.CoherentGrid(np.array([complex(args.z)]), args.spacing**2)
+        z = _finite(complex(args.z), "--z")
+        lattice = realizations.CoherentGrid(np.array([z]), args.spacing**2)
     tom = tomography.photon_tomogram(rho, lattice, n_max=n_t)
     path = out / "photon_tomogram.csv"
     with open(path, "w", newline="") as fh:
@@ -498,6 +507,9 @@ def main(argv=None) -> int:
         args.pairs = {"prop1": 100, "genconv": 20}.get(args.scheme)
     t0 = time.perf_counter()
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float):
+                _finite(value, f"--{name}")
         report = args.func(args)
         report.wall_time_s = time.perf_counter() - t0
         return _finish(report, args)

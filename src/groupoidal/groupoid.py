@@ -43,10 +43,12 @@ class DenseSizeError(ValueError):
 
 def check_dense_size(shape: tuple, dtype, what: str) -> None:
     """Raise ``DenseSizeError`` if an array of ``shape`` and ``dtype`` exceeds the limit."""
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    nbytes = math.prod(map(int, shape)) * np.dtype(dtype).itemsize
     if nbytes > MAX_DENSE_BYTES:
+        # int / int raises OverflowError once the quotient leaves the float range
+        gib = nbytes / 2**30 if nbytes.bit_length() <= 1024 else math.inf
         raise DenseSizeError(
-            f"{what} of shape {tuple(shape)} needs {nbytes / 2**30:.3g} GiB, "
+            f"{what} of shape {tuple(shape)} needs {gib:.3g} GiB, "
             f"above the {MAX_DENSE_BYTES / 2**30:g} GiB limit"
         )
 

@@ -41,13 +41,16 @@ class TruncationRegionError(ValueError):
 
 @dataclass(frozen=True)
 class SpinSpace:
-    """Spin-j label set: m in {-j, ..., j}, index m + j."""
+    """Spin-j label set: m in {-j, ..., j}, index m + j.
+
+    The one place that checks a spin quantum number and derives 2j + 1.
+    """
 
     j: float
 
     def __post_init__(self):
         two_j = 2 * self.j
-        if abs(two_j - round(two_j)) > 1e-12 or self.j < 0:
+        if not (np.isfinite(two_j) and two_j >= 0 and abs(two_j - round(two_j)) <= 1e-12):
             raise ValueError("j must be a nonnegative integer or half-integer")
         object.__setattr__(self, "j", float(self.j))
 
@@ -132,12 +135,12 @@ class CoherentGrid:
         return self.cell_area / np.pi
 
 
-def coherent_grid(size: int, spacing: float, center: complex = 0j) -> CoherentGrid:
-    """Square size x size lattice of coherent labels centered at ``center``."""
+def coherent_grid(size: int, spacing: float) -> CoherentGrid:
+    """Square size x size lattice of coherent labels centered at the origin."""
     if size < 1 or spacing <= 0:
         raise ValueError("need size >= 1 and positive spacing")
     offs = (np.arange(size) - (size - 1) / 2) * spacing
-    z = (center + offs[:, None] + 1j * offs[None, :]).reshape(-1)
+    z = (offs[:, None] + 1j * offs[None, :]).reshape(-1)
     return CoherentGrid(z, spacing**2)
 
 
@@ -378,18 +381,16 @@ def coherent_pair(grid: CoherentGrid, n_trunc: int) -> QDPair:
     )
 
 
-def coherent_discrepancy_report(
-    grid: CoherentGrid, n_trunc: int, overlap_check_dim: int = 64
-) -> dict:
+def coherent_discrepancy_report(grid: CoherentGrid, n_trunc: int) -> dict:
     """Quantify how far the coherent lattice pair is from a groupoid immersion.
 
     Returns the duality residual, the max gap between the star product and
     the lattice pair-groupoid convolution (f * g)(z, w) = sum_s f(z, s)
     g(s, w) cell/pi on Gaussian test symbols, the distance of the kernel from
     the nearest 0/1 tensor (on a small sublattice), and the agreement of the
-    analytic overlap with the truncated series.  The counterexample is
-    quantitative: all three discrepancy figures stay bounded away from zero
-    under grid refinement.
+    analytic overlap with the series truncated at 64 levels.  The
+    counterexample is quantitative: all three discrepancy figures stay
+    bounded away from zero under grid refinement.
     """
     pair = coherent_pair(grid, n_trunc)
     m = len(grid)
@@ -403,7 +404,7 @@ def coherent_discrepancy_report(
     sub = CoherentGrid(z[: min(m, 4)], grid.cell_area)
     nonboolean = nonboolean_margin(kernel(coherent_pair(sub, n_trunc)))
 
-    vecs = coherent_state_vector(overlap_check_dim, z)
+    vecs = coherent_state_vector(64, z)
     series = np.conj(vecs) @ vecs.T  # [w, z] = <w|z>
     dev = np.abs(coherent_overlap(z[:, None], z[None, :]) - series).max()
 

@@ -8,10 +8,12 @@ operator from tomographic data.
 Numerical policy: delta measures are always realized as exact spectral
 atoms of truncated operators, never smoothed; smoothing appears only in
 comparison reports against continuum formulas, with bandwidth set by the
-local eigenvalue spacing; one eigendecomposition of q serves every
-quadrature direction.  Reconstruction integrals are lattice quadratures
-whose grid parameters are part of every report, together with the Fock
-range the grid can actually resolve.
+local eigenvalue spacing; every truncated unitary comes from one
+eigendecomposition (the little-d from J_y; every quadrature direction, the
+Weyl and displacement operators and the intertwining kernel from q).
+Reconstruction integrals are lattice quadratures whose grid parameters are
+part of every report, together with the Fock range the grid can actually
+resolve.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
-from .realizations import CoherentGrid, annihilation, hermite_functions
+from .realizations import CoherentGrid, SpinSpace, annihilation, hermite_functions
 
 
 class OrderingParameterError(ValueError):
@@ -57,11 +58,7 @@ class EulerAngles:
 
 def angular_momentum(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Jz, Jy, J+) for spin j in the basis m = -j..j (index m + j)."""
-    two_j = int(round(2 * j))
-    if abs(2 * j - two_j) > 1e-12 or j < 0:
-        raise ValueError("j must be a nonnegative integer or half-integer")
-    dim = two_j + 1
-    m = np.arange(dim) - j
+    m = SpinSpace(j).m_values
     jz = np.diag(m).astype(np.complex128)
     jplus = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1).astype(np.complex128)
     jy = (jplus - jplus.conj().T) / 2j
@@ -77,17 +74,16 @@ def wigner_little_d(j: float, beta) -> np.ndarray:
     the identity is split off so that beta = 0 gives exactly 1.  ``beta`` may
     be an array: the result has shape ``beta.shape + (2j+1, 2j+1)``.
     """
-    _, jy, _ = angular_momentum(j)
+    jz, jy, _ = angular_momentum(j)
     _, V = np.linalg.eigh(jy)
-    m = np.arange(len(jy)) - j
+    m = jz.diagonal().real
     phases = np.exp(-1j * np.multiply.outer(beta, m)) - 1.0
     return np.eye(len(jy)) + ((V * phases[..., None, :]) @ V.conj().T).real
 
 
 def wigner_D(j: float, g: EulerAngles) -> np.ndarray:
     """Unitary D^j(g) = exp(-i a Jz) exp(-i b Jy) exp(-i c Jz); array angles batch."""
-    dim = int(round(2 * j)) + 1
-    m = np.arange(dim) - j
+    m = SpinSpace(j).m_values
     d = wigner_little_d(j, g.beta)
     alpha = np.asarray(g.alpha)[..., None, None]
     gamma = np.asarray(g.gamma)[..., None, None]
@@ -139,12 +135,13 @@ def spin_tomogram(j: float, g: EulerAngles, rho: np.ndarray) -> SpinTomogram:
 def displacement_operator(n_trunc: int, z: complex) -> np.ndarray:
     """exp(z a^dag - conj(z) a) on the truncated space (exactly unitary there).
 
-    The truncated generator is skew-Hermitian, so the matrix exponential is
-    unitary; it deviates from the infinite-dimensional displacement only in
-    the levels within ~|z|^2 of the truncation edge.
+    z a^dag - conj(z) a = -i(mu q + nu p) with (mu, nu) = sqrt(2) (-Im z, Re z)
+    holds exactly for the truncated ladder operators, so this is the quadrature
+    frame's Weyl operator; z = 0 gives exactly 1.  It deviates from the
+    infinite-dimensional displacement only in the levels within ~|z|^2 of the
+    truncation edge.
     """
-    a = annihilation(n_trunc)
-    return expm(z * a.conj().T - np.conj(z) * a)
+    return QuadratureFrame(n_trunc).weyl(-np.sqrt(2) * np.imag(z), np.sqrt(2) * np.real(z))
 
 
 def unitarity_defect(U: np.ndarray) -> float:
@@ -460,6 +457,16 @@ class QuadratureFrame:
             raise DegenerateDirectionError("direction (mu, nu) = (0, 0) is degenerate")
         return np.hypot(mu, nu) * self.x_q, self.rotated(np.arctan2(nu, mu))
 
+    def weyl(self, mu: float, nu: float) -> np.ndarray:
+        """Weyl operator exp(-i(mu q + nu p)) on the truncated space.
+
+        Computed as 1 + U_t V_q diag(e^{-i r x_q} - 1) V_q^dag U_t^dag, with the
+        identity split off so that (mu, nu) = (0, 0) gives exactly 1.
+        """
+        V = self.rotated(np.arctan2(nu, mu))
+        phases = np.exp(-1j * np.hypot(mu, nu) * self.x_q) - 1.0
+        return np.eye(len(self.x_q)) + (V * phases) @ V.conj().T
+
 
 def symplectic_tomogram(n_trunc: int, mu: float, nu: float, rho: np.ndarray) -> SymplecticTomogram:
     """Atoms (x_k, <e_k|rho|e_k>) of the truncated quadrature spectral measure."""
@@ -575,15 +582,14 @@ def intertwining_kernel(
 
     D_Sigma = exp[i(x' - mu' q - nu' p)] / 2pi; feeding this kernel into the
     closing integral against diagonal tomograms reproduces the off-diagonal
-    quasi-distribution W_A(x_k, x_l; mu, nu).  In the quadrature frame it is
-    W diag(e^{i(x' - r' x_q)}) W^dag / 2pi with W = V_q^dag U_{t'-t} V_q.
+    quasi-distribution W_A(x_k, x_l; mu, nu).  It is e^{ix'} / 2pi times the
+    frame's Weyl operator at (mu', nu'), seen in the (mu, nu) eigenbasis V.
     """
     xp, mup, nup = xp_prime
     frame = QuadratureFrame(n_trunc)
     x, V = frame.direction(mu, nu)
-    W = V.conj().T @ frame.rotated(np.arctan2(nup, mup))
-    phases = np.exp(1j * (xp - np.hypot(mup, nup) * frame.x_q)) / (2 * np.pi)
-    return QuasiSymbol(mu=mu, nu=nu, x=x, matrix=(W * phases) @ W.conj().T, basis=V)
+    matrix = np.exp(1j * xp) / (2 * np.pi) * (V.conj().T @ frame.weyl(mup, nup) @ V)
+    return QuasiSymbol(mu=mu, nu=nu, x=x, matrix=matrix, basis=V)
 
 
 def quasi_symbol_from_tomograms(
@@ -610,39 +616,31 @@ def quasi_symbol_from_tomograms(
 # ---------------------------------------------------------------------------
 
 
-def smoothed_atom_density(
-    tomogram: SymplecticTomogram, xs: np.ndarray, bandwidths: np.ndarray | None = None
-) -> np.ndarray:
+def smoothed_atom_density(tomogram: SymplecticTomogram, xs: np.ndarray) -> np.ndarray:
     """Gaussian-smoothed spectral measure on evaluation points ``xs``.
 
-    Default bandwidth per atom is the local eigenvalue spacing, matching the
+    The bandwidth per atom is the local eigenvalue spacing, matching the
     resolution the truncated spectrum actually has.
     """
     xs = np.asarray(xs, dtype=float)
-    if bandwidths is None:
-        bandwidths = np.gradient(tomogram.x)
-    bw = np.asarray(bandwidths, dtype=float)
+    bw = np.gradient(tomogram.x)
     kern = np.exp(-((xs[:, None] - tomogram.x[None, :]) ** 2) / (2 * bw[None, :] ** 2))
     kern /= np.sqrt(2 * np.pi) * bw[None, :]
     return kern @ tomogram.p
 
 
-def smoothed_reference_density(
-    density, tomogram: SymplecticTomogram, xs: np.ndarray,
-    bandwidths: np.ndarray | None = None, span: float = 9.0, n_quad: int = 4001,
-) -> np.ndarray:
+def smoothed_reference_density(density, tomogram: SymplecticTomogram, xs: np.ndarray) -> np.ndarray:
     """The same smoothing applied to an analytic density for fair comparison.
 
     Comparing raw atoms to a continuum density in sup norm is ill-posed;
     mollifying both sides with the identical kernel isolates the actual
-    spectral-measure error from the O(bandwidth^2) smoothing bias.
+    spectral-measure error from the O(bandwidth^2) smoothing bias.  The
+    density is integrated on 4001 points over [-9, 9].
     """
     xs = np.asarray(xs, dtype=float)
-    if bandwidths is None:
-        bandwidths = np.gradient(tomogram.x)
-    y = np.linspace(-span, span, n_quad)
+    y = np.linspace(-9.0, 9.0, 4001)
     dy = y[1] - y[0]
-    sig = np.interp(y, tomogram.x, bandwidths)
+    sig = np.interp(y, tomogram.x, np.gradient(tomogram.x))
     kern = np.exp(-((xs[:, None] - y[None, :]) ** 2) / (2 * sig[None, :] ** 2))
     kern /= np.sqrt(2 * np.pi) * sig[None, :]
     return kern @ density(y) * dy

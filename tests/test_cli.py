@@ -312,6 +312,14 @@ class TestExitCodes:
             "tomo symplectic --state file:{dir}/list.json",
             "axioms --file {dir}/empty.json",
             "axioms --file {dir}/list.json",
+            "tomo spin --j inf",
+            "tomo photon --z nan",
+            "tomo photon --state coherent:inf",
+            "tomo symplectic --mu nan",
+            "roundtrip --xmax inf",
+            "roundtrip --xmax nan",
+            "equiv coherent --spacing nan",
+            "equiv coherent --spacing inf",
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, state_files, capsys, argv):
@@ -330,6 +338,15 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert proc.stderr == "input error: a trapezoid grid needs at least 2 points (got 1)\n"
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(groupoidal.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = "import sys, groupoidal.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_negative_fock_index_no_longer_wraps(self, tmp_path, capsys):
         assert main(["tomo", "photon", "--nt", "4", "--state", "fock:3", "--out", str(tmp_path)]) == 0
@@ -354,6 +371,7 @@ class TestExitCodes:
         [
             ("tomo spin --j 1e6 --samples 1", "rotation batch"),
             ("tomo spin --j 300 --samples 2000", "rotation batch"),
+            ("tomo spin --j 1e300 --samples 1", "rotation batch"),
             ("tomo photon --nt 100000", "density matrix"),
             ("axioms --pair 300", "composition table"),
             ("axioms --file {dir}/huge.json", "composition table"),

@@ -198,6 +198,14 @@ class TestDisplacement:
         D = displacement_operator(64, z) @ displacement_operator(64, -z)
         assert np.abs(D[:32, :32] - np.eye(64)[:32, :32]).max() < 1e-8
 
+    @pytest.mark.parametrize("n_t", [1, 2, 8, 24, 64])
+    def test_matches_truncated_expm(self, n_t):
+        a = annihilation(n_t)
+        rng = np.random.default_rng(n_t)
+        for z in rng.uniform(-2.5, 2.5, (5, 2)) @ np.array([1, 1j]):
+            oracle = expm(z * a.conj().T - np.conj(z) * a)
+            assert np.abs(displacement_operator(n_t, z) - oracle).max() < 1e-13
+
     def test_exactly_unitary_on_truncated_space(self):
         assert unitarity_defect(displacement_operator(24, 1.5 + 0.5j)) < 1e-13
 
