@@ -1,12 +1,17 @@
 """Command-line front end for verification campaigns and tomography demos.
 
-Subcommands: ``axioms``, ``equiv``, ``tomo``, ``kernel``, ``roundtrip``.
+Subcommands: ``axioms``, ``equiv prop1|genconv|coherent``,
+``tomo spin|photon|symplectic``, ``kernel``, ``roundtrip``.  Each leaf has its
+own parser holding exactly the options its ``cmd_*`` reads, with their
+defaults, so an option a leaf does not take is refused, never ignored.
 Every run emits a human-readable summary and, on request, a JSON report;
 tomography runs write plot-ready CSV tables.  Exit codes are stable:
 0 pass, 1 check failed, 2 input error, 3 infeasible parameters.  Each
-``cmd_*`` returns a ``RunReport``; ``main`` alone times it, prints it and
-maps exceptions to exit codes (``INFEASIBLE_ERRORS`` exit 3, other bad
-input exits 2, anything else is a bug and keeps its traceback).
+``cmd_*`` returns a ``RunReport``; ``main`` alone parses the arguments, times
+the command, prints its report and maps exceptions to exit codes
+(``groupoid.InfeasibleError`` exit 3; a parse error or other ``ValueError``,
+``OSError`` or ``KeyError`` exit 2; anything else is a bug and keeps its
+traceback).
 
 All randomized campaigns run from an explicit seed (default 0) and the
 reports record it, so reruns reproduce every deviation bit for bit.
@@ -35,21 +40,6 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INFEASIBLE = 3
-
-
-class InfeasibleGridError(ValueError):
-    """Raised when a reconstruction lattice is too coarse or too small for the scheme."""
-
-
-# The parameter refusals that exit 3; any other ValueError is bad input (exit 2).
-INFEASIBLE_ERRORS = (
-    groupoid.DenseSizeError,
-    starproduct.KernelLimitError,
-    realizations.TruncationRegionError,
-    realizations.GridSupportError,
-    tomography.WeightRangeError,
-    InfeasibleGridError,
-)
 
 
 @dataclass
@@ -81,7 +71,7 @@ class RunReport:
 
 
 def _out_dir(args) -> Path:
-    out = getattr(args, "out", None) or os.environ.get("GROUPOIDAL_OUT", ".")
+    out = args.out or os.environ.get("GROUPOIDAL_OUT", ".")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -92,7 +82,7 @@ def _finish(report: RunReport, args) -> int:
         mark = "PASS" if c["passed"] else "FAIL"
         dev = "" if c["deviation"] is None else f"  deviation={c['deviation']:.3e}"
         print(f"[{mark}] {c['name']}{dev}")
-    if getattr(args, "json", None):
+    if args.json:
         path = _out_dir(args) / args.json
         path.write_text(json.dumps(report.to_dict(), indent=2, default=float))
         print(f"report: {path}")
@@ -107,20 +97,16 @@ def _finite(value, what: str):
 
 
 def _build_groupoid(args) -> groupoid.FiniteGroupoid:
-    chosen = [bool(args.pair), bool(args.group), bool(args.file), args.units is not None]
-    if sum(chosen) != 1:
-        raise ValueError(
-            "choose exactly one of --pair / --group / --units+--isotropy / --file"
-        )
-    if args.pair:
+    """The groupoid of the one selector the parser let through."""
+    if (args.units is None) != (args.isotropy is None):
+        raise ValueError("--units and --isotropy go together")
+    if args.pair is not None:
         return groupoid.pair_groupoid(args.pair)
-    if args.group:
+    if args.group is not None:
         return groupoid.group_groupoid(
             groupoid.cyclic_group_table(_cyclic_order(args.group)), name=args.group
         )
     if args.units is not None:
-        if not args.isotropy:
-            raise ValueError("--units requires --isotropy ZK")
         table = groupoid.cyclic_group_table(_cyclic_order(args.isotropy))
         return groupoid.transitive_groupoid(args.units, table)
     return groupoid.FiniteGroupoid.load(args.file)
@@ -167,29 +153,33 @@ def cmd_axioms(args) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def cmd_equiv(args) -> RunReport:
-    if args.scheme == "prop1":
-        rep = starproduct.verify_prop1(args.n, n_pairs=args.pairs, seed=args.seed)
-        report = RunReport("equiv prop1", {"n": args.n, "pairs": args.pairs}, seed=args.seed)
-        report.add("kernel_is_boolean", rep.kernel_is_boolean)
-        report.add("star_equals_convolution", rep.max_dev < starproduct.STAR_CONVOLUTION_TOL,
-                   rep.max_dev)
-        exact_dev = rep.details["integer_max_dev"]
-        report.add("integer_symbols_exact", exact_dev == 0.0, exact_dev)
-        return report
-    if args.scheme == "genconv":
-        G = _build_groupoid(args)
-        rep = starproduct.verify_gen_conv(G, n_pairs=args.pairs, seed=args.seed)
-        report = RunReport("equiv genconv", {"order": G.order, "name": G.name, "pairs": args.pairs},
-                           seed=args.seed)
-        norm = rep.details["normalization"]
-        print(f"normalization constant: {norm}")
-        report.add("kernel_equals_delta", rep.details["kernel_vs_delta_dev"] == 0.0,
-                   rep.details["kernel_vs_delta_dev"])
-        report.add("star_equals_convolution", rep.max_dev < starproduct.STAR_CONVOLUTION_TOL,
-                   rep.max_dev, normalization=norm)
-        return report
-    # coherent counterexample: passes when the discrepancy is LARGE
+def cmd_equiv_prop1(args) -> RunReport:
+    rep = starproduct.verify_prop1(args.n, n_pairs=args.pairs, seed=args.seed)
+    report = RunReport("equiv prop1", {"n": args.n, "pairs": args.pairs}, seed=args.seed)
+    report.add("kernel_is_boolean", rep.kernel_is_boolean)
+    report.add("star_equals_convolution", rep.max_dev < starproduct.STAR_CONVOLUTION_TOL,
+               rep.max_dev)
+    exact_dev = rep.details["integer_max_dev"]
+    report.add("integer_symbols_exact", exact_dev == 0.0, exact_dev)
+    return report
+
+
+def cmd_equiv_genconv(args) -> RunReport:
+    G = _build_groupoid(args)
+    rep = starproduct.verify_gen_conv(G, n_pairs=args.pairs, seed=args.seed)
+    report = RunReport("equiv genconv", {"order": G.order, "name": G.name, "pairs": args.pairs},
+                       seed=args.seed)
+    norm = rep.details["normalization"]
+    print(f"normalization constant: {norm}")
+    report.add("kernel_equals_delta", rep.details["kernel_vs_delta_dev"] == 0.0,
+               rep.details["kernel_vs_delta_dev"])
+    report.add("star_equals_convolution", rep.max_dev < starproduct.STAR_CONVOLUTION_TOL,
+               rep.max_dev, normalization=norm)
+    return report
+
+
+def cmd_equiv_coherent(args) -> RunReport:
+    """The coherent counterexample: passes when the discrepancy is LARGE."""
     grid = realizations.coherent_grid(args.grid, args.spacing)
     rep = realizations.coherent_discrepancy_report(grid, args.nt)
     report = RunReport("equiv coherent",
@@ -237,11 +227,6 @@ def _parse_state(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"state spec {spec!r} not understood")
 
 
-def cmd_tomo(args) -> RunReport:
-    tomo = {"spin": _tomo_spin, "photon": _tomo_photon, "symplectic": _tomo_symplectic}
-    return tomo[args.scheme](args, np.random.default_rng(args.seed), _out_dir(args))
-
-
 def _add_reconstruction(report: RunReport, rec, rho, args, out: Path, **details) -> None:
     """The reconstruction_frobenius check plus the ``<scheme>_reconstruction.json`` file."""
     errs = rec.errors_against(rho)
@@ -254,7 +239,8 @@ def _add_reconstruction(report: RunReport, rec, rho, args, out: Path, **details)
     )
 
 
-def _tomo_spin(args, rng, out: Path) -> RunReport:
+def cmd_tomo_spin(args) -> RunReport:
+    rng, out = np.random.default_rng(args.seed), _out_dir(args)
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1 (got {args.samples})")
     j = args.j
@@ -288,7 +274,8 @@ def _tomo_spin(args, rng, out: Path) -> RunReport:
     return report
 
 
-def _tomo_photon(args, rng, out: Path) -> RunReport:
+def cmd_tomo_photon(args) -> RunReport:
+    rng, out = np.random.default_rng(args.seed), _out_dir(args)
     n_t = args.nt
     rho = _parse_state(args.state, n_t, rng)
     report = RunReport(
@@ -299,7 +286,7 @@ def _tomo_photon(args, rng, out: Path) -> RunReport:
     )
     if args.reconstruct:
         if args.spacing > 0.25 or args.radius < 3.0:
-            raise InfeasibleGridError(
+            raise groupoid.InfeasibleError(
                 "reconstruction needs spacing <= 0.25 and radius >= 3 "
                 f"(got spacing={args.spacing}, radius={args.radius}); "
                 "suggested: --spacing 0.2 --radius 4"
@@ -331,7 +318,8 @@ def _tomo_photon(args, rng, out: Path) -> RunReport:
     return report
 
 
-def _tomo_symplectic(args, rng, out: Path) -> RunReport:
+def cmd_tomo_symplectic(args) -> RunReport:
+    rng, out = np.random.default_rng(args.seed), _out_dir(args)
     n_t = args.nt
     rho = _parse_state(args.state, n_t, rng)
     report = RunReport(
@@ -353,7 +341,7 @@ def _tomo_symplectic(args, rng, out: Path) -> RunReport:
                abs(float(tom.p.sum() - np.trace(rho).real)))
     if args.reconstruct:
         if args.L < 6.0 or args.step > 0.15:
-            raise InfeasibleGridError(
+            raise groupoid.InfeasibleError(
                 f"reconstruction needs L >= 6 and step <= 0.15 (got L={args.L}, "
                 f"step={args.step}); suggested: --L 6 --step 0.1"
             )
@@ -372,10 +360,10 @@ def _tomo_symplectic(args, rng, out: Path) -> RunReport:
 
 
 def cmd_kernel(args) -> RunReport:
-    if args.weyl:
+    if args.weyl is not None and args.isotropy is None:
         pair = starproduct.weyl_qdpair(args.weyl)
         name = f"weyl{args.weyl}"
-    else:
+    else:  # a groupoid selector, or --isotropy without --units (refused there)
         G = _build_groupoid(args)
         pair = starproduct.d_realization_qdpair(G)
         name = f"dreal{G.order}"
@@ -416,108 +404,117 @@ def cmd_roundtrip(args) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _add_groupoid_selectors(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pair", type=int, default=0, metavar="N",
-                   help="pair groupoid over N points")
-    p.add_argument("--group", default="", metavar="ZK", help="cyclic group, e.g. Z4")
-    p.add_argument("--units", type=int, default=None, metavar="U",
-                   help="transitive groupoid with U units (needs --isotropy)")
-    p.add_argument("--isotropy", default="", metavar="ZK",
-                   help="isotropy group of the transitive groupoid")
-    p.add_argument("--file", default="", help="groupoid JSON file")
+class _Parser(argparse.ArgumentParser):
+    """A parse error is bad input: ``main`` reports it in one line (exit 2)."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--out", default=None, help="output directory (or $GROUPOIDAL_OUT)")
-    p.add_argument("--json", default=None, metavar="NAME", help="write a JSON report")
+def _add_groupoid_selectors(p: argparse.ArgumentParser, weyl: bool = False) -> None:
+    one = p.add_mutually_exclusive_group(required=True)
+    if weyl:
+        one.add_argument("--weyl", type=int, metavar="N", help="Weyl pair of dimension N")
+    one.add_argument("--pair", type=int, metavar="N", help="pair groupoid over N points")
+    one.add_argument("--group", metavar="ZK", help="cyclic group, e.g. Z4")
+    one.add_argument("--units", type=int, metavar="U",
+                     help="transitive groupoid with U units (needs --isotropy)")
+    one.add_argument("--file", help="groupoid JSON file")
+    p.add_argument("--isotropy", metavar="ZK", help="isotropy group of the --units groupoid")
+
+
+def _add_tomo_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--state", default="vac", help="vac | fock:K | coherent:Z | mixed | file:PATH")
+    p.add_argument("--reconstruct", action="store_true", help="reconstruct the state")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="groupoidal",
         description="verification campaigns for groupoid algebras, star products, "
                     "and tomographic reconstruction",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # declared once and copied into every leaf: add_argument is the costly
+    # part of a build, and the parser is built on every run
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    common.add_argument("--out", default=None, help="output directory (or $GROUPOIDAL_OUT)")
+    common.add_argument("--json", default=None, metavar="NAME", help="write a JSON report")
 
-    p = sub.add_parser("axioms", help="validate groupoid axioms exhaustively")
+    def _leaf(parent, name: str, func, help: str) -> argparse.ArgumentParser:
+        """A subcommand that runs ``func``, taking the common options unabbreviated."""
+        p = parent.add_parser(name, help=help, parents=[common], allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = _leaf(sub, "axioms", cmd_axioms, "validate groupoid axioms exhaustively")
     _add_groupoid_selectors(p)
-    _common(p)
-    p.set_defaults(func=cmd_axioms)
 
-    p = sub.add_parser("equiv", help="star-product vs convolution equivalence checks")
-    p.add_argument("scheme", choices=["prop1", "genconv", "coherent"])
-    p.add_argument("--n", type=int, default=4, help="pair-groupoid size for prop1")
-    p.add_argument("--pairs", type=int, default=None,
-                   help="random symbol pairs (default 100 for prop1, 20 for genconv)")
-    p.add_argument("--grid", type=int, default=5, help="coherent lattice side")
-    p.add_argument("--spacing", type=float, default=0.5, help="coherent lattice spacing")
-    p.add_argument("--nt", type=int, default=64, help="Fock truncation")
+    equiv = sub.add_parser("equiv", help="star-product vs convolution equivalence checks")
+    schemes = equiv.add_subparsers(dest="scheme", required=True)
+    p = _leaf(schemes, "prop1", cmd_equiv_prop1, "Weyl units on the pair groupoid")
+    p.add_argument("--n", type=int, default=4, help="pair-groupoid size (default 4)")
+    p.add_argument("--pairs", type=int, default=100, help="random symbol pairs (default 100)")
+    p = _leaf(schemes, "genconv", cmd_equiv_genconv, "regular realization of a groupoid")
     _add_groupoid_selectors(p)
-    _common(p)
-    p.set_defaults(func=cmd_equiv)
+    p.add_argument("--pairs", type=int, default=20, help="random symbol pairs (default 20)")
+    p = _leaf(schemes, "coherent", cmd_equiv_coherent, "coherent-lattice counterexample")
+    p.add_argument("--grid", type=int, default=5, help="lattice side (default 5)")
+    p.add_argument("--spacing", type=float, default=0.5, help="lattice spacing (default 0.5)")
+    p.add_argument("--nt", type=int, default=64, help="Fock truncation (default 64)")
 
-    p = sub.add_parser("tomo", help="tomograms and tomographic reconstruction")
-    p.add_argument("scheme", choices=["spin", "photon", "symplectic"])
-    p.add_argument("--state", default="vac",
-                   help="vac | fock:K | coherent:Z | mixed | file:PATH")
-    p.add_argument("--j", type=float, default=1.0, help="spin quantum number")
-    p.add_argument("--samples", type=int, default=100, help="random group elements")
-    p.add_argument("--nt", "--Nt", dest="nt", type=int, default=32, help="Fock truncation")
-    p.add_argument("--z", default="0j", help="displacement for a single photon column")
-    p.add_argument("--radius", type=float, default=4.0, help="photon lattice radius")
-    p.add_argument("--spacing", type=float, default=0.2, help="photon lattice spacing")
-    p.add_argument("--s", type=float, default=-0.5, help="ordering parameter")
-    p.add_argument("--L", type=float, default=6.0, help="symplectic grid limit")
-    p.add_argument("--step", type=float, default=0.1, help="symplectic grid step")
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--nu", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=None,
-                   help="reconstruction tolerance (defaults per scheme)")
-    p.add_argument("--reconstruct", action="store_true")
-    _common(p)
-    p.set_defaults(func=cmd_tomo)
+    tomo = sub.add_parser("tomo", help="tomograms and tomographic reconstruction")
+    schemes = tomo.add_subparsers(dest="scheme", required=True)
+    p = _leaf(schemes, "spin", cmd_tomo_spin, "spin tomograms; checks fixed at 1e-12")
+    _add_tomo_options(p)
+    p.add_argument("--j", type=float, default=1.0, help="spin quantum number (default 1)")
+    p.add_argument("--samples", type=int, default=100, help="random group elements (default 100)")
+    p = _leaf(schemes, "photon", cmd_tomo_photon, "photon-number tomograms")
+    _add_tomo_options(p)
+    p.add_argument("--nt", type=int, default=32, help="Fock truncation (default 32)")
+    p.add_argument("--z", default="0j", help="single-column displacement (no --reconstruct)")
+    p.add_argument("--radius", type=float, default=4.0, help="lattice radius (default 4)")
+    p.add_argument("--spacing", type=float, default=0.2, help="lattice spacing (default 0.2)")
+    p.add_argument("--s", type=float, default=-0.5, help="ordering parameter (default -0.5)")
+    p.add_argument("--tol", type=float, default=5e-3, help="Frobenius tolerance (default 5e-3)")
+    p = _leaf(schemes, "symplectic", cmd_tomo_symplectic, "symplectic tomograms")
+    _add_tomo_options(p)
+    p.add_argument("--nt", type=int, default=32, help="Fock truncation (default 32)")
+    p.add_argument("--L", type=float, default=6.0, help="grid limit (default 6)")
+    p.add_argument("--step", type=float, default=0.1, help="grid step (default 0.1)")
+    p.add_argument("--mu", type=float, default=1.0, help="tomogram direction (default 1)")
+    p.add_argument("--nu", type=float, default=0.0, help="tomogram direction (default 0)")
+    p.add_argument("--tol", type=float, default=1e-3, help="Frobenius tolerance (default 1e-3)")
 
-    p = sub.add_parser("kernel", help="export a star-product kernel as CSV (m <= 16)")
-    p.add_argument("--weyl", type=int, default=0, metavar="N",
-                   help="Weyl pair of dimension N")
-    _add_groupoid_selectors(p)
-    _common(p)
-    p.set_defaults(func=cmd_kernel)
+    p = _leaf(sub, "kernel", cmd_kernel, "export a star-product kernel as CSV (m <= 16)")
+    _add_groupoid_selectors(p, weyl=True)
 
-    p = sub.add_parser("roundtrip", help="Fock <-> position symbol round trip")
-    p.add_argument("--nt", "--Nt", dest="nt", type=int, default=16)
-    p.add_argument("--xmax", type=float, default=8.0)
-    p.add_argument("--points", type=int, default=512)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p = _leaf(sub, "roundtrip", cmd_roundtrip, "Fock <-> position symbol round trip")
+    p.add_argument("--nt", type=int, default=16, help="Fock truncation (default 16)")
+    p.add_argument("--xmax", type=float, default=8.0, help="grid half-width (default 8)")
+    p.add_argument("--points", type=int, default=512, help="grid points (default 512)")
+    p.add_argument("--tol", type=float, default=1e-6, help="round-trip tolerance (default 1e-6)")
     p.add_argument("--csv", default=None, metavar="NAME",
                    help="export the test position symbol as (x, y, re, im) CSV")
-    _common(p)
-    p.set_defaults(func=cmd_roundtrip)
-
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "tol", None) is None and args.command == "tomo":
-        args.tol = {"spin": 1e-12, "photon": 5e-3, "symplectic": 1e-3}[args.scheme]
-    if getattr(args, "pairs", None) is None and args.command == "equiv":
-        args.pairs = {"prop1": 100, "genconv": 20}.get(args.scheme)
-    t0 = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        t0 = time.perf_counter()
         for name, value in vars(args).items():
             if isinstance(value, float):
                 _finite(value, f"--{name}")
         report = args.func(args)
         report.wall_time_s = time.perf_counter() - t0
         return _finish(report, args)
-    except INFEASIBLE_ERRORS as exc:
+    except groupoid.InfeasibleError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    # GroupoidStructureError and JSONDecodeError are ValueErrors; anything
-    # else is a bug and keeps its traceback
+    # GroupoidStructureError, JSONDecodeError and parse errors are ValueErrors;
+    # anything else is a bug and keeps its traceback
     except (OSError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

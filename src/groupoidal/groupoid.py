@@ -37,17 +37,21 @@ DEFAULT_ASSOCIATIVITY_SAMPLES = 200_000
 _ASSOCIATIVITY_BLOCK = 1 << 16
 
 
-class DenseSizeError(ValueError):
-    """Raised when a dense array would need more than ``MAX_DENSE_BYTES``."""
+class InfeasibleError(ValueError):
+    """Well-formed input that a size or numerical limit refuses (CLI exit 3).
+
+    Dense arrays above ``MAX_DENSE_BYTES``, kernels above the materialization
+    limit, lattices outside their reliability region, overflowing weights.
+    """
 
 
 def check_dense_size(shape: tuple, dtype, what: str) -> None:
-    """Raise ``DenseSizeError`` if an array of ``shape`` and ``dtype`` exceeds the limit."""
+    """Raise ``InfeasibleError`` if an array of ``shape`` and ``dtype`` exceeds the limit."""
     nbytes = math.prod(map(int, shape)) * np.dtype(dtype).itemsize
     if nbytes > MAX_DENSE_BYTES:
         # int / int raises OverflowError once the quotient leaves the float range
         gib = nbytes / 2**30 if nbytes.bit_length() <= 1024 else math.inf
-        raise DenseSizeError(
+        raise InfeasibleError(
             f"{what} of shape {tuple(shape)} needs {gib:.3g} GiB, "
             f"above the {MAX_DENSE_BYTES / 2**30:g} GiB limit"
         )
@@ -382,17 +386,6 @@ class AxiomReport:
 
     def failures(self) -> dict:
         return {k: v for k, v in self.entries.items() if not v.passed}
-
-    def to_dict(self) -> dict:
-        return {
-            name: {
-                "passed": c.passed,
-                "witness": list(c.witness) if c.witness is not None else None,
-                "checked": c.checked,
-                "sampled": c.sampled,
-            }
-            for name, c in self.entries.items()
-        }
 
 
 def _first(indices) -> tuple | None:

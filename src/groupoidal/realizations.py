@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import gauss_legendre_rule, trapezoid_weights
+from .groupoid import InfeasibleError
 from .starproduct import (
     QDPair,
     Symbol,
@@ -24,14 +25,6 @@ from .starproduct import (
     rank_one_pair,
     star,
 )
-
-
-class GridSupportError(ValueError):
-    """Raised when a position grid cannot support the requested Fock range."""
-
-
-class TruncationRegionError(ValueError):
-    """Raised when a coherent lattice leaves the truncation reliability region."""
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +253,7 @@ def position_to_fock_symbol(f: np.ndarray, grid: PositionGrid, n_trunc: int) -> 
 
     Raises
     ------
-    GridSupportError
+    InfeasibleError
         When the grid endpoints cannot contain the support of the highest
         requested Hermite function; the message suggests a sufficient bound.
     """
@@ -274,7 +267,7 @@ def position_to_fock_symbol(f: np.ndarray, grid: PositionGrid, n_trunc: int) -> 
     needed = np.sqrt(2 * (n_trunc - 1)) + 1.0
     if reach < needed:
         suggested = np.sqrt(2 * n_trunc) + 4.0
-        raise GridSupportError(
+        raise InfeasibleError(
             f"grid reaches |x| = {reach:.2f} but phi_{n_trunc - 1} needs at least "
             f"{needed:.2f}; use a bound b >= {suggested:.2f}"
         )
@@ -366,7 +359,7 @@ def coherent_pair(grid: CoherentGrid, n_trunc: int) -> QDPair:
         # probability mass beyond the truncated space (Poisson tail)
         kept = np.sum(np.abs(coherent_state_vector(n_trunc, grid.z_points)) ** 2, axis=1)
         worst = max(0.0, 1.0 - float(kept.min()))
-        raise TruncationRegionError(
+        raise InfeasibleError(
             f"lattice reaches |z| = {zmax:.2f} beyond sqrt(n_trunc)/2 = "
             f"{np.sqrt(n_trunc) / 2:.2f}; worst truncated mass {worst:.2e}"
         )

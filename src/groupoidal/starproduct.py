@@ -29,7 +29,7 @@ from .algebra import (
     normalization_constant,
     random_function,
 )
-from .groupoid import FiniteGroupoid, classify, pair_groupoid
+from .groupoid import FiniteGroupoid, InfeasibleError, classify, pair_groupoid
 
 # Dense m^3 kernels above this index count are refused (memory).
 KERNEL_MATERIALIZE_LIMIT = 64
@@ -41,10 +41,6 @@ _OVERLAP_BLOCK = 2**20
 
 class SpaceMismatchError(ValueError):
     """Raised when symbols or operators do not match a pair's index space."""
-
-
-class KernelLimitError(SpaceMismatchError):
-    """Raised when a check would need a dense kernel above the size limit."""
 
 
 @dataclass(frozen=True)
@@ -263,7 +259,7 @@ def kernel(pair: QDPair, force: bool = False) -> np.ndarray:
     """
     m = len(pair.space)
     if m > KERNEL_MATERIALIZE_LIMIT and not force:
-        raise KernelLimitError(
+        raise InfeasibleError(
             f"kernel tensor for m={m} index points exceeds the materialization "
             f"limit ({KERNEL_MATERIALIZE_LIMIT})"
         )
@@ -316,6 +312,8 @@ def rank_one_pair(vectors, labels: tuple, kind: str, params: dict,
 
 def weyl_qdpair(n: int) -> QDPair:
     """Self-dual Weyl-unit pair |i><k| over the pair-groupoid index set, w = 1."""
+    if n < 1:
+        raise ValueError(f"Weyl pair needs dimension n >= 1 (got {n})")
     labels = tuple((i, k) for i in range(n) for k in range(n))
     return rank_one_pair(np.eye(n), labels, "weyl", {"n": n})
 
@@ -387,7 +385,7 @@ def verify_prop1(n: int, n_pairs: int = 100, seed: int = 0) -> EquivalenceReport
     if n_pairs < 1:
         raise ValueError("verify_prop1 needs at least one symbol pair (n_pairs >= 1)")
     if n * n > KERNEL_MATERIALIZE_LIMIT:
-        raise KernelLimitError(f"verify_prop1 needs n^2 <= {KERNEL_MATERIALIZE_LIMIT}, got n={n}")
+        raise InfeasibleError(f"verify_prop1 needs n^2 <= {KERNEL_MATERIALIZE_LIMIT}, got n={n}")
     G = pair_groupoid(n)
     pair = weyl_qdpair(n)
     K = kernel(pair)
@@ -420,7 +418,7 @@ def verify_gen_conv(G: FiniteGroupoid, n_pairs: int = 20, seed: int = 0) -> Equi
     if not classify(G).transitive:
         raise ValueError("verify_gen_conv needs a transitive groupoid")
     if G.order > KERNEL_MATERIALIZE_LIMIT:
-        raise KernelLimitError(f"verify_gen_conv caps the order at {KERNEL_MATERIALIZE_LIMIT}")
+        raise InfeasibleError(f"verify_gen_conv caps the order at {KERNEL_MATERIALIZE_LIMIT}")
     pair = d_realization_qdpair(G)
     K = kernel(pair)
     expected = np.zeros_like(K, dtype=np.float64)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .groupoid import InfeasibleError
 from .realizations import CoherentGrid, SpinSpace, annihilation, hermite_functions
 
 
@@ -31,10 +32,6 @@ class OrderingParameterError(ValueError):
 
 class DegenerateDirectionError(ValueError):
     """Raised for the zero quadrature direction (mu, nu) = (0, 0)."""
-
-
-class WeightRangeError(ValueError):
-    """Raised when geometric quantizer weights overflow the float range."""
 
 
 # lattice points per batch of photon_tomogram / photon_reconstruct: bounds the
@@ -374,7 +371,7 @@ def photon_reconstruct(
     kappa = -(1 - s) / (1 + s)
     if (n_trunc - 1) * np.log(abs(kappa)) > 700.0:
         n_ok = int(700.0 / np.log(abs(kappa)))
-        raise WeightRangeError(
+        raise InfeasibleError(
             f"quantizer weights |kappa|^n overflow for n_trunc={n_trunc} at "
             f"s={s}; cap the Fock range at n_max <= {n_ok}"
         )
@@ -425,15 +422,6 @@ class SymplecticTomogram:
     nu: float
     x: np.ndarray  # eigenvalues, ascending
     p: np.ndarray  # weights <e_k|rho|e_k>
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        if x.shape != p.shape or x.ndim != 1:
-            raise ValueError("atoms need matching 1D eigenvalue and weight arrays")
-        order = np.argsort(x, kind="stable")
-        object.__setattr__(self, "x", x[order])
-        object.__setattr__(self, "p", p[order])
 
 
 class QuadratureFrame:

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 import groupoidal
 from groupoidal import starproduct
-from groupoidal.cli import main
+from groupoidal.cli import build_parser, main
 from groupoidal.groupoid import FiniteGroupoid, disjoint_union, pair_groupoid
 
 
@@ -320,6 +322,22 @@ class TestExitCodes:
             "roundtrip --xmax nan",
             "equiv coherent --spacing nan",
             "equiv coherent --spacing inf",
+            # options a subcommand does not take
+            "tomo spin --tol 0",
+            "tomo spin --nt 5",
+            "tomo symplectic --radius 3",
+            "tomo photon --L 3",
+            "equiv prop1 --pair 8",
+            "equiv prop1 --units 2 --isotropy Z2",
+            "equiv coherent --pairs 0",
+            "kernel --weyl 3 --pair 2",
+            "kernel --weyl 3 --isotropy Z2",
+            "axioms --pair 3 --isotropy Z2",
+            "kernel --weyl 0",
+            "roundtrip --Nt 16",
+            # a parse error is one line too, not usage text
+            "tomo photon --nt x",
+            "axioms",
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, state_files, capsys, argv):
@@ -327,6 +345,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("input error: ") and err.count("\n") == 1
+
+    def test_readme_cli_commands_parse(self):
+        """Every ``groupoidal ...`` command in README's shell blocks parses."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+        commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("groupoidal ")]
+        assert len(commands) >= 10
+        for line in commands:
+            try:
+                build_parser().parse_args(shlex.split(line, comments=True)[1:])
+            except ValueError as exc:
+                pytest.fail(f"{line}: {exc}")
 
     def test_module_entry_point_prints_no_traceback(self, tmp_path):
         src = str(Path(groupoidal.__file__).resolve().parents[1])

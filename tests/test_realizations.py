@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from groupoidal.algebra import weighted_grid_convolve, weyl_units
-from groupoidal.groupoid import disjoint_union, pair_groupoid
+from groupoidal.groupoid import InfeasibleError, disjoint_union, pair_groupoid
 from groupoidal.realizations import (
     CoherentGrid,
     FockSpace,
-    GridSupportError,
     SpinSpace,
-    TruncationRegionError,
     annihilation,
     coherent_discrepancy_report,
     coherent_grid,
@@ -215,7 +213,7 @@ class TestPositionBridge:
 
     def test_support_error_with_suggestion(self):
         grid = position_grid(-4, 4, 128)
-        with pytest.raises(GridSupportError, match="b >="):
+        with pytest.raises(InfeasibleError, match="b >="):
             position_to_fock_symbol(np.zeros((128, 128)), grid, 24)
 
     def test_small_position_pair_duality(self):
@@ -263,7 +261,7 @@ class TestCoherent:
         assert abs(K[0, 0, 0] - 1.0) < 1e-14  # <0|0>^3
 
     def test_reliability_region_enforced(self):
-        with pytest.raises(TruncationRegionError, match="truncated mass"):
+        with pytest.raises(InfeasibleError, match="truncated mass"):
             coherent_pair(coherent_grid(5, 2.0), 16)
 
     def test_discrepancy_report(self):

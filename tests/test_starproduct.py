@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from groupoidal import starproduct
 from groupoidal.algebra import convolve, random_function, weyl_units
 from groupoidal.groupoid import (
+    InfeasibleError,
     cyclic_group_table,
     group_groupoid,
     pair_groupoid,
@@ -190,7 +191,7 @@ class TestKernel:
 
     def test_materialization_limit(self):
         pair = coherent_pair(coherent_grid(3, 0.5), 8)  # m = 81 > 64
-        with pytest.raises(SpaceMismatchError):
+        with pytest.raises(InfeasibleError, match="materialization limit"):
             kernel(pair)
         assert kernel(pair, force=True).shape == (81, 81, 81)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from groupoidal.groupoid import InfeasibleError
 from groupoidal.realizations import (
     CoherentGrid,
     annihilation,
@@ -19,7 +20,6 @@ from groupoidal.tomography import (
     OrderingParameterError,
     QuadratureFrame,
     ReconstructionResult,
-    WeightRangeError,
     angular_momentum,
     characteristic_value,
     displaced_parity,
@@ -375,7 +375,7 @@ class TestPhotonReconstruction:
     def test_weight_overflow_guard(self):
         lat = disk_lattice(1.0, 0.5)
         tom = photon_tomogram(np.eye(4, dtype=complex) / 4, lat, n_max=4)
-        with pytest.raises(WeightRangeError, match="n_max"):
+        with pytest.raises(InfeasibleError, match="n_max"):
             photon_reconstruct(tom, s=-0.9999999, n_trunc=64)
 
 
