@@ -127,7 +127,7 @@ def _cyclic_order(spec: str) -> int:
 def cmd_axioms(args) -> RunReport:
     G = _build_groupoid(args)
     report = RunReport("axioms", {"order": G.order, "name": G.name}, seed=args.seed)
-    ax = groupoid.validate_axioms(G)
+    ax = groupoid.validate_axioms(G, rng=np.random.default_rng(args.seed))
     for name, check in ax.entries.items():
         detail = {}
         if check.witness is not None:
@@ -423,9 +423,23 @@ def _add_groupoid_selectors(p: argparse.ArgumentParser, weyl: bool = False) -> N
     p.add_argument("--isotropy", metavar="ZK", help="isotropy group of the --units groupoid")
 
 
-def _add_tomo_options(p: argparse.ArgumentParser) -> None:
+class _ReconstructOnly(argparse.Action):
+    """A float option that only ``--reconstruct`` reads; ``main`` refuses it without."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.reconstruct_only = option_string
+
+
+def _add_tomo_options(p: argparse.ArgumentParser, **reconstruct_only):
+    """Add --state, --reconstruct and the options only it reads; return its exclusive group."""
     p.add_argument("--state", default="vac", help="vac | fock:K | coherent:Z | mixed | file:PATH")
-    p.add_argument("--reconstruct", action="store_true", help="reconstruct the state")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--reconstruct", action="store_true", help="reconstruct the state")
+    for name, (default, what) in reconstruct_only.items():
+        p.add_argument(f"--{name}", type=float, default=default, action=_ReconstructOnly,
+                       help=f"{what}, needs --reconstruct (default {default:g})")
+    return mode
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,21 +485,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=float, default=1.0, help="spin quantum number (default 1)")
     p.add_argument("--samples", type=int, default=100, help="random group elements (default 100)")
     p = _leaf(schemes, "photon", cmd_tomo_photon, "photon-number tomograms")
-    _add_tomo_options(p)
+    mode = _add_tomo_options(p, radius=(4.0, "lattice radius"), s=(-0.5, "ordering parameter"),
+                             tol=(5e-3, "Frobenius tolerance"))
+    mode.add_argument("--z", default="0j", help="single-column displacement")
     p.add_argument("--nt", type=int, default=32, help="Fock truncation (default 32)")
-    p.add_argument("--z", default="0j", help="single-column displacement (no --reconstruct)")
-    p.add_argument("--radius", type=float, default=4.0, help="lattice radius (default 4)")
     p.add_argument("--spacing", type=float, default=0.2, help="lattice spacing (default 0.2)")
-    p.add_argument("--s", type=float, default=-0.5, help="ordering parameter (default -0.5)")
-    p.add_argument("--tol", type=float, default=5e-3, help="Frobenius tolerance (default 5e-3)")
     p = _leaf(schemes, "symplectic", cmd_tomo_symplectic, "symplectic tomograms")
-    _add_tomo_options(p)
+    _add_tomo_options(p, L=(6.0, "grid limit"), step=(0.1, "grid step"),
+                      tol=(1e-3, "Frobenius tolerance"))
     p.add_argument("--nt", type=int, default=32, help="Fock truncation (default 32)")
-    p.add_argument("--L", type=float, default=6.0, help="grid limit (default 6)")
-    p.add_argument("--step", type=float, default=0.1, help="grid step (default 0.1)")
     p.add_argument("--mu", type=float, default=1.0, help="tomogram direction (default 1)")
     p.add_argument("--nu", type=float, default=0.0, help="tomogram direction (default 0)")
-    p.add_argument("--tol", type=float, default=1e-3, help="Frobenius tolerance (default 1e-3)")
 
     p = _leaf(sub, "kernel", cmd_kernel, "export a star-product kernel as CSV (m <= 16)")
     _add_groupoid_selectors(p, weyl=True)
@@ -503,6 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "reconstruct_only", None) and not args.reconstruct:
+            raise ValueError(f"{args.reconstruct_only} is read only with --reconstruct")
         t0 = time.perf_counter()
         for name, value in vars(args).items():
             if isinstance(value, float):

@@ -6,7 +6,8 @@ A groupoid is stored as a dense structure over integer element ids
 All structural axioms can then be checked by exhaustive enumeration, which
 is the point of this module: constructions are cheap, verification is
 total.  Associativity is scanned over the composable triples only (the
-paper's G^(3)), read off the table's composable pairs.
+paper's G^(3)), read off the table's composable pairs; the scan reads the
+table in row blocks and needs O(|G^(2)|) memory besides it, no KxK mask.
 
 All objects are immutable after construction and safe to share across
 threads; every operation here is a pure function.
@@ -32,8 +33,8 @@ MAX_DENSE_BYTES = 1 << 31
 # check falls back to a documented random sample.
 EXHAUSTIVE_ORDER_LIMIT = 4096
 DEFAULT_ASSOCIATIVITY_SAMPLES = 200_000
-# composable triples per block of the exhaustive associativity scan: bounds
-# its temporaries, and blocks this small stay in cache
+# composable triples per block of the exhaustive associativity scan, and table
+# entries per row block of a defined mask: bounds temporaries, stays in cache
 _ASSOCIATIVITY_BLOCK = 1 << 16
 
 
@@ -96,9 +97,11 @@ def _order(value) -> int:
     return int(value)
 
 
-def _nonzero_pairs(mask: np.ndarray) -> np.ndarray:
-    """``np.argwhere`` of a 2-D mask, same rows in the same order, but several times faster."""
-    return np.column_stack(np.divmod(np.flatnonzero(mask), mask.shape[1]))
+def _defined_rows(compose: np.ndarray):
+    """(first row, defined mask) of ``compose``, ~``_ASSOCIATIVITY_BLOCK`` entries at a time."""
+    step = max(1, _ASSOCIATIVITY_BLOCK // len(compose))
+    for lo in range(0, len(compose), step):
+        yield lo, compose[lo:lo + step] != UNDEFINED
 
 
 @dataclass(frozen=True)
@@ -165,8 +168,10 @@ class FiniteGroupoid:
         return None if out == UNDEFINED else out
 
     def composable_pairs(self) -> np.ndarray:
-        """All (j, k) with ``j o k`` defined, in lexicographic order."""
-        return _nonzero_pairs(self.compose != UNDEFINED)
+        """All (j, k) with ``j o k`` defined, in lexicographic order, as ``TABLE_DTYPE`` ids."""
+        flat = np.concatenate([np.flatnonzero(d) + lo * self.order
+                               for lo, d in _defined_rows(self.compose)], dtype=TABLE_DTYPE)
+        return np.column_stack(np.divmod(flat, self.order))
 
     def composable_triples(self) -> np.ndarray:
         """All (j, k, i) with ``j o k = i``, in lexicographic (j, k) order."""
@@ -204,7 +209,7 @@ class FiniteGroupoid:
         triples = _element_ids(data["compose"], order, "compose", row=(3,))
         compose = _undefined_table(order)
         compose[triples[:, 0], triples[:, 1]] = triples[:, 2]
-        if np.count_nonzero(compose != UNDEFINED) != len(triples):
+        if sum(np.count_nonzero(d) for _, d in _defined_rows(compose)) != len(triples):
             raise GroupoidStructureError("compose lists some (j, k) pair twice")
         return FiniteGroupoid(order, *(data[key] for key in keys[1:5]), compose,
                               name=data.get("name", ""))
@@ -424,15 +429,21 @@ def validate_axioms(
     bad = np.nonzero(~unit_mask[G.source] | ~unit_mask[G.target])[0]
     entries["maps_into_units"] = AxiomCheck(len(bad) == 0, _first(bad), K)
 
-    defined = G.compose != UNDEFINED
-    # composable exactly when source(j) = target(k); the in-place XOR saves a K x K mask
-    mismatch = G.source[:, None] == G.target[None, :]
-    mismatch ^= defined
-    witness = divmod(int(mismatch.argmax()), K) if mismatch.any() else None
+    pairs = G.composable_pairs()
+    j, k = pairs.T
+    # composable exactly when source(j) = target(k): row j is right iff all its
+    # defined k have that target and there are as many as elements with it
+    width = np.bincount(j, minlength=K)
+    wanted = np.bincount(G.target, minlength=K)[G.source]
+    matched = np.bincount(j[G.source[j] == G.target[k]], minlength=K)
+    bad = np.flatnonzero((width != wanted) | (matched != wanted))
+    witness = None
+    if len(bad):
+        r = int(bad[0])
+        mismatch = (G.target == G.source[r]) ^ (G.compose[r] != UNDEFINED)
+        witness = (r, int(mismatch.argmax()))
     entries["domain"] = AxiomCheck(witness is None, witness, K * K)
 
-    pairs = _nonzero_pairs(defined)
-    j, k = pairs.T
     prods = G.compose[j, k]
     bad = pairs[(G.target[prods] != G.target[j]) | (G.source[prods] != G.source[k])]
     entries["a"] = AxiomCheck(len(bad) == 0, _first(bad), len(pairs))
@@ -453,7 +464,7 @@ def validate_axioms(
     bad = np.nonzero((left != ids) | (right != ids))[0]
     entries["c"] = AxiomCheck(len(bad) == 0, _first(bad), K)
 
-    entries["d"] = _check_associativity(G, defined, pairs, prods, associativity_samples, rng)
+    entries["d"] = _check_associativity(G, pairs, prods, width, associativity_samples, rng)
 
     gi = G.inverse[ids]
     bad = np.nonzero(
@@ -482,7 +493,7 @@ def _first_bad_pair(pairs: np.ndarray, bad: np.ndarray) -> AxiomCheck:
     return AxiomCheck(False, witness, checked)
 
 
-def _check_associativity(G, defined, pairs, prods, samples, rng) -> AxiomCheck:
+def _check_associativity(G, pairs, prods, width, samples, rng) -> AxiomCheck:
     """``(g1 o g2) o g3 = g1 o (g2 o g3)``, both sides undefined counting as equal.
 
     The exhaustive scan walks the composable pairs (g1, g2) in blocks, in
@@ -490,9 +501,9 @@ def _check_associativity(G, defined, pairs, prods, samples, rng) -> AxiomCheck:
     table, so the composable triples of a pair are read off row g2: there
     both sides are compared.  The g3 with only ``(g1 o g2) o g3`` defined all
     violate; they are the bits of ``packed[g1 o g2] & ~packed[g2]`` in the
-    bit-packed ``defined`` mask.  The witness is the lexicographically
-    smallest violating triple, and ``checked`` counts the g3 with
-    ``(g1 o g2) o g3`` or ``g2 o g3`` defined over the pairs up to the
+    defined mask, bit-packed one row block at a time.  The witness is the
+    lexicographically smallest violating triple, and ``checked`` counts the g3
+    with ``(g1 o g2) o g3`` or ``g2 o g3`` defined over the pairs up to the
     witness's.  Above ``EXHAUSTIVE_ORDER_LIMIT`` random triples are checked
     in one batch.
     """
@@ -510,18 +521,14 @@ def _check_associativity(G, defined, pairs, prods, samples, rng) -> AxiomCheck:
     # CSR view of the table: row g2 holds its defined columns g3 and products
     # g2 o g3 at pairs[start[g2]:start[g2] + width[g2]]
     g1_all, cols = pairs.T
-    width = np.bincount(g1_all, minlength=K)
     start = np.cumsum(width) - width
-    n_triples = width[cols]
-    ends = np.cumsum(n_triples)
-    packed = np.packbits(defined, axis=1)
+    # a block ends where the running triple count passes a multiple of _ASSOCIATIVITY_BLOCK
+    cuts = (np.flatnonzero(np.diff(np.cumsum(width[cols]) // _ASSOCIATIVITY_BLOCK)) + 1).tolist()
+    packed = np.concatenate([np.packbits(d, axis=1) for _, d in _defined_rows(G.compose)])
     table = G.compose.ravel()
     checked = 0
-    lo = 0
-    while lo < len(pairs):
-        hi = int(np.searchsorted(ends, ends[lo] - n_triples[lo] + _ASSOCIATIVITY_BLOCK, "right"))
-        hi = max(hi, lo + 1)
-        g1, g2, p12, n = g1_all[lo:hi], cols[lo:hi], prods[lo:hi], n_triples[lo:hi]
+    for lo, hi in zip([0, *cuts], [*cuts, len(pairs)]):
+        g1, g2, p12, n = g1_all[lo:hi], cols[lo:hi], prods[lo:hi], width[cols[lo:hi]]
         # g3 with (g1 o g2) o g3 defined but g2 o g3 not: each one violates
         only_left = packed[p12] & ~packed[g2]
         counts = n + np.bitwise_count(only_left).sum(axis=1, dtype=np.int64)
@@ -538,7 +545,7 @@ def _check_associativity(G, defined, pairs, prods, samples, rng) -> AxiomCheck:
             checked += int(counts[:r + 1].sum())
             return AxiomCheck(False, (int(g1[r]), int(g2[r]), int(row_bad.argmax())), checked)
         checked += int(counts.sum())
-        lo = hi
+        del only_left, pos, bad, row  # before the next block allocates its own
     return AxiomCheck(True, None, checked)
 
 

@@ -448,7 +448,7 @@ def export_kernel_csv(pair: QDPair, path) -> None:
     """Flat (x1, x2, x, re, im) CSV of a dense kernel; limited to m <= 16."""
     m = len(pair.space)
     if m > 16:
-        raise ValueError("kernel CSV export is limited to m <= 16 index points")
+        raise InfeasibleError("kernel CSV export is limited to m <= 16 index points")
     K = kernel(pair)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

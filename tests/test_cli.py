@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import groupoidal
-from groupoidal import starproduct
+from groupoidal import groupoid, starproduct
 from groupoidal.cli import build_parser, main
 from groupoidal.groupoid import FiniteGroupoid, disjoint_union, pair_groupoid
 
@@ -90,6 +90,42 @@ class TestAxioms:
         assert data["schema"] == 1
         assert data["command"] == "axioms"
         assert all("passed" in c for c in data["checks"])
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_seed_drives_the_sampled_associativity_check(self, tmp_path, monkeypatch, seed):
+        # pair(72) has order 5,184 > EXHAUSTIVE_ORDER_LIMIT: associativity is sampled
+        validate, runs = groupoid.validate_axioms, []
+
+        def spy(G, rng):
+            state = rng.bit_generator.state
+            report = validate(G, rng=rng)
+            runs.append((state, report.entries))
+            return report
+
+        monkeypatch.setattr(groupoid, "validate_axioms", spy)
+        for _ in range(2):
+            assert main(["axioms", "--pair", "72", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        want = validate(pair_groupoid(72), rng=np.random.default_rng(seed)).entries
+        assert runs == [(np.random.default_rng(seed).bit_generator.state, want)] * 2
+        assert want["d"].sampled and want["d"].checked == groupoid.DEFAULT_ASSOCIATIVITY_SAMPLES
+
+    def test_sampled_witness_follows_the_seed(self, tmp_path, monkeypatch, broken_groupoid_file):
+        # below the lowered limit the broken pair(3) table is sampled, so the
+        # first violating triple drawn depends on --seed
+        monkeypatch.setattr(groupoid, "EXHAUSTIVE_ORDER_LIMIT", 4)
+        G = FiniteGroupoid.load(broken_groupoid_file)
+        witnesses = set()
+        # no --seed is seed 0, so the default report is unchanged
+        for seed, argv in ((0, []), (5, ["--seed", "5"]), (6, ["--seed", "6"])):
+            for name in ("a.json", "b.json"):
+                assert main(["axioms", "--file", str(broken_groupoid_file), *argv,
+                             "--out", str(tmp_path), "--json", name]) == 1
+            a, b = (json.loads((tmp_path / n).read_text())["checks"] for n in ("a.json", "b.json"))
+            assert a == b
+            want = groupoid.validate_axioms(G, rng=np.random.default_rng(seed)).entries["d"]
+            assert next(c for c in a if c["name"] == "axiom:d")["witness"] == list(want.witness)
+            witnesses.add(want.witness)
+        assert len(witnesses) == 3
 
 
 class TestEquiv:
@@ -219,8 +255,9 @@ class TestKernelRoundtrip:
         rows = list(csv.reader((tmp_path / "kernel_weyl3.csv").open()))
         assert len(rows) == 1 + 9**3
 
-    def test_kernel_size_limit(self, tmp_path):
-        assert main(["kernel", "--weyl", "5", "--out", str(tmp_path)]) == 2
+    def test_kernel_size_limit(self, tmp_path, capsys):
+        assert main(["kernel", "--weyl", "5", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("infeasible parameters: kernel CSV export")
 
     def test_prop1_without_pairs_is_input_error(self, capsys):
         assert main(["equiv", "prop1", "--n", "3", "--pairs", "0"]) == 2
@@ -327,6 +364,12 @@ class TestExitCodes:
             "tomo spin --nt 5",
             "tomo symplectic --radius 3",
             "tomo photon --L 3",
+            # options only --reconstruct reads, and --z, which it excludes
+            "tomo photon --s 0.9 --radius 1 --tol 0",
+            "tomo photon --tol 5e-3",
+            "tomo photon --z 1+1j --reconstruct",
+            "tomo symplectic --L 1 --step 5 --tol 0",
+            "tomo symplectic --step 0.1",
             "equiv prop1 --pair 8",
             "equiv prop1 --units 2 --isotropy Z2",
             "equiv coherent --pairs 0",

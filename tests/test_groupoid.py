@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -744,6 +745,78 @@ class TestCompositionTripleScan:
             assert H.compose.dtype == np.int32
             assert np.array_equal(H.compose, G.compose)
             assert H == G
+
+
+def _dense_mask_oracle(G: FiniteGroupoid) -> dict:
+    """The ``domain``, ``a``, ``d`` and ``e_*`` entries, read off KxK masks."""
+    defined = G.compose != UNDEFINED
+    mismatch = (G.source[:, None] == G.target[None, :]) ^ defined
+    domain = tuple(int(v) for v in np.argwhere(mismatch)[0]) if mismatch.any() else None
+    pairs = np.argwhere(defined)
+    j, k = pairs.T
+    prods = G.compose[j, k]
+    bad = pairs[(G.target[prods] != G.target[j]) | (G.source[prods] != G.source[k])]
+    a = tuple(int(v) for v in bad[0]) if len(bad) else None
+    return {"domain": AxiomCheck(domain is None, domain, G.order**2),
+            "a": AxiomCheck(a is None, a, len(pairs)), **_scalar_reference(G)}
+
+
+class TestRowBlocks:
+    """The table read a few rows at a time gives the dense-mask answers.
+
+    With one or seven rows per block, block edges fall on and right after the
+    first and last rows, where the corruptions are put.
+    """
+
+    @pytest.fixture(params=[1, 7], ids=lambda r: f"rows{r}")
+    def rows(self, request, monkeypatch):
+        # the block counts table entries; both bases have order 36
+        assert {G.order for G in _SCAN_BASES.values()} == {36}
+        monkeypatch.setattr(groupoid, "_ASSOCIATIVITY_BLOCK", request.param * 36)
+        return request.param
+
+    @pytest.mark.parametrize("base", sorted(_SCAN_BASES))
+    @pytest.mark.parametrize("kind", ["redirect", "define", "undefine"])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_corrupted_tables_match_the_dense_mask_oracle(self, rows, base, kind, where, seed):
+        rng = np.random.default_rng([seed, len(kind), rows])
+        G = _relabel(_SCAN_BASES[base], rng.permutation(36))
+        G = _corrupt(G, rng, kind, rows=[0] if where == "first" else [35])
+        want = _dense_mask_oracle(G)
+        got = validate_axioms(G).entries
+        assert {name: got[name] for name in want} == want
+        assert not all(check.passed for check in want.values())
+        if kind != "redirect":  # a product defined or dropped breaks the domain in its row
+            assert want["domain"].witness[0] == (0 if where == "first" else 35)
+        pairs = G.composable_pairs()
+        assert pairs.dtype == np.int32 and np.array_equal(pairs, np.argwhere(G.compose != UNDEFINED))
+
+    @pytest.mark.parametrize("row", [0, 35])
+    def test_pair_listed_twice_in_an_edge_row_is_refused(self, rows, row):
+        data = _SCAN_BASES["pair6"].to_dict()
+        data["compose"].append(next(t for t in data["compose"] if t[0] == row))
+        with pytest.raises(GroupoidStructureError, match="twice"):
+            FiniteGroupoid.from_dict(data)
+
+
+class TestAxiomScanMemory:
+    """The composition table is the only KxK array the axiom scan allocates."""
+
+    @pytest.mark.parametrize("n", [48, 65], ids=["exhaustive", "sampled"])
+    def test_peak_stays_below_a_quarter_of_the_table(self, n):
+        G = pair_groupoid(n)
+        assert (G.order > EXHAUSTIVE_ORDER_LIMIT) == (n == 65)
+        validate_axioms(G)  # one-time allocations of a first call are not the scan's
+        tracemalloc.start()
+        try:
+            report = validate_axioms(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed
+        # a single KxK boolean mask is a quarter of the int32 table
+        assert peak < G.compose.nbytes / 4
 
 
 class TestDenseSizeLimit:
