@@ -77,13 +77,12 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _finish(report: RunReport, args) -> int:
+def _finish(report: RunReport, path: Path | None) -> int:
     for c in report.checks:
         mark = "PASS" if c["passed"] else "FAIL"
         dev = "" if c["deviation"] is None else f"  deviation={c['deviation']:.3e}"
         print(f"[{mark}] {c['name']}{dev}")
-    if args.json:
-        path = _out_dir(args) / args.json
+    if path:
         path.write_text(json.dumps(report.to_dict(), indent=2, default=float))
         print(f"report: {path}")
     return EXIT_PASS if report.all_passed else EXIT_CHECK_FAILED
@@ -519,9 +518,12 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float):
                 _finite(value, f"--{name}")
+        path = args.json and _out_dir(args) / args.json
+        if path:  # made before the work, so a path that cannot be made exits 2 first
+            path.parent.mkdir(parents=True, exist_ok=True)
         report = args.func(args)
         report.wall_time_s = time.perf_counter() - t0
-        return _finish(report, args)
+        return _finish(report, path)
     except groupoid.InfeasibleError as exc:
         print(f"infeasible parameters: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

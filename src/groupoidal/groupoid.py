@@ -2,7 +2,8 @@
 
 A groupoid is stored as a dense structure over integer element ids
 ``0..order-1``: unit flags, source/target/inverse maps, and a ``KxK``
-``int32`` partial composition table with ``-1`` marking undefined products.
+``int16`` partial composition table with ``-1`` marking undefined products
+(``MAX_DENSE_BYTES`` caps K at 32,768, so every id fits).
 All structural axioms can then be checked by exhaustive enumeration, which
 is the point of this module: constructions are cheap, verification is
 total.  Associativity is scanned over the composable triples only (the
@@ -23,8 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 UNDEFINED = -1
-# every constructor stores the composition table in this dtype
-TABLE_DTYPE = np.int32
+# every constructor stores the composition table in this dtype; flat ids j*K + k widen
+TABLE_DTYPE = np.int16
 # Largest dense array a constructor or CLI run may allocate; larger requests
 # are refused up front instead of failing inside numpy
 MAX_DENSE_BYTES = 1 << 31
@@ -129,11 +130,13 @@ class FiniteGroupoid:
         """Coerce and freeze the fields; the one place the storage is decided.
 
         ``units`` becomes a frozenset of ints, the maps read-only int64 arrays
-        and ``compose`` a read-only ``TABLE_DTYPE`` array (an int32 table is
-        not copied).  Ids are checked before any narrowing cast, so a float or
-        out-of-range id is refused rather than truncated.
+        and ``compose`` a read-only ``TABLE_DTYPE`` array (an int16 table is
+        not copied).  An order whose table exceeds ``MAX_DENSE_BYTES`` is
+        refused before the table is read.  Ids are checked before any narrowing
+        cast, so a float or out-of-range id is refused rather than truncated.
         """
         order = _order(self.order)
+        check_dense_size((order, order), TABLE_DTYPE, "composition table")
         units = list(self.units) if isinstance(self.units, (set, frozenset)) else self.units
         units = _element_ids(units, order, "units")
         fields = {"compose": _element_ids(self.compose, order, "compose", (order,), UNDEFINED)}
@@ -168,9 +171,9 @@ class FiniteGroupoid:
         return None if out == UNDEFINED else out
 
     def composable_pairs(self) -> np.ndarray:
-        """All (j, k) with ``j o k`` defined, in lexicographic order, as ``TABLE_DTYPE`` ids."""
+        """All (j, k) with ``j o k`` defined, in lexicographic order, as int32 ids (K^2 < 2^30)."""
         flat = np.concatenate([np.flatnonzero(d) + lo * self.order
-                               for lo, d in _defined_rows(self.compose)], dtype=TABLE_DTYPE)
+                               for lo, d in _defined_rows(self.compose)], dtype=np.int32)
         return np.column_stack(np.divmod(flat, self.order))
 
     def composable_triples(self) -> np.ndarray:
@@ -351,7 +354,7 @@ def disjoint_union(parts: Sequence[FiniteGroupoid], name: str = "") -> FiniteGro
     if not parts:
         raise GroupoidStructureError("disjoint union of an empty list")
     offsets = np.cumsum([0] + [p.order for p in parts]).tolist()
-    compose = _undefined_table(offsets[-1])
+    compose = _undefined_table(offsets[-1])  # so every shifted id fits TABLE_DTYPE
     for p, off in zip(parts, offsets):
         defined = p.compose != UNDEFINED
         compose[off:off + p.order, off:off + p.order] = np.where(defined, p.compose + off, UNDEFINED)
@@ -535,7 +538,8 @@ def _check_associativity(G, pairs, prods, width, samples, rng) -> AxiomCheck:
         # composable triples: g3 runs over the defined columns of row g2
         pos = np.repeat(start[g2] - (np.cumsum(n) - n), n)
         pos += np.arange(len(pos))
-        bad = table[np.repeat(p12 * K, n) + cols[pos]] != table[np.repeat(g1 * K, n) + prods[pos]]
+        flat12 = np.repeat(p12.astype(np.int32) * K, n)  # an int16 p12 * K would wrap
+        bad = table[flat12 + cols[pos]] != table[np.repeat(g1 * K, n) + prods[pos]]
         row = np.repeat(np.arange(hi - lo), n)
         violations = counts - n + np.bincount(row[bad], minlength=hi - lo)
         if violations.any():
@@ -545,7 +549,7 @@ def _check_associativity(G, pairs, prods, width, samples, rng) -> AxiomCheck:
             checked += int(counts[:r + 1].sum())
             return AxiomCheck(False, (int(g1[r]), int(g2[r]), int(row_bad.argmax())), checked)
         checked += int(counts.sum())
-        del only_left, pos, bad, row  # before the next block allocates its own
+        del only_left, pos, flat12, bad, row  # before the next block allocates its own
     return AxiomCheck(True, None, checked)
 
 

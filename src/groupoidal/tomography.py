@@ -37,6 +37,9 @@ class DegenerateDirectionError(ValueError):
 # lattice points per batch of photon_tomogram / photon_reconstruct: bounds the
 # temporaries (~0.15 MB a point at N_t = 32) and measured fastest (in cache)
 _POINT_BLOCK = 32
+# rotation-matrix entries per batch of spin_tomogram: (2j+1)^2 per rotation, so
+# 594 rotations at j = 10 and 17 at j = 60; bounds each complex temporary to 4 MB
+_ROTATION_BLOCK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +118,19 @@ class SpinTomogram:
 
 
 def spin_tomogram(j: float, g: EulerAngles, rho: np.ndarray) -> SpinTomogram:
-    """Tomograms <g, j m|rho|g, j m> for one group element or a batch of them."""
-    D = wigner_D(j, g)
+    """Tomograms <g, j m|rho|g, j m> of one group element or a batch, rotated in blocks."""
+    dim = SpinSpace(j).dim
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != D.shape[-2:]:
+    if rho.shape != (dim, dim):
         raise ValueError("operator dimension does not match 2j+1")
-    probs = np.sum(np.conj(D) * (rho @ D), axis=-2).real
-    return SpinTomogram(j=j, g=g, probabilities=probs)
+    angles = np.broadcast_arrays(g.alpha, g.beta, g.gamma)
+    flat = [a.ravel() for a in angles]
+    probs = np.empty((flat[0].size, dim))
+    step = max(1, _ROTATION_BLOCK // dim**2)
+    for lo in range(0, len(probs), step):
+        D = wigner_D(j, EulerAngles(*(a[lo:lo + step] for a in flat)))
+        probs[lo:lo + step] = np.sum(np.conj(D) * (rho @ D), axis=-2).real
+    return SpinTomogram(j=j, g=g, probabilities=probs.reshape(angles[0].shape + (dim,)))
 
 
 # ---------------------------------------------------------------------------

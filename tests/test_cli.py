@@ -91,6 +91,20 @@ class TestAxioms:
         assert data["command"] == "axioms"
         assert all("passed" in c for c in data["checks"])
 
+    def test_report_json_in_a_new_subdirectory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["axioms", "--pair", "3", "--out", str(out), "--json", "sub/r.json"]) == 0
+        assert json.loads((out / "sub" / "r.json").read_text())["command"] == "axioms"
+        assert f"report: {out / 'sub' / 'r.json'}" in capsys.readouterr().out
+
+    def test_report_path_that_cannot_be_made_exits_2_before_any_check(self, tmp_path, capsys):
+        (tmp_path / "plain").write_text("")
+        code = main(["axioms", "--pair", "3", "--out", str(tmp_path), "--json", "plain/r.json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("seed", [5, 6])
     def test_seed_drives_the_sampled_associativity_check(self, tmp_path, monkeypatch, seed):
         # pair(72) has order 5,184 > EXHAUSTIVE_ORDER_LIMIT: associativity is sampled
@@ -447,6 +461,7 @@ class TestExitCodes:
             ("tomo spin --j 300 --samples 2000", "rotation batch"),
             ("tomo spin --j 1e300 --samples 1", "rotation batch"),
             ("tomo photon --nt 100000", "density matrix"),
+            ("axioms --pair 182", "composition table"),
             ("axioms --pair 300", "composition table"),
             ("axioms --file {dir}/huge.json", "composition table"),
         ],

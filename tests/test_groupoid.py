@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from groupoidal.groupoid import (
     DEFAULT_ASSOCIATIVITY_SAMPLES,
     EXHAUSTIVE_ORDER_LIMIT,
     MAX_DENSE_BYTES,
+    TABLE_DTYPE,
     UNDEFINED,
     ActionLawError,
     AxiomCheck,
@@ -358,7 +360,7 @@ class TestStorage:
         assert isinstance(G.units, frozenset) and all(type(u) is int for u in G.units)
         for attr in ("source", "target", "inverse", "compose"):
             arr = getattr(G, attr)
-            assert arr.dtype == (np.int32 if attr == "compose" else np.int64), attr
+            assert arr.dtype == (np.int16 if attr == "compose" else np.int64), attr
             assert not arr.flags.writeable, attr
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -369,9 +371,9 @@ class TestStorage:
         assert FiniteGroupoid(**_pair2_fields(as_arrays=False)) == G
         assert FiniteGroupoid(**_pair2_fields(as_arrays=True)) == G
 
-    def test_int32_table_is_not_copied(self):
+    def test_table_in_table_dtype_is_not_copied(self):
         fields = _pair2_fields(as_arrays=True)
-        table = fields["compose"].astype(np.int32)
+        table = fields["compose"].astype(TABLE_DTYPE)
         G = FiniteGroupoid(**{**fields, "compose": table})
         assert np.shares_memory(G.compose, table)
 
@@ -386,12 +388,13 @@ class TestStorage:
             ("units", [0, 4]),
             ("compose", np.full((4, 4), 1.0)),
             ("compose", np.full((4, 4), 2**32 + 1, dtype=np.int64)),
+            ("compose", np.full((4, 4), 2**16 + 1, dtype=np.int64)),
             ("compose", np.full((4, 4), -2)),
             ("order", 4.0),
         ],
         ids=["float_source", "inverse_beyond_order", "negative_target", "float_units",
-             "unit_beyond_order", "float_table", "table_wraps_int32", "table_below_undefined",
-             "float_order"],
+             "unit_beyond_order", "float_table", "table_wraps_int32", "table_wraps_int16",
+             "table_below_undefined", "float_order"],
     )
     def test_float_or_out_of_range_ids_refused(self, as_arrays, key, value):
         # truncated or wrapped, several of these would build a valid pair(2)
@@ -729,20 +732,31 @@ class TestCompositionTripleScan:
         assert not got.passed
         assert got.checked > 3 * block
 
+    @pytest.mark.parametrize("kind", [None, "redirect", "define", "undefine"])
+    def test_flat_ids_beyond_the_table_dtype(self, kind):
+        # at K = 196 the flat id p12 * K leaves the int16 range for p12 >= 168,
+        # so an unwidened multiply wraps and reads the wrong table entry
+        rng = np.random.default_rng([196, len(kind or "")])
+        G = _relabel(pair_groupoid(14), rng.permutation(196))
+        assert G.order - 1 <= np.iinfo(TABLE_DTYPE).max < (G.order - 1) * G.order
+        if kind:
+            G = _corrupt(G, rng, kind, rows=np.arange(G.order - 14, G.order))
+        assert self._scan_equals_oracle(G).passed == (kind is None)
+
     def test_scan_counts_every_composable_triple_of_a_valid_table(self, block):
         # pair(n) has n^4 composable triples and none with only one side defined
         assert self._scan_equals_oracle(pair_groupoid(6)) == AxiomCheck(True, None, 6**4)
 
-    def test_int32_table_round_trips_exactly(self):
+    def test_table_round_trips_exactly_in_table_dtype(self):
         for G in (
             *_SCAN_BASES.values(),
             group_groupoid(cyclic_group_table(5)),
             action_groupoid(cyclic_group_table(2), swap_action, 2),
             disjoint_union([pair_groupoid(2), group_groupoid(cyclic_group_table(3))]),
         ):
-            assert G.compose.dtype == np.int32
+            assert G.compose.dtype == TABLE_DTYPE == np.int16
             H = FiniteGroupoid.from_dict(json.loads(json.dumps(G.to_dict())))
-            assert H.compose.dtype == np.int32
+            assert H.compose.dtype == TABLE_DTYPE
             assert np.array_equal(H.compose, G.compose)
             assert H == G
 
@@ -804,7 +818,7 @@ class TestAxiomScanMemory:
     """The composition table is the only KxK array the axiom scan allocates."""
 
     @pytest.mark.parametrize("n", [48, 65], ids=["exhaustive", "sampled"])
-    def test_peak_stays_below_a_quarter_of_the_table(self, n):
+    def test_peak_stays_below_one_byte_per_table_entry(self, n):
         G = pair_groupoid(n)
         assert (G.order > EXHAUSTIVE_ORDER_LIMIT) == (n == 65)
         validate_axioms(G)  # one-time allocations of a first call are not the scan's
@@ -815,8 +829,8 @@ class TestAxiomScanMemory:
         finally:
             tracemalloc.stop()
         assert report.all_passed
-        # a single KxK boolean mask is a quarter of the int32 table
-        assert peak < G.compose.nbytes / 4
+        # a single KxK boolean mask alone would reach the bound
+        assert peak < G.order**2
 
 
 class TestDenseSizeLimit:
@@ -827,6 +841,29 @@ class TestDenseSizeLimit:
         data["order"] = 10**6
         with pytest.raises(InfeasibleError):
             FiniteGroupoid.from_dict(data)
+
+    def test_caller_built_table_beyond_the_limit_is_refused_unread(self, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("a field was read before the size check")
+
+        monkeypatch.setattr(groupoid, "_element_ids", unread)
+        ids = np.arange(40_000)
+        with pytest.raises(InfeasibleError, match="composition table"):
+            FiniteGroupoid(40_000, [0], ids, ids, ids,
+                           np.broadcast_to(np.int16(UNDEFINED), (40_000, 40_000)))
+
+    def test_largest_admitted_order_fits_the_table_dtype(self):
+        K = math.isqrt(MAX_DENSE_BYTES // np.dtype(TABLE_DTYPE).itemsize)
+        check_dense_size((K, K), TABLE_DTYPE, "table")
+        with pytest.raises(InfeasibleError):
+            check_dense_size((K + 1, K + 1), TABLE_DTYPE, "table")
+        # ids run 0..K-1, UNDEFINED is -1
+        assert np.iinfo(TABLE_DTYPE).min <= UNDEFINED and K - 1 <= np.iinfo(TABLE_DTYPE).max
+
+    def test_largest_pair_groupoid_is_181(self):
+        check_dense_size((181**2, 181**2), TABLE_DTYPE, "composition table")
+        with pytest.raises(InfeasibleError, match="composition table"):
+            pair_groupoid(182)
 
     def test_limit_is_inclusive(self):
         check_dense_size((MAX_DENSE_BYTES // 4,), np.int32, "table")

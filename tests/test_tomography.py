@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from groupoidal import tomography
 from groupoidal.groupoid import InfeasibleError
 from groupoidal.realizations import (
     CoherentGrid,
@@ -167,6 +169,31 @@ class TestSpinScheme:
         for i in range(5):
             single = spin_tomogram(1.5, EulerAngles(g.alpha[i], g.beta[i], g.gamma[i]), rho)
             assert np.array_equal(probs[i], single.probabilities)
+
+    def test_rotation_blocks_equal_one_batch(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        rho = _rand_density(rng, 6)
+        g = EulerAngles(*rng.uniform(-np.pi, np.pi, (3, 4, 5)))
+        whole = spin_tomogram(2.5, g, rho).probabilities
+        # 109 entries make blocks of 3 rotations, so block edges fall inside the rows of g
+        monkeypatch.setattr(tomography, "_ROTATION_BLOCK", 3 * 36 + 1)
+        assert np.array_equal(spin_tomogram(2.5, g, rho).probabilities, whole)
+        assert whole.shape == (4, 5, 6)
+
+    def test_rotation_batch_memory_is_bounded_by_the_block(self):
+        # 2,000 rotations at j = 20 are 51 MB of complex entries per array
+        rng = np.random.default_rng(12)
+        rho = _rand_density(rng, 41)
+        g = EulerAngles(*rng.uniform(-np.pi, np.pi, (3, 2000)))
+        spin_tomogram(20, g, rho)  # one-time allocations of a first call
+        tracemalloc.start()
+        try:
+            probs = spin_tomogram(20, g, rho).probabilities
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.abs(probs.sum(axis=1) - 1).max() < 1e-12
+        assert peak < 5 * 16 * tomography._ROTATION_BLOCK
 
     def test_stochasticity(self):
         rng = np.random.default_rng(4)
