@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 UNDEFINED = -1
-# every constructor stores the composition table in this dtype; flat ids j*K + k widen
+# every constructor stores the composition table in this dtype; flat ids j*K + k are int32
 TABLE_DTYPE = np.int16
 # Largest dense array a constructor or CLI run may allocate; larger requests
 # are refused up front instead of failing inside numpy
