@@ -128,10 +128,10 @@ def cmd_axioms(args) -> RunReport:
     report = RunReport("axioms", {"order": G.order, "name": G.name}, seed=args.seed)
     ax = groupoid.validate_axioms(G, rng=np.random.default_rng(args.seed))
     for name, check in ax.entries.items():
-        detail = {}
+        detail = {"sampled": check.sampled} if name == "d" else {}
         if check.witness is not None:
             detail["witness"] = list(check.witness)
-        report.add(f"axiom:{name}", check.passed, **detail)
+        report.add(f"axiom:{name}", check.passed, checked=check.checked, **detail)
     if ax.all_passed:
         cls = groupoid.classify(G)
         orbs = groupoid.orbits(G)

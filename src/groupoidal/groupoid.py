@@ -9,6 +9,7 @@ is the point of this module: constructions are cheap, verification is
 total.  Associativity is scanned over the composable triples only (the
 paper's G^(3)), read off the table's composable pairs; the scan reads the
 table in row blocks and needs O(|G^(2)|) memory besides it, no KxK mask.
+Above ``EXHAUSTIVE_ORDER_LIMIT`` it reads seeded composable pairs instead.
 
 All objects are immutable after construction and safe to share across
 threads; every operation here is a pure function.
@@ -30,11 +31,11 @@ TABLE_DTYPE = np.int16
 # are refused up front instead of failing inside numpy
 MAX_DENSE_BYTES = 1 << 31
 
-# Exhaustive triple scans are O(K^3); above this order the associativity
-# check falls back to a documented random sample.
+# The associativity scan is O(|G^(3)|); above this order it reads random composable
+# pairs until their triples reach the budget below.
 EXHAUSTIVE_ORDER_LIMIT = 4096
 DEFAULT_ASSOCIATIVITY_SAMPLES = 200_000
-# composable triples per block of the exhaustive associativity scan, and table
+# composable triples per block of the associativity scan, and table
 # entries per row block of a defined mask: bounds temporaries, stays in cache
 _ASSOCIATIVITY_BLOCK = 1 << 16
 
@@ -383,7 +384,8 @@ class AxiomReport:
     """Outcome of the exhaustive structural scan, one entry per axiom.
 
     Witnesses are the lexicographically smallest violating tuples in the
-    element-id order, so independent re-scans must reproduce them exactly.
+    element-id order (a sampled ``d``: among the triples of the sampled pairs),
+    so independent re-scans must reproduce them exactly.
     """
 
     entries: dict
@@ -402,11 +404,7 @@ def _first(indices) -> tuple | None:
     return tuple(int(v) for v in np.atleast_1d(indices[0]))
 
 
-def validate_axioms(
-    G: FiniteGroupoid,
-    associativity_samples: int = DEFAULT_ASSOCIATIVITY_SAMPLES,
-    rng: np.random.Generator | None = None,
-) -> AxiomReport:
+def validate_axioms(G: FiniteGroupoid, rng: np.random.Generator | None = None) -> AxiomReport:
     """Check every groupoid axiom by exhaustive enumeration.
 
     Reports all violated axioms (never fails fast) with minimal witnesses:
@@ -421,8 +419,9 @@ def validate_axioms(
     * ``e_left_cancellation`` / ``e_right_cancellation``,
     * ``involution`` -- ``(g^-1)^-1 = g``.
 
-    For orders above ``EXHAUSTIVE_ORDER_LIMIT`` the associativity entry is
-    estimated from ``associativity_samples`` random triples and flagged.
+    Above ``EXHAUSTIVE_ORDER_LIMIT`` associativity reads composable pairs drawn
+    from ``rng`` (seed 0 by default) until their triples reach
+    ``DEFAULT_ASSOCIATIVITY_SAMPLES``, and is flagged ``sampled`` if not all of G^(2).
     """
     K = G.order
     entries: dict[str, AxiomCheck] = {}
@@ -451,15 +450,9 @@ def validate_axioms(
     bad = pairs[(G.target[prods] != G.target[j]) | (G.source[prods] != G.source[k])]
     entries["a"] = AxiomCheck(len(bad) == 0, _first(bad), len(pairs))
 
-    units_sorted = np.array(sorted(G.units), dtype=np.int64)
-    bad_idx = np.nonzero(
-        (G.source[units_sorted] != units_sorted) | (G.target[units_sorted] != units_sorted)
-    )[0]
-    entries["b"] = AxiomCheck(
-        len(bad_idx) == 0,
-        (int(units_sorted[bad_idx[0]]),) if len(bad_idx) else None,
-        len(units_sorted),
-    )
+    units = np.array(sorted(G.units), dtype=np.int64)
+    bad = units[(G.source[units] != units) | (G.target[units] != units)]
+    entries["b"] = AxiomCheck(len(bad) == 0, _first(bad), len(units))
 
     ids = np.arange(K)
     left = G.compose[G.target[ids], ids]
@@ -467,7 +460,7 @@ def validate_axioms(
     bad = np.nonzero((left != ids) | (right != ids))[0]
     entries["c"] = AxiomCheck(len(bad) == 0, _first(bad), K)
 
-    entries["d"] = _check_associativity(G, pairs, prods, width, associativity_samples, rng)
+    entries["d"] = _check_associativity(G, pairs, prods, width, rng)
 
     gi = G.inverse[ids]
     bad = np.nonzero(
@@ -496,42 +489,47 @@ def _first_bad_pair(pairs: np.ndarray, bad: np.ndarray) -> AxiomCheck:
     return AxiomCheck(False, witness, checked)
 
 
-def _check_associativity(G, pairs, prods, width, samples, rng) -> AxiomCheck:
+def _scanned_pairs(K: int, pairs: np.ndarray, width: np.ndarray, rng) -> slice | np.ndarray:
+    """Index into ``pairs`` of the (g1, g2) the associativity scan reads, in order.
+
+    All of them up to ``EXHAUSTIVE_ORDER_LIMIT``; above it, pairs in random order
+    until their triples, ``width[g2]`` each, reach ``DEFAULT_ASSOCIATIVITY_SAMPLES``.
+    """
+    if K <= EXHAUSTIVE_ORDER_LIMIT:
+        return slice(None)
+    drawn = (rng or np.random.default_rng(0)).permutation(len(pairs))
+    n = np.searchsorted(np.cumsum(width[pairs[drawn, 1]]), DEFAULT_ASSOCIATIVITY_SAMPLES) + 1
+    return np.sort(drawn[:n])
+
+
+def _check_associativity(G, pairs, prods, width, rng) -> AxiomCheck:
     """``(g1 o g2) o g3 = g1 o (g2 o g3)``, both sides undefined counting as equal.
 
-    The exhaustive scan walks the composable pairs (g1, g2) in blocks, in
+    The scan walks the pairs (g1, g2) of ``_scanned_pairs`` in blocks, in
     lexicographic order.  ``pairs`` sorted by row is the CSR form of the
     table, so the composable triples of a pair are read off row g2: there
     both sides are compared.  The g3 with only ``(g1 o g2) o g3`` defined all
     violate; they are the bits of ``packed[g1 o g2] & ~packed[g2]`` in the
     defined mask, bit-packed one row block at a time.  The witness is the
-    lexicographically smallest violating triple, and ``checked`` counts the g3
-    with ``(g1 o g2) o g3`` or ``g2 o g3`` defined over the pairs up to the
-    witness's.  Above ``EXHAUSTIVE_ORDER_LIMIT`` random triples are checked
-    in one batch.
+    lexicographically smallest violating triple of the scanned pairs, and
+    ``checked`` counts the g3 with ``(g1 o g2) o g3`` or ``g2 o g3`` defined
+    over the scanned pairs up to the witness's.
     """
     K = G.order
-    if K > EXHAUSTIVE_ORDER_LIMIT:
-        rng = rng or np.random.default_rng(0)
-        triples = rng.integers(0, K, size=(samples, 3))
-        g1, g2, g3 = triples.T
-        p12, p23 = G.compose[g1, g2], G.compose[g2, g3]
-        lhs = np.where(p12 != UNDEFINED, G.compose[p12, g3], UNDEFINED)
-        rhs = np.where(p23 != UNDEFINED, G.compose[g1, p23], UNDEFINED)
-        witness = _first(triples[lhs != rhs])
-        return AxiomCheck(witness is None, witness, samples, sampled=True)
-
+    scan = _scanned_pairs(K, pairs, width, rng)
+    g1_all, g2_all, p12_all = pairs[scan, 0], pairs[scan, 1], prods[scan]
+    sampled = len(p12_all) < len(prods)
     # CSR view of the table: row g2 holds its defined columns g3 and products
     # g2 o g3 at pairs[start[g2]:start[g2] + width[g2]]
-    g1_all, cols = pairs.T
+    cols = pairs[:, 1]
     start = np.cumsum(width) - width
     # a block ends where the running triple count passes a multiple of _ASSOCIATIVITY_BLOCK
-    cuts = (np.flatnonzero(np.diff(np.cumsum(width[cols]) // _ASSOCIATIVITY_BLOCK)) + 1).tolist()
+    cuts = (np.flatnonzero(np.diff(np.cumsum(width[g2_all]) // _ASSOCIATIVITY_BLOCK)) + 1).tolist()
     packed = np.concatenate([np.packbits(d, axis=1) for _, d in _defined_rows(G.compose)])
     table = G.compose.ravel()
     checked = 0
-    for lo, hi in zip([0, *cuts], [*cuts, len(pairs)]):
-        g1, g2, p12, n = g1_all[lo:hi], cols[lo:hi], prods[lo:hi], width[cols[lo:hi]]
+    for lo, hi in zip([0, *cuts], [*cuts, len(p12_all)]):
+        g1, g2, p12, n = g1_all[lo:hi], g2_all[lo:hi], p12_all[lo:hi], width[g2_all[lo:hi]]
         # g3 with (g1 o g2) o g3 defined but g2 o g3 not: each one violates
         only_left = packed[p12] & ~packed[g2]
         counts = n + np.bitwise_count(only_left).sum(axis=1, dtype=np.int64)
@@ -546,11 +544,11 @@ def _check_associativity(G, pairs, prods, width, samples, rng) -> AxiomCheck:
             r = int(np.flatnonzero(violations)[0])
             row_bad = np.unpackbits(only_left[r], count=K).view(bool)
             row_bad[cols[pos[bad & (row == r)]]] = True
-            checked += int(counts[:r + 1].sum())
-            return AxiomCheck(False, (int(g1[r]), int(g2[r]), int(row_bad.argmax())), checked)
+            witness = (int(g1[r]), int(g2[r]), int(row_bad.argmax()))
+            return AxiomCheck(False, witness, checked + int(counts[:r + 1].sum()), sampled)
         checked += int(counts.sum())
         del only_left, pos, flat12, bad, row  # before the next block allocates its own
-    return AxiomCheck(True, None, checked)
+    return AxiomCheck(True, None, checked, sampled)
 
 
 # ---------------------------------------------------------------------------

@@ -121,12 +121,15 @@ class TestAxioms:
             assert main(["axioms", "--pair", "72", "--seed", str(seed), "--out", str(tmp_path)]) == 0
         want = validate(pair_groupoid(72), rng=np.random.default_rng(seed)).entries
         assert runs == [(np.random.default_rng(seed).bit_generator.state, want)] * 2
-        assert want["d"].sampled and want["d"].checked == groupoid.DEFAULT_ASSOCIATIVITY_SAMPLES
+        # whole rows of 72 composable triples until the budget is reached
+        budget = groupoid.DEFAULT_ASSOCIATIVITY_SAMPLES
+        assert want["d"].sampled and want["d"].checked == 72 * -(-budget // 72)
 
     def test_sampled_witness_follows_the_seed(self, tmp_path, monkeypatch, broken_groupoid_file):
-        # below the lowered limit the broken pair(3) table is sampled, so the
-        # first violating triple drawn depends on --seed
+        # below the lowered limit and a budget under |G^(3)| = 81 the broken
+        # pair(3) table is sampled, so the first violating triple depends on --seed
         monkeypatch.setattr(groupoid, "EXHAUSTIVE_ORDER_LIMIT", 4)
+        monkeypatch.setattr(groupoid, "DEFAULT_ASSOCIATIVITY_SAMPLES", 20)
         G = FiniteGroupoid.load(broken_groupoid_file)
         witnesses = set()
         # no --seed is seed 0, so the default report is unchanged
@@ -137,9 +140,27 @@ class TestAxioms:
             a, b = (json.loads((tmp_path / n).read_text())["checks"] for n in ("a.json", "b.json"))
             assert a == b
             want = groupoid.validate_axioms(G, rng=np.random.default_rng(seed)).entries["d"]
+            assert want.sampled
             assert next(c for c in a if c["name"] == "axiom:d")["witness"] == list(want.witness)
             witnesses.add(want.witness)
         assert len(witnesses) == 3
+
+    def test_report_says_what_each_axiom_checked(self, tmp_path):
+        # pair(65) has order 4,225 > EXHAUSTIVE_ORDER_LIMIT: associativity is sampled
+        assert main(["axioms", "--pair", "65", "--out", str(tmp_path), "--json", "r.json"]) == 0
+        checks = json.loads((tmp_path / "r.json").read_text())["checks"]
+        want = groupoid.validate_axioms(pair_groupoid(65), rng=np.random.default_rng(0)).entries
+        assert [c["name"] for c in checks] == [f"axiom:{name}" for name in want]
+        for c in checks:
+            check = want[c["name"].removeprefix("axiom:")]
+            assert c["checked"] == check.checked > 0
+            assert ("sampled" in c) == (c["name"] == "axiom:d")
+        d = next(c for c in checks if c["name"] == "axiom:d")
+        assert d["sampled"] is True and d["checked"] >= groupoid.DEFAULT_ASSOCIATIVITY_SAMPLES
+        assert main(["axioms", "--pair", "4", "--out", str(tmp_path), "--json", "r.json"]) == 0
+        checks = json.loads((tmp_path / "r.json").read_text())["checks"]
+        d = next(c for c in checks if c["name"] == "axiom:d")
+        assert d["sampled"] is False and d["checked"] == 4**4
 
 
 class TestEquiv:

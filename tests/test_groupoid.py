@@ -422,17 +422,47 @@ class TestStorage:
             FiniteGroupoid(**fields)
 
 
+def _sampled_pairs(G: FiniteGroupoid, seed: int) -> np.ndarray:
+    """The (g1, g2) the associativity scan reads under ``rng=default_rng(seed)``."""
+    pairs = G.composable_pairs()
+    width = np.bincount(pairs[:, 0], minlength=G.order)
+    rng = np.random.default_rng(seed)
+    return pairs[groupoid._scanned_pairs(G.order, pairs, width, rng)]
+
+
 class TestSampledAssociativity:
     def test_large_order_uses_sampling(self):
-        # above the exhaustive cap the associativity entry is sampled and
-        # flagged, with the sample count recorded
+        # above the exhaustive cap the associativity entry reads whole rows of
+        # 65 composable triples until the budget is reached, and is flagged
         G = pair_groupoid(65)  # order 4225 > 4096
-        report = validate_axioms(G, associativity_samples=20000)
+        report = validate_axioms(G)
         check = report.entries["d"]
         assert check.sampled
         assert check.passed
-        assert check.checked == 20000
+        assert check.checked == 65 * math.ceil(DEFAULT_ASSOCIATIVITY_SAMPLES / 65)
         assert report.all_passed
+        pairs = _sampled_pairs(G, 0)
+        assert len(pairs) == math.ceil(DEFAULT_ASSOCIATIVITY_SAMPLES / 65)
+        assert check == _scalar_associativity(G, pairs)
+
+    @pytest.mark.parametrize("n", [65, 72])
+    def test_redirected_product_is_found(self, n):
+        # (0,1) o (1,2) := (0,3): about 2n of the n^3 composable pairs see it,
+        # which a draw of triples from K^3 almost never hits
+        G = pair_groupoid(n)
+        compose = np.array(G.compose)
+        compose[1, n + 2] = 3
+        broken = FiniteGroupoid(order=G.order, units=G.units, source=G.source,
+                                target=G.target, inverse=G.inverse, compose=compose)
+        got = validate_axioms(broken, rng=np.random.default_rng(0)).entries["d"]
+        assert got.sampled and not got.passed
+        g1, g2, g3 = got.witness
+        c = broken.compose
+        assert c[g1, g2] != UNDEFINED
+        lhs = c[c[g1, g2], g3]
+        rhs = UNDEFINED if c[g2, g3] == UNDEFINED else c[g1, c[g2, g3]]
+        assert lhs != rhs
+        assert got == _scalar_associativity(broken, _sampled_pairs(broken, 0))
 
 
 class TestLoaderRefusals:
@@ -509,7 +539,7 @@ class TestLoaderRefusals:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_reference(G, samples=DEFAULT_ASSOCIATIVITY_SAMPLES, rng=None) -> dict:
+def _scalar_reference(G) -> dict:
     """Element-by-element associativity and cancellation scans.
 
     These are the loops ``validate_axioms`` ran before it was vectorised,
@@ -518,7 +548,7 @@ def _scalar_reference(G, samples=DEFAULT_ASSOCIATIVITY_SAMPLES, rng=None) -> dic
     """
     K = G.order
     defined = G.compose != UNDEFINED
-    out = {"d": _scalar_associativity(G, samples, rng)}
+    out = {"d": _scalar_associativity(G)}
 
     # (g' o g) o g^-1 = g' over composable (g', g)
     witness = None
@@ -550,42 +580,35 @@ def _scalar_reference(G, samples=DEFAULT_ASSOCIATIVITY_SAMPLES, rng=None) -> dic
     return out
 
 
-def _scalar_associativity(G, samples, rng) -> AxiomCheck:
-    defined = G.compose != UNDEFINED
-    if G.order <= EXHAUSTIVE_ORDER_LIMIT:
-        checked = 0
-        for g1 in range(G.order):
-            ks = np.nonzero(defined[g1])[0]
-            for g2 in ks:
-                p12 = G.compose[g1, g2]
-                g3s = np.nonzero(defined[p12] | defined[g2])[0]
-                checked += len(g3s)
-                for g3 in g3s:
-                    lhs = rhs = UNDEFINED
-                    if defined[p12, g3]:
-                        lhs = G.compose[p12, g3]
-                    if defined[g2, g3]:
-                        p23 = G.compose[g2, g3]
-                        if defined[g1, p23]:
-                            rhs = G.compose[g1, p23]
-                        # g2 o g3 defined but g1 o (g2 o g3) missing
-                        elif lhs != UNDEFINED:
-                            return AxiomCheck(False, (int(g1), int(g2), int(g3)), checked)
-                    if lhs != rhs:
-                        return AxiomCheck(False, (int(g1), int(g2), int(g3)), checked)
-        return AxiomCheck(True, None, checked)
+def _scalar_associativity(G, pairs=None) -> AxiomCheck:
+    """Associativity over the triples of the composable ``pairs`` (g1, g2), in order.
 
-    rng = rng or np.random.default_rng(0)
-    triple = rng.integers(0, G.order, size=(samples, 3))
-    for g1, g2, g3 in triple:
-        lhs = rhs = UNDEFINED
-        if defined[g1, g2] and defined[G.compose[g1, g2], g3]:
-            lhs = G.compose[G.compose[g1, g2], g3]
-        if defined[g2, g3] and defined[g1, G.compose[g2, g3]]:
-            rhs = G.compose[g1, G.compose[g2, g3]]
-        if lhs != rhs:
-            return AxiomCheck(False, (int(g1), int(g2), int(g3)), samples, sampled=True)
-    return AxiomCheck(True, None, samples, sampled=True)
+    ``pairs`` defaults to all of G^(2) in lexicographic order; fewer pairs
+    mark the result ``sampled``.
+    """
+    defined = G.compose != UNDEFINED
+    every = np.argwhere(defined)
+    pairs = every if pairs is None else pairs
+    sampled = len(pairs) < len(every)
+    checked = 0
+    for g1, g2 in pairs:
+        p12 = G.compose[g1, g2]
+        g3s = np.nonzero(defined[p12] | defined[g2])[0]
+        checked += len(g3s)
+        for g3 in g3s:
+            lhs = rhs = UNDEFINED
+            if defined[p12, g3]:
+                lhs = G.compose[p12, g3]
+            if defined[g2, g3]:
+                p23 = G.compose[g2, g3]
+                if defined[g1, p23]:
+                    rhs = G.compose[g1, p23]
+                # g2 o g3 defined but g1 o (g2 o g3) missing
+                elif lhs != UNDEFINED:
+                    return AxiomCheck(False, (int(g1), int(g2), int(g3)), checked, sampled)
+            if lhs != rhs:
+                return AxiomCheck(False, (int(g1), int(g2), int(g3)), checked, sampled)
+    return AxiomCheck(True, None, checked, sampled)
 
 
 def _base_groupoid(kind: str, a: int, b: int) -> FiniteGroupoid:
@@ -639,6 +662,36 @@ class TestVectorisedScanMatchesScalar:
             if name not in scalar:
                 assert report[name].witness == (tuple(witness) if witness else None), name
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        kind=st.sampled_from(["pair", "group", "transitive"]),
+        a=st.integers(0, 35),
+        b=st.integers(0, 35),
+        n_mutations=st.integers(0, 3),
+        budget=st.integers(1, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sampled_scan_equals_scalar_scan(self, kind, a, b, n_mutations, budget, seed):
+        # every order >= 2 is sampled; small budgets leave most pairs out, and
+        # one at or above |G^(3)| takes them all
+        G = _base_groupoid(kind, a, b)
+        rng = np.random.default_rng(seed)
+        for _ in range(n_mutations):
+            G = _mutate(G, rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groupoid, "EXHAUSTIVE_ORDER_LIMIT", 1)
+            mp.setattr(groupoid, "DEFAULT_ASSOCIATIVITY_SAMPLES", budget)
+            got = validate_axioms(G, rng=np.random.default_rng(seed)).entries["d"]
+            pairs = _sampled_pairs(G, seed)
+        assert got == _scalar_associativity(G, pairs)
+        # distinct composable pairs in lexicographic order, triples up to the budget
+        every = G.composable_pairs()
+        flat = pairs[:, 0].astype(np.int64) * G.order + pairs[:, 1]
+        assert np.all(np.diff(flat) > 0)
+        assert np.isin(flat, every[:, 0].astype(np.int64) * G.order + every[:, 1]).all()
+        triples = np.count_nonzero(G.compose[pairs[:, 1]] != UNDEFINED)
+        assert triples >= budget or len(pairs) == len(every)
+
     def test_sampled_path_on_corrupted_pair(self):
         G = pair_groupoid(65)  # order 4225 > EXHAUSTIVE_ORDER_LIMIT
         compose = np.array(G.compose)
@@ -650,10 +703,10 @@ class TestVectorisedScanMatchesScalar:
             order=G.order, units=G.units, source=G.source, target=G.target,
             inverse=G.inverse, compose=compose,
         )
-        got = validate_axioms(broken, associativity_samples=20000).entries["d"]
-        want = _scalar_associativity(broken, 20000, None)
+        got = validate_axioms(broken).entries["d"]
+        want = _scalar_associativity(broken, _sampled_pairs(broken, 0))
         assert got == want
-        assert got.sampled and not got.passed and got.checked == 20000
+        assert got.sampled and not got.passed
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -707,7 +760,7 @@ class TestCompositionTripleScan:
 
     def _scan_equals_oracle(self, G) -> AxiomCheck:
         got = validate_axioms(G).entries["d"]
-        assert got == _scalar_associativity(G, DEFAULT_ASSOCIATIVITY_SAMPLES, None)
+        assert got == _scalar_associativity(G)
         return got
 
     @pytest.mark.parametrize("base", sorted(_SCAN_BASES))
