@@ -102,9 +102,8 @@ def _build_groupoid(args) -> groupoid.FiniteGroupoid:
     if args.pair is not None:
         return groupoid.pair_groupoid(args.pair)
     if args.group is not None:
-        return groupoid.group_groupoid(
-            groupoid.cyclic_group_table(_cyclic_order(args.group)), name=args.group
-        )
+        table = groupoid.cyclic_group_table(_cyclic_order(args.group))
+        return groupoid.group_groupoid(table, name=args.group)
     if args.units is not None:
         table = groupoid.cyclic_group_table(_cyclic_order(args.isotropy))
         return groupoid.transitive_groupoid(args.units, table)
@@ -222,7 +221,10 @@ def _parse_state(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
         rho = X @ X.conj().T
         return rho / np.trace(rho).real
     if spec.startswith("file:"):
-        return algebra.load_operator(spec.split(":", 1)[1])
+        rho = algebra.load_operator(spec.split(":", 1)[1])
+        if np.abs(rho - rho.conj().T).max() > 1e-10:  # state_tomogram_provider's tolerance
+            raise ValueError(f"state {spec!r} is not a Hermitian operator")
+        return rho
     raise ValueError(f"state spec {spec!r} not understood")
 
 

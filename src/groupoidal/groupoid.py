@@ -9,7 +9,7 @@ is the point of this module: constructions are cheap, verification is
 total.  Associativity is scanned over the composable triples only (the
 paper's G^(3)), read off the table's composable pairs; the scan reads the
 table in row blocks and needs O(|G^(2)|) memory besides it, no KxK mask.
-Above ``EXHAUSTIVE_ORDER_LIMIT`` it reads seeded composable pairs instead.
+It is exhaustive up to 2^24 composable triples and samples seeded pairs above.
 
 All objects are immutable after construction and safe to share across
 threads; every operation here is a pure function.
@@ -31,9 +31,9 @@ TABLE_DTYPE = np.int16
 # are refused up front instead of failing inside numpy
 MAX_DENSE_BYTES = 1 << 31
 
-# The associativity scan is O(|G^(3)|); above this order it reads random composable
-# pairs until their triples reach the budget below.
-EXHAUSTIVE_ORDER_LIMIT = 4096
+# The associativity scan is O(|G^(3)|): exhaustive up to 2^24 composable triples
+# (pair(64) exactly), above that random composable pairs up to the budget below.
+EXHAUSTIVE_TRIPLE_LIMIT = 1 << 24
 DEFAULT_ASSOCIATIVITY_SAMPLES = 200_000
 # composable triples per block of the associativity scan, and table
 # entries per row block of a defined mask: bounds temporaries, stays in cache
@@ -234,26 +234,21 @@ class FiniteGroupoid:
 
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
-    """Pair groupoid of an n-point set: elements (x, y), (x, t) o (t, y) = (x, y).
+    """Pair groupoid of an n-point set: n units, trivial isotropy, (x, t) o (t, y) = (x, y).
 
     Element (x, y) gets id ``x*n + y``; the units are the diagonal pairs.
     """
     if n < 1:
         raise GroupoidStructureError("pair groupoid needs n >= 1 base points")
-    x, y = divmod(np.arange(n * n), n)
-    compose = _undefined_table(n * n)
-    a, t, b = np.ix_(range(n), range(n), range(n))
-    compose[a * n + t, t * n + b] = a * n + b
-    return FiniteGroupoid(n * n, np.arange(n) * (n + 1), y * (n + 1), x * (n + 1), y * n + x,
-                          compose, name=f"pair({n})")
+    return transitive_groupoid(n, [[0]], name=f"pair({n})")
 
 
 def cyclic_group_table(n: int) -> np.ndarray:
     """Multiplication table of the cyclic group Z_n (identity is 0)."""
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
-    a = np.arange(n)
-    return (a[:, None] + a[None, :]) % n
+    check_dense_size((n, n), np.int64, "cyclic group table")
+    return np.add.outer(np.arange(n), np.arange(n)) % n
 
 
 def _group_structure(table) -> tuple[np.ndarray, int, np.ndarray]:
@@ -273,11 +268,8 @@ def _group_structure(table) -> tuple[np.ndarray, int, np.ndarray]:
 
 
 def group_groupoid(table: np.ndarray, name: str = "") -> FiniteGroupoid:
-    """A finite group seen as a groupoid with the single unit {e}."""
-    table, e, inv = _group_structure(table)
-    m = len(table)
-    return FiniteGroupoid(m, [e], np.full(m, e), np.full(m, e), inv, table,
-                          name=name or f"group({m})")
+    """A finite group seen as a groupoid with the single unit {e}: one-unit transitive."""
+    return transitive_groupoid(1, table, name=name or f"group({len(table)})")
 
 
 def action_groupoid(
@@ -334,16 +326,17 @@ def transitive_groupoid(n_units: int, table: np.ndarray, name: str = "") -> Fini
     """
     table, e, inv = _group_structure(table)
     m = len(table)
-    order = n_units * n_units * m
+    order = _order(n_units) ** 2 * m  # n_units < 1 is refused like an order < 1
 
     def idx(u, v, h):
         return (u * n_units + v) * m + h
 
-    uv, h_of = divmod(np.arange(order), m)
-    u_of, v_of = divmod(uv, n_units)
+    u_of, v_of, h_of = np.unravel_index(np.arange(order), (n_units, n_units, m))
     compose = _undefined_table(order)
-    u, v, h, w, h2 = np.ix_(*map(range, (n_units, n_units, m, n_units, m)))
-    compose[idx(u, v, h), idx(v, w, h2)] = idx(u, w, table[h, h2])
+    # block (u, v, .) x (v, w, .) is (u, w, table), filled in TABLE_DTYPE, which holds every id
+    u, v, w = np.ix_(*[np.arange(n_units, dtype=TABLE_DTYPE)] * 3)
+    blocks = compose.reshape(n_units, n_units, m, n_units, n_units, m)
+    blocks[u, v, :, v, w, :] = idx(u, w, 0)[..., None, None] + table.astype(TABLE_DTYPE)
     diag = np.arange(n_units)
     return FiniteGroupoid(order, idx(diag, diag, e), idx(v_of, v_of, e), idx(u_of, u_of, e),
                           idx(v_of, u_of, inv[h_of]), compose,
@@ -419,8 +412,8 @@ def validate_axioms(G: FiniteGroupoid, rng: np.random.Generator | None = None) -
     * ``e_left_cancellation`` / ``e_right_cancellation``,
     * ``involution`` -- ``(g^-1)^-1 = g``.
 
-    Above ``EXHAUSTIVE_ORDER_LIMIT`` associativity reads composable pairs drawn
-    from ``rng`` (seed 0 by default) until their triples reach
+    Associativity is exhaustive up to 2^24 composable triples; above that it reads
+    composable pairs drawn from ``rng`` (seed 0 by default) until their triples reach
     ``DEFAULT_ASSOCIATIVITY_SAMPLES``, and is flagged ``sampled`` if not all of G^(2).
     """
     K = G.order
@@ -489,15 +482,18 @@ def _first_bad_pair(pairs: np.ndarray, bad: np.ndarray) -> AxiomCheck:
     return AxiomCheck(False, witness, checked)
 
 
-def _scanned_pairs(K: int, pairs: np.ndarray, width: np.ndarray, rng) -> slice | np.ndarray:
+def _scanned_pairs(pairs: np.ndarray, width: np.ndarray, rng) -> slice | np.ndarray:
     """Index into ``pairs`` of the (g1, g2) the associativity scan reads, in order.
 
-    All of them up to ``EXHAUSTIVE_ORDER_LIMIT``; above it, pairs in random order
-    until their triples, ``width[g2]`` each, reach ``DEFAULT_ASSOCIATIVITY_SAMPLES``.
+    All of them while |G^(3)| (``width[g2]`` triples per pair) is at most
+    ``EXHAUSTIVE_TRIPLE_LIMIT``; above it, ``k`` pairs drawn without replacement,
+    enough to reach ``DEFAULT_ASSOCIATIVITY_SAMPLES`` at the smallest width, cut there.
     """
-    if K <= EXHAUSTIVE_ORDER_LIMIT:
+    uses = np.bincount(pairs[:, 1], minlength=len(width))
+    if uses @ width <= EXHAUSTIVE_TRIPLE_LIMIT:
         return slice(None)
-    drawn = (rng or np.random.default_rng(0)).permutation(len(pairs))
+    k = min(len(pairs), DEFAULT_ASSOCIATIVITY_SAMPLES // max(1, width[uses > 0].min()) + 1)
+    drawn = (rng or np.random.default_rng(0)).choice(len(pairs), k, replace=False)
     n = np.searchsorted(np.cumsum(width[pairs[drawn, 1]]), DEFAULT_ASSOCIATIVITY_SAMPLES) + 1
     return np.sort(drawn[:n])
 
@@ -516,7 +512,7 @@ def _check_associativity(G, pairs, prods, width, rng) -> AxiomCheck:
     over the scanned pairs up to the witness's.
     """
     K = G.order
-    scan = _scanned_pairs(K, pairs, width, rng)
+    scan = _scanned_pairs(pairs, width, rng)
     g1_all, g2_all, p12_all = pairs[scan, 0], pairs[scan, 1], prods[scan]
     sampled = len(p12_all) < len(prods)
     # CSR view of the table: row g2 holds its defined columns g3 and products

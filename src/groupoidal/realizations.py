@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import gauss_legendre_rule, trapezoid_weights
-from .groupoid import InfeasibleError
+from .groupoid import InfeasibleError, check_dense_size
 from .starproduct import (
     QDPair,
     Symbol,
@@ -143,6 +143,7 @@ def disk_lattice(radius: float, spacing: float) -> CoherentGrid:
         raise ValueError(f"lattice spacing must be positive and radius finite "
                          f"(got spacing {spacing}, radius {radius})")
     n = round(radius / spacing)
+    check_dense_size((2 * n + 1, 2 * n + 1), np.complex128, "coherent lattice")
     ax = spacing * np.arange(-n, n + 1)
     z = (ax[:, None] + 1j * ax[None, :]).reshape(-1)
     z = z[np.abs(z) <= radius + 1e-12]

@@ -18,11 +18,12 @@ resolve.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groupoid import InfeasibleError
+from .groupoid import InfeasibleError, check_dense_size
 from .realizations import CoherentGrid, SpinSpace, annihilation, hermite_functions
 
 
@@ -497,11 +498,10 @@ def symplectic_reconstruct(
     characteristic-function mass; a warning reports the largest |chi| on the
     first row and column of the lattice, which is also recorded in the result.
     """
-    import warnings
-
     if not (0 < grid_limit < np.inf and 0 < grid_step < np.inf):
         raise ValueError("grid_limit and grid_step must be positive and finite")
     n_half = round(grid_limit / grid_step)
+    check_dense_size((2 * n_half + 1,), np.float64, "reconstruction grid")
     grid = grid_step * np.arange(-n_half, n_half + 1)
     frame = QuadratureFrame(n_trunc)
     shifts = np.arange(1 - n_trunc, n_trunc)

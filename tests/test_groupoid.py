@@ -11,7 +11,7 @@ from test_acceptance import _mutate, _oracle_scan
 from groupoidal import groupoid
 from groupoidal.groupoid import (
     DEFAULT_ASSOCIATIVITY_SAMPLES,
-    EXHAUSTIVE_ORDER_LIMIT,
+    EXHAUSTIVE_TRIPLE_LIMIT,
     MAX_DENSE_BYTES,
     TABLE_DTYPE,
     UNDEFINED,
@@ -64,6 +64,9 @@ class TestPairGroupoid:
     def test_zero_size_rejected(self):
         with pytest.raises(GroupoidStructureError):
             pair_groupoid(0)
+        for n_units in (0, -2):  # -2 squares to a positive order
+            with pytest.raises(GroupoidStructureError, match="order must be an integer >= 1"):
+                transitive_groupoid(n_units, [[0]])
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_principal_transitive(self, n):
@@ -427,14 +430,14 @@ def _sampled_pairs(G: FiniteGroupoid, seed: int) -> np.ndarray:
     pairs = G.composable_pairs()
     width = np.bincount(pairs[:, 0], minlength=G.order)
     rng = np.random.default_rng(seed)
-    return pairs[groupoid._scanned_pairs(G.order, pairs, width, rng)]
+    return pairs[groupoid._scanned_pairs(pairs, width, rng)]
 
 
 class TestSampledAssociativity:
     def test_large_order_uses_sampling(self):
         # above the exhaustive cap the associativity entry reads whole rows of
         # 65 composable triples until the budget is reached, and is flagged
-        G = pair_groupoid(65)  # order 4225 > 4096
+        G = pair_groupoid(65)  # 65^4 = 17.9 M composable triples > 2^24
         report = validate_axioms(G)
         check = report.entries["d"]
         assert check.sampled
@@ -444,6 +447,18 @@ class TestSampledAssociativity:
         pairs = _sampled_pairs(G, 0)
         assert len(pairs) == math.ceil(DEFAULT_ASSOCIATIVITY_SAMPLES / 65)
         assert check == _scalar_associativity(G, pairs)
+
+    def test_the_switch_reads_composable_triples_not_the_order(self):
+        # Z256 has 2^24 composable triples, the inclusive limit; Z512 has 2^27
+        # though its order is far below pair(65)'s
+        d = validate_axioms(group_groupoid(cyclic_group_table(256))).entries["d"]
+        assert not d.sampled and d.passed and d.checked == 256**3
+        G = group_groupoid(cyclic_group_table(512))
+        d = validate_axioms(G).entries["d"]
+        assert d.sampled and d.passed
+        pairs = _sampled_pairs(G, 0)
+        assert len(pairs) == DEFAULT_ASSOCIATIVITY_SAMPLES // 512 + 1
+        assert d == _scalar_associativity(G, pairs)
 
     @pytest.mark.parametrize("n", [65, 72])
     def test_redirected_product_is_found(self, n):
@@ -672,14 +687,14 @@ class TestVectorisedScanMatchesScalar:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_sampled_scan_equals_scalar_scan(self, kind, a, b, n_mutations, budget, seed):
-        # every order >= 2 is sampled; small budgets leave most pairs out, and
-        # one at or above |G^(3)| takes them all
+        # every table with a composable triple is sampled; small budgets leave
+        # most pairs out, and one at or above |G^(3)| takes them all
         G = _base_groupoid(kind, a, b)
         rng = np.random.default_rng(seed)
         for _ in range(n_mutations):
             G = _mutate(G, rng)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(groupoid, "EXHAUSTIVE_ORDER_LIMIT", 1)
+            mp.setattr(groupoid, "EXHAUSTIVE_TRIPLE_LIMIT", 0)
             mp.setattr(groupoid, "DEFAULT_ASSOCIATIVITY_SAMPLES", budget)
             got = validate_axioms(G, rng=np.random.default_rng(seed)).entries["d"]
             pairs = _sampled_pairs(G, seed)
@@ -693,7 +708,7 @@ class TestVectorisedScanMatchesScalar:
         assert triples >= budget or len(pairs) == len(every)
 
     def test_sampled_path_on_corrupted_pair(self):
-        G = pair_groupoid(65)  # order 4225 > EXHAUSTIVE_ORDER_LIMIT
+        G = pair_groupoid(65)  # 65^4 composable triples > EXHAUSTIVE_TRIPLE_LIMIT
         compose = np.array(G.compose)
         rng = np.random.default_rng(65)
         holes = np.argwhere(compose == UNDEFINED)
@@ -873,7 +888,7 @@ class TestAxiomScanMemory:
     @pytest.mark.parametrize("n", [48, 65], ids=["exhaustive", "sampled"])
     def test_peak_stays_below_one_byte_per_table_entry(self, n):
         G = pair_groupoid(n)
-        assert (G.order > EXHAUSTIVE_ORDER_LIMIT) == (n == 65)
+        assert (n**4 > EXHAUSTIVE_TRIPLE_LIMIT) == (n == 65)  # pair(n) has n^4 triples
         validate_axioms(G)  # one-time allocations of a first call are not the scan's
         tracemalloc.start()
         try:
