@@ -329,7 +329,15 @@ def cmd_tomo_symplectic(args) -> RunReport:
          "mu": args.mu, "nu": args.nu},
         seed=args.seed,
     )
+    if args.reconstruct and (args.L < 6.0 or args.step > 0.15):
+        raise groupoid.InfeasibleError(
+            f"reconstruction needs L >= 6 and step <= 0.15 (got L={args.L}, "
+            f"step={args.step}); suggested: --L 6 --step 0.1"
+        )
     tom = tomography.symplectic_tomogram(n_t, args.mu, args.nu, rho)
+    if args.reconstruct:  # before any file is written, so a refused grid leaves none
+        rec = tomography.symplectic_reconstruct(
+            n_t, tomography.state_tomogram_provider(rho), grid_limit=args.L, grid_step=args.step)
     path = out / "symplectic_tomogram.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -341,15 +349,6 @@ def cmd_tomo_symplectic(args) -> RunReport:
                abs(tom.p.sum() - np.trace(rho).real) < 1e-12,
                abs(float(tom.p.sum() - np.trace(rho).real)))
     if args.reconstruct:
-        if args.L < 6.0 or args.step > 0.15:
-            raise groupoid.InfeasibleError(
-                f"reconstruction needs L >= 6 and step <= 0.15 (got L={args.L}, "
-                f"step={args.step}); suggested: --L 6 --step 0.1"
-            )
-        rec = tomography.symplectic_reconstruct(
-            n_t, tomography.state_tomogram_provider(rho),
-            grid_limit=args.L, grid_step=args.step,
-        )
         _add_reconstruction(report, rec, rho, args, out,
                             boundary_tail=rec.params["boundary_tail"])
     return report

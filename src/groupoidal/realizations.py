@@ -1,15 +1,17 @@
 """Concrete Hilbert-space immersions producing quantizer-dequantizer pairs.
 
-Spin, truncated Fock, two-mode, and position-grid index sets all immerse as
-rank-one families |a><b| built on an orthonormal basis, so their star
-products reduce exactly to groupoid convolutions.  The coherent-state
-lattice is the deliberate counterexample: the family is not orthonormal and
-the equality fails by a finite, reportable gap.
+Each pair here immerses the pair groupoid of a labelled vector family,
+(i, k) -> |v_i><v_k|, by one ``starproduct.rank_one_pair`` call (the truncated
+Fock basis is ``weyl_qdpair(n)``); on an orthonormal basis its star product
+is exactly the groupoid convolution.  The coherent-state lattice is the
+deliberate counterexample: the family is not orthonormal and the equality
+fails by a finite, reportable gap.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,27 +59,11 @@ class SpinSpace:
 
 
 @dataclass(frozen=True)
-class FockSpace:
-    """Truncated boson Fock space |0> .. |n_trunc - 1>."""
-
-    n_trunc: int
-
-    def __post_init__(self):
-        if self.n_trunc < 2:
-            raise ValueError("truncation dimension must be at least 2")
-
-    @property
-    def dim(self) -> int:
-        return self.n_trunc
-
-
-@dataclass(frozen=True)
 class PositionGrid:
     """Uniformly spaced quadrature grid with positive weights."""
 
     points: np.ndarray
     weights: np.ndarray
-    rule: str = "trapezoid"
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=float)
@@ -98,10 +84,10 @@ class PositionGrid:
 def position_grid(a: float = -8.0, b: float = 8.0, m: int = 512, rule: str = "trapezoid") -> PositionGrid:
     if rule == "trapezoid":
         pts = np.linspace(a, b, m)
-        return PositionGrid(pts, trapezoid_weights(pts), rule)
+        return PositionGrid(pts, trapezoid_weights(pts))
     if rule == "gauss-legendre":
         pts, w = gauss_legendre_rule(a, b, m)
-        return PositionGrid(pts, w, rule)
+        return PositionGrid(pts, w)
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
@@ -163,31 +149,14 @@ def annihilation(n_trunc: int) -> np.ndarray:
 def spin_weyl_pair(j: float) -> QDPair:
     """Self-dual pair |j m><j m'| over the spin pair-groupoid index set."""
     sp = SpinSpace(j)
-    ms = sp.m_values
-    labels = tuple((float(m), float(mp)) for m in ms for mp in ms)
-    return rank_one_pair(np.eye(sp.dim), labels, "spin", {"j": sp.j})
-
-
-def fock_weyl_pair(n_trunc: int) -> QDPair:
-    """Self-dual pair |n><m| on the truncated Fock space."""
-    fs = FockSpace(n_trunc)
-    labels = tuple((n, m) for n in range(fs.dim) for m in range(fs.dim))
-    return rank_one_pair(np.eye(fs.dim), labels, "fock", {"n_trunc": fs.dim})
+    return rank_one_pair(np.eye(sp.dim), sp.m_values.tolist())
 
 
 def two_mode_weyl_pair(n1: int, n2: int) -> QDPair:
     """Self-dual pair |n1 n2><m1 m2| built from tensor products."""
     if n1 < 2 or n2 < 2:
         raise ValueError("each mode needs truncation dimension >= 2")
-    dim = n1 * n2
-    labels = tuple(
-        ((a1, a2), (b1, b2))
-        for a1 in range(n1)
-        for a2 in range(n2)
-        for b1 in range(n1)
-        for b2 in range(n2)
-    )
-    return rank_one_pair(np.eye(dim), labels, "two_mode", {"n1": n1, "n2": n2})
+    return rank_one_pair(np.eye(n1 * n2), list(itertools.product(range(n1), range(n2))))
 
 
 def spin_block_pair(js: tuple) -> QDPair:
@@ -198,17 +167,10 @@ def spin_block_pair(js: tuple) -> QDPair:
     symbol of any operator supported across blocks vanishes.
     """
     spaces = [SpinSpace(j) for j in js]
-    dim = sum(s.dim for s in spaces)
-    labels = []
-    units = []
-    off = 0
-    for s in spaces:
-        idx = off + np.arange(s.dim)
-        units.append((idx[:, None] * dim + idx[None, :]).reshape(-1))
-        labels += [((s.j, float(m)), (s.j, float(mp))) for m in s.m_values for mp in s.m_values]
-        off += s.dim
-    return rank_one_pair(np.eye(dim), tuple(labels), "spin_blocks",
-                         {"js": [s.j for s in spaces]}, select=np.concatenate(units))
+    basis = [(s.j, m) for s in spaces for m in s.m_values.tolist()]
+    block = np.repeat(np.arange(len(spaces)), [s.dim for s in spaces])
+    return rank_one_pair(np.eye(len(basis)), basis,
+                         select=np.flatnonzero(block[:, None] == block[None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +257,8 @@ def position_qdpair(grid: PositionGrid) -> QDPair:
     grids (m^2 index points); the physical 512-point grids are handled through
     the symbol transforms and ``weighted_grid_convolve`` instead.
     """
-    m = len(grid)
-    weights = np.outer(grid.weights, grid.weights).reshape(-1)
-    pts = grid.points.tolist()
-    labels = tuple((x, y) for x in pts for y in pts)
-    params = {"m": m, "rule": grid.rule, "a": float(grid.points[0]), "b": float(grid.points[-1])}
-    kets = np.eye(m) / np.sqrt(grid.weights)[:, None]
-    return rank_one_pair(kets, labels, "position", params, weights=weights)
+    kets = np.eye(len(grid)) / np.sqrt(grid.weights)[:, None]
+    return rank_one_pair(kets, grid.points.tolist(), grid.weights)
 
 
 def save_grid_symbol_csv(f: np.ndarray, grid: PositionGrid, path) -> None:
@@ -364,15 +321,8 @@ def coherent_pair(grid: CoherentGrid, n_trunc: int) -> QDPair:
             f"lattice reaches |z| = {zmax:.2f} beyond sqrt(n_trunc)/2 = "
             f"{np.sqrt(n_trunc) / 2:.2f}; worst truncated mass {worst:.2e}"
         )
-    mlat = len(grid)
-    labels = tuple((z, w) for z in grid.z_points for w in grid.z_points)
-    return rank_one_pair(
-        coherent_state_vector(n_trunc, grid.z_points),
-        labels,
-        "coherent",
-        {"lattice": mlat, "cell_area": grid.cell_area, "n_trunc": n_trunc},
-        weights=np.full(mlat * mlat, grid.point_weight**2),
-    )
+    return rank_one_pair(coherent_state_vector(n_trunc, grid.z_points), grid.z_points,
+                         np.full(len(grid), grid.point_weight))
 
 
 def coherent_discrepancy_report(grid: CoherentGrid, n_trunc: int) -> dict:

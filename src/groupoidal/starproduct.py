@@ -19,6 +19,7 @@ exactly the groupoid convolution.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,8 +85,6 @@ class QDPair:
 
     space: IndexSpace
     families: tuple = field(repr=False)
-    kind: str = "custom"
-    params: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         fam = tuple(self.families)
@@ -104,11 +103,11 @@ class QDPair:
         object.__setattr__(self, "families", stored)
 
     def __eq__(self, other) -> bool:
-        """Structural equality: same space, kind and stored families (params ignored)."""
+        """Structural equality: same space and stored families."""
         if not isinstance(other, QDPair):
             return NotImplemented
         return self is other or (
-            (self.space, self.kind) == (other.space, other.kind)
+            self.space == other.space
             and len(self.families) == len(other.families)
             and all(np.array_equal(u, v) for u, v in zip(self.families, other.families))
         )
@@ -295,27 +294,30 @@ def associativity_residual(pair: QDPair) -> float:
 # ---------------------------------------------------------------------------
 
 
-def rank_one_pair(vectors, labels: tuple, kind: str, params: dict,
-                  weights=None, select=None) -> QDPair:
-    """Self-dual pair D = U = |v_i><v_k| over index pairs (i, k), flat index i*n + k.
+def rank_one_pair(vectors, basis, weights=None, select=None) -> QDPair:
+    """Self-dual immersion (i, k) -> |v_i><v_k| of the pair groupoid of a vector family.
 
-    ``select`` keeps a subset of the flat indices and ``weights`` default to 1.
-    The pair stores two (m, d) vector stacks, never the m x d x d operators.
+    ``basis`` labels the vectors; the index set is product(basis, basis), with
+    flat index i*n + k, and the pair weights are w_i w_k (``weights`` default
+    to 1).  ``select`` keeps a subset of the flat indices, of the labels,
+    weights and stacks alike.  The pair stores two (m, d) vector stacks, never
+    the m x d x d operators.
     """
     n = len(vectors)
+    w = np.ones(n) if weights is None else weights
+    labels, w2 = tuple(itertools.product(basis, basis)), np.outer(w, w).reshape(-1)
     kets, bras = np.repeat(vectors, n, axis=0), np.tile(vectors, (n, 1))
     if select is not None:
-        kets, bras = kets[select], bras[select]
-    space = IndexSpace(labels, np.ones(len(labels)) if weights is None else weights)
-    return QDPair(space, (kets, bras, kets, bras), kind, params)
+        labels = tuple(labels[x] for x in select)
+        w2, kets, bras = w2[select], kets[select], bras[select]
+    return QDPair(IndexSpace(labels, w2), (kets, bras, kets, bras))
 
 
 def weyl_qdpair(n: int) -> QDPair:
     """Self-dual Weyl-unit pair |i><k| over the pair-groupoid index set, w = 1."""
     if n < 1:
         raise ValueError(f"Weyl pair needs dimension n >= 1 (got {n})")
-    labels = tuple((i, k) for i in range(n) for k in range(n))
-    return rank_one_pair(np.eye(n), labels, "weyl", {"n": n})
+    return rank_one_pair(np.eye(n), range(n))
 
 
 def d_realization_qdpair(G: FiniteGroupoid) -> QDPair:
@@ -324,8 +326,7 @@ def d_realization_qdpair(G: FiniteGroupoid) -> QDPair:
     D = d_realization_stack(G).astype(np.complex128)
     labels = tuple(range(G.order))
     space = IndexSpace(labels, np.ones(G.order))
-    return QDPair(space, (D, D / info.value), "d_realization",
-                  {"order": G.order, "normalization": info.value})
+    return QDPair(space, (D, D / info.value))
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +336,9 @@ def d_realization_qdpair(G: FiniteGroupoid) -> QDPair:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    scheme: str
-    groupoid_order: int
-    hilbert_dim: int
     max_dev: float
     frobenius_dev: float
     kernel_is_boolean: bool
-    seed: int
     passed: bool
     details: dict = field(default_factory=dict, compare=False)
 
@@ -395,13 +392,9 @@ def verify_prop1(n: int, n_pairs: int = 100, seed: int = 0) -> EquivalenceReport
     boolean = nonboolean_margin(K) == 0.0
     ones = int(np.count_nonzero(np.abs(K - 1.0) < 1e-14))
     return EquivalenceReport(
-        scheme="prop1",
-        groupoid_order=G.order,
-        hilbert_dim=n,
         max_dev=max_dev,
         frobenius_dev=frob,
         kernel_is_boolean=boolean,
-        seed=seed,
         passed=boolean and int_max == 0.0 and max_dev < STAR_CONVOLUTION_TOL,
         details={"kernel_ones": ones, "integer_max_dev": int_max},
     )
@@ -429,17 +422,13 @@ def verify_gen_conv(G: FiniteGroupoid, n_pairs: int = 20, seed: int = 0) -> Equi
     rng = np.random.default_rng(seed)
     max_dev, frob = _star_vs_convolve(pair, G, n_pairs, rng, integer=False)
     return EquivalenceReport(
-        scheme="genconv",
-        groupoid_order=G.order,
-        hilbert_dim=G.order,
         max_dev=max_dev,
         frobenius_dev=frob,
         kernel_is_boolean=nonboolean_margin(K) == 0.0,
-        seed=seed,
         passed=kernel_dev == 0.0 and max_dev < STAR_CONVOLUTION_TOL,
         details={
             "kernel_vs_delta_dev": kernel_dev,
-            "normalization": pair.params["normalization"],
+            "normalization": normalization_constant(G).value,
         },
     )
 

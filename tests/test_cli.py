@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,17 @@ class TestTomo:
         ])
         assert code == 3
         assert "suggested" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["--step 0.5", "--nt 8 --step 1e-3"])
+    def test_symplectic_refusal_writes_no_file(self, tmp_path, capsys, grid):
+        # a coarse lattice (by the CLI check) or a 12,001^2-point one (by the
+        # library's point limit) is refused before the tomogram CSV is written
+        t0 = time.perf_counter()
+        code = main(["tomo", "symplectic", "--reconstruct", *grid.split(),
+                     "--out", str(tmp_path)])
+        assert code == 3 and time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err.startswith("infeasible parameters: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_photon_infeasible_grid(self, tmp_path, capsys):
         code = main([
@@ -512,9 +524,13 @@ class TestExitCodes:
         (tmp_path / "huge.json").write_text(json.dumps(data))
         code = main([*argv.format(dir=tmp_path).split(), "--out", str(tmp_path)])
         err = capsys.readouterr().err
-        assert code == 3
-        assert err.startswith(f"infeasible parameters: {what} of shape") and err.count("\n") == 1
-        assert "GiB limit" in err
+        assert code == 3 and err.count("\n") == 1
+        if what == "reconstruction grid":  # refused by its work, not by its bytes
+            assert err.startswith(f"infeasible parameters: {what} of 144,000,000,024,000,000,001 "
+                                  "points exceeds the 1,048,576-point limit; use a coarser step")
+        else:
+            assert err.startswith(f"infeasible parameters: {what} of shape")
+            assert "GiB limit" in err
 
 
 class TestDeterminism:

@@ -5,7 +5,6 @@ from groupoidal.algebra import weighted_grid_convolve, weyl_units
 from groupoidal.groupoid import InfeasibleError, disjoint_union, pair_groupoid
 from groupoidal.realizations import (
     CoherentGrid,
-    FockSpace,
     SpinSpace,
     annihilation,
     coherent_discrepancy_report,
@@ -15,7 +14,6 @@ from groupoidal.realizations import (
     coherent_state_vector,
     disk_lattice,
     fock_to_position_symbol,
-    fock_weyl_pair,
     hermite_function,
     hermite_functions,
     position_grid,
@@ -32,6 +30,7 @@ from groupoidal.starproduct import (
     resolution_residual,
     star,
     symbol,
+    weyl_qdpair,
 )
 from groupoidal.tomography import displacement_operator
 
@@ -77,25 +76,21 @@ class TestSpinPair:
 
 class TestFockPair:
     def test_symbol_matrix_elements(self):
-        pair = fock_weyl_pair(5)
+        pair = weyl_qdpair(5)
         rng = np.random.default_rng(1)
         A = _rand_op(rng, 5)
         f = symbol(pair, A)
         assert np.abs(f.values.reshape(5, 5) - A).max() < 1e-14
 
     def test_star_is_matrix_product(self):
-        pair = fock_weyl_pair(4)
+        pair = weyl_qdpair(4)
         rng = np.random.default_rng(2)
         A, B = _rand_op(rng, 4), _rand_op(rng, 4)
         out = star(pair, symbol(pair, A), symbol(pair, B))
         assert np.abs(out.values.reshape(4, 4) - A @ B).max() < 1e-12
 
     def test_qubit_reduction(self):
-        assert np.array_equal(fock_weyl_pair(2).quantizers, weyl_units(2))
-
-    def test_needs_two_levels(self):
-        with pytest.raises(ValueError):
-            FockSpace(1)
+        assert np.array_equal(weyl_qdpair(2).quantizers, weyl_units(2))
 
     def test_truncated_ladder_elements(self):
         a = annihilation(8)

@@ -17,7 +17,6 @@ from groupoidal.groupoid import (
 from groupoidal.realizations import (
     coherent_grid,
     coherent_pair,
-    fock_weyl_pair,
     position_grid,
     position_qdpair,
     spin_block_pair,
@@ -61,7 +60,7 @@ class TestSymbolReconstruct:
         assert np.all(symbol(pair, np.zeros((3, 3))).values == 0)
 
     def test_fock_vacuum_projector(self):
-        pair = fock_weyl_pair(4)
+        pair = weyl_qdpair(4)
         f = symbol(pair, np.diag([1.0, 0, 0, 0]).astype(complex))
         want = np.zeros(16)
         want[0] = 1
@@ -160,7 +159,7 @@ class TestKernel:
 
     def test_fock_kernel_kronecker_structure(self):
         nt = 2
-        K = kernel(fock_weyl_pair(nt))
+        K = kernel(weyl_qdpair(nt))
         for a in range(4):
             n1, m1 = divmod(a, nt)
             for b in range(4):
@@ -217,23 +216,50 @@ class TestSpaceCheck:
                 reconstruct(pair, alien)
 
 
+class TestRankOnePair:
+    def test_labels_weights_and_select_follow_the_flat_index(self):
+        rng = np.random.default_rng(4)
+        basis = ("a", ("a",), "a ", 1)  # distinct labels that look alike
+        n = len(basis)
+        vecs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        w = np.array([0.5, 2.0, 3.0, 0.25])
+        full = starproduct.rank_one_pair(vecs, basis, w)
+        kets, bras = full.factors[:2]  # D(x) = |v_i><v_k|
+        for i in range(n):
+            for k in range(n):
+                x = i * n + k
+                assert full.space.labels[x] == (basis[i], basis[k])
+                assert all(u is v for u, v in zip(full.space.labels[x], (basis[i], basis[k])))
+                assert full.space.weights[x] == w[i] * w[k]
+                assert np.array_equal(kets[x], vecs[i]) and np.array_equal(bras[x], vecs[k])
+        select = np.array([13, 2, 7, 0, 10])
+        part = starproduct.rank_one_pair(vecs, basis, w, select)
+        assert part.space.labels == tuple(full.space.labels[x] for x in select)
+        assert np.array_equal(part.space.weights, full.space.weights[select])
+        for got, want in zip(part.factors, full.factors):
+            assert np.array_equal(got, want[select])
+        for pair in (full, part):
+            assert pair.self_dual
+            assert all(u is v for u, v in zip(pair.families[:2], pair.families[2:]))
+            assert np.array_equal(pair.quantizers, pair.dequantizers)
+
+
 class TestQDPairEquality:
     def test_equal_pairs_compare_structurally(self):
         pair = weyl_qdpair(2)
         assert pair == weyl_qdpair(2)
         assert not pair != weyl_qdpair(2)
         assert pair != weyl_qdpair(3)
-        assert pair != spin_weyl_pair(0.5)  # same dimension, other kind and operators
+        assert pair != spin_weyl_pair(0.5)  # same stacks, other labels
         assert pair != "weyl"
 
     def test_operators_and_space_are_compared(self):
         pair = weyl_qdpair(2)
         a, b, c, d = pair.factors
-        changed_ops = QDPair(pair.space, (a, b, 2 * c, d), pair.kind)
+        changed_ops = QDPair(pair.space, (a, b, 2 * c, d))
         reweighted = IndexSpace(pair.space.labels, 2 * pair.space.weights)
-        changed_space = QDPair(reweighted, (a, b, a, b), pair.kind)
-        same = QDPair(pair.space, (a.copy(), b.copy(), a, b), pair.kind,
-                      params={"note": "params are not compared"})
+        changed_space = QDPair(reweighted, (a, b, a, b))
+        same = QDPair(pair.space, (a.copy(), b.copy(), a, b))
         assert pair == same
         assert pair != changed_ops
         assert pair != changed_space
@@ -241,9 +267,9 @@ class TestQDPairEquality:
     def test_dense_pairs_compare_their_stacks(self):
         pair = weyl_qdpair(2)
         D, U = pair.quantizers, pair.dequantizers
-        dense = QDPair(pair.space, (D, U), pair.kind)
-        assert dense == QDPair(pair.space, (D.copy(), U.copy()), pair.kind, {"n": 2})
-        assert dense != QDPair(pair.space, (D, 2 * U), pair.kind)
+        dense = QDPair(pair.space, (D, U))
+        assert dense == QDPair(pair.space, (D.copy(), U.copy()))
+        assert dense != QDPair(pair.space, (D, 2 * U))
         assert dense != pair  # same operators, other stored form
 
 
@@ -318,7 +344,7 @@ class TestStarProperties:
 _RANK_ONE_FAMILIES = {
     "weyl": lambda k: weyl_qdpair(1 + k % 5),
     "spin": lambda k: spin_weyl_pair((k % 5) / 2),
-    "fock": lambda k: fock_weyl_pair(2 + k % 4),
+    "fock": lambda k: weyl_qdpair(2 + k % 4),
     "two_mode": lambda k: two_mode_weyl_pair(2 + k % 2, 2 + k // 2 % 2),
     "spin_blocks": lambda k: spin_block_pair(((k % 3) / 2, 1 + k // 3 % 2 / 2)),
     "position": lambda k: position_qdpair(

@@ -556,6 +556,25 @@ class TestSymplecticReconstruction:
         with pytest.raises(ValueError, match="must be positive and finite"):
             symplectic_reconstruct(2, state_tomogram_provider(np.eye(2) / 2), limit, step)
 
+    @pytest.mark.parametrize(
+        "limit,step,points",
+        [(6.0, 1e-3, "144,024,001"), (6.0, 6.0 / 512, "1,050,625"), (1e308, 1e-3, "inf"),
+         (6.0, 5e-324, "inf")],
+    )
+    def test_lattice_refused_by_its_point_count(self, limit, step, points):
+        def provider(mu, nu):
+            raise AssertionError("the provider is called before the refusal")
+
+        match = f"grid of {points} points exceeds"
+        with pytest.raises(InfeasibleError, match=match):
+            symplectic_reconstruct(8, provider, limit, step)
+        with pytest.raises(InfeasibleError, match=match):
+            quasi_symbol_from_tomograms(8, provider, 1.0, 0.0, limit, step)
+
+    def test_point_limit_admits_the_documented_grids(self):
+        # L 6 at step 0.1 and 0.05 (121^2 and 241^2 points) pass; 1025^2 does not
+        assert 241**2 <= tomography.SYMPLECTIC_POINT_LIMIT < 1025**2
+
 
 class TestQuasiSymbol:
     def test_diagonal_of_position_operator(self):
