@@ -285,7 +285,8 @@ def cmd_tomo_photon(args) -> RunReport:
          "spacing": args.spacing, "s": args.s, "z": str(args.z)},
         seed=args.seed,
     )
-    if args.reconstruct:
+    if args.reconstruct:  # before any file is written, so a refusal leaves none
+        tomography.check_photon_reconstruction(args.s, n_t)
         if args.spacing > 0.25 or args.radius < 3.0:
             raise groupoid.InfeasibleError(
                 "reconstruction needs spacing <= 0.25 and radius >= 3 "

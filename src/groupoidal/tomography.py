@@ -332,11 +332,15 @@ class ReconstructionResult:
         return float(np.abs(self.operator[beyond]).max(initial=0.0))
 
     def errors_against(self, reference: np.ndarray) -> dict:
-        # fidelity figures on the resolvable block; the full-matrix Frobenius
-        # documents what lies beyond the grid's reach
+        """Frobenius and trace errors on the resolvable block, and over every
+        entry the operator holds.
+
+        The reference is cropped to the operator's shape: a photon result
+        holds only its resolvable block, so there both figures coincide.
+        """
         ref = np.asarray(reference, dtype=np.complex128)
-        r = self.reliable_dim
-        diff = self.operator - ref
+        r, d = self.reliable_dim, len(self.operator)
+        diff = self.operator - ref[:d, :d]
         return {
             "frobenius_error": float(np.linalg.norm(diff[:r, :r])),
             "frobenius_error_full": float(np.linalg.norm(diff)),
@@ -359,6 +363,26 @@ class ReconstructionResult:
         return out
 
 
+def check_photon_reconstruction(s: float, n_trunc: int) -> float:
+    """Refuse an infeasible photon reconstruction, else return its quantizer
+    ratio kappa = -(1-s)/(1+s).
+
+    Raises OrderingParameterError outside s in (-1, 0], and InfeasibleError
+    when the weights |kappa|^n up to n_trunc - 1 overflow extended precision.
+    Cheap, so a caller can check before it computes any tomogram.
+    """
+    if not -1 < s <= 0:
+        raise OrderingParameterError("photon reconstruction needs s in (-1, 0]")
+    kappa = -(1 - s) / (1 + s)
+    if (n_trunc - 1) * np.log(abs(kappa)) > 700.0:
+        n_ok = int(700.0 / np.log(abs(kappa)))
+        raise InfeasibleError(
+            f"quantizer weights |kappa|^n overflow for n_trunc={n_trunc} at "
+            f"s={s}; cap the Fock range at n_max <= {n_ok}"
+        )
+    return kappa
+
+
 def photon_reconstruct(
     tomogram: PhotonTomogram,
     s: float,
@@ -376,32 +400,29 @@ def photon_reconstruct(
     range spans ~|kappa|^N while the sums cancel to O(1).  Both run on
     batches of ``_POINT_BLOCK`` lattice points.
 
-    The entries the lattice can support are reported as ``reliable_dim``;
-    entries beyond it are returned as computed but are quadrature-limited.
+    Only the leading ``reliable_dim`` x ``reliable_dim`` block, the entries
+    the lattice resolves, is computed and returned: entry (m, n) of the
+    closed-form block does not depend on its size, so this block equals the
+    leading block of the full n_trunc sum, whose other entries are
+    quadrature-limited.  The weight-overflow guard reads n_trunc, not the
+    block: keyed on the block it would admit 1 + s < 3e-10 at the default
+    grid, where the reconstruction misses by up to ~1e131.
     """
-    if not -1 < s <= 0:
-        raise OrderingParameterError("photon reconstruction needs s in (-1, 0]")
-    kappa = -(1 - s) / (1 + s)
-    if (n_trunc - 1) * np.log(abs(kappa)) > 700.0:
-        n_ok = int(700.0 / np.log(abs(kappa)))
-        raise InfeasibleError(
-            f"quantizer weights |kappa|^n overflow for n_trunc={n_trunc} at "
-            f"s={s}; cap the Fock range at n_max <= {n_ok}"
-        )
+    kappa = check_photon_reconstruction(s, n_trunc)
     grid = tomogram.z_grid
     q = (s + 1) / (s - 1)
     qn = q ** np.arange(tomogram.n_max, dtype=float)
     radius = float(np.abs(grid.z_points).max())
     spacing = float(np.sqrt(grid.cell_area))
+    reliable = min(n_trunc, grid_resolvable_dim(spacing, radius))
 
     # tomogram argument zeta corresponds to quantizer displacement -zeta
     weights = grid.point_weight * ((2 / (1 - s)) * (tomogram.table.T @ qn)).astype(np.longdouble)
-    total = np.zeros((n_trunc, n_trunc), dtype=np.clongdouble)
+    total = np.zeros((reliable, reliable), dtype=np.clongdouble)
     for start in range(0, len(grid), _POINT_BLOCK):
         blk = slice(start, start + _POINT_BLOCK)
-        T_blk = (2 / (1 + s)) * number_power_block(n_trunc, -grid.z_points[blk], kappa)
+        T_blk = (2 / (1 + s)) * number_power_block(reliable, -grid.z_points[blk], kappa)
         total += np.sum(weights[blk, None, None] * T_blk, axis=0)
-    reliable = min(n_trunc, grid_resolvable_dim(spacing, radius))
     return ReconstructionResult(
         operator=total.astype(np.complex128),
         scheme="photon",

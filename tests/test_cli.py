@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import groupoidal
-from groupoidal import groupoid, starproduct
+from groupoidal import groupoid, starproduct, tomography
 from groupoidal.cli import build_parser, main
 from groupoidal.groupoid import FiniteGroupoid, disjoint_union, pair_groupoid
 
@@ -277,7 +277,11 @@ class TestTomo:
         assert check["boundary_tail"] == rep["boundary_tail"]
         assert check["max_abs_beyond_reliable"] == rep["max_abs_beyond_reliable"]
 
-    def test_photon_reconstruct_report_sizes_entries_beyond_block(self, tmp_path):
+    def test_photon_reconstruct_report_sizes_entries_beyond_block(self, tmp_path, monkeypatch):
+        # a photon result holds only the resolvable block, so nothing lies beyond it
+        recs, reconstruct = [], tomography.photon_reconstruct
+        monkeypatch.setattr(tomography, "photon_reconstruct",
+                            lambda *a, **kw: recs.append(reconstruct(*a, **kw)) or recs[-1])
         code = main([
             "tomo", "photon", "--state", "vac", "--nt", "32", "--radius", "3",
             "--spacing", "0.25", "--reconstruct", "--out", str(tmp_path), "--json", "run.json",
@@ -286,7 +290,9 @@ class TestTomo:
         rep = json.loads((tmp_path / "photon_reconstruction.json").read_text())
         run = json.loads((tmp_path / "run.json").read_text())
         check = next(c for c in run["checks"] if c["name"] == "reconstruction_frobenius")
-        assert check["max_abs_beyond_reliable"] == rep["max_abs_beyond_reliable"] > 1.0
+        assert check["max_abs_beyond_reliable"] == rep["max_abs_beyond_reliable"] == 0.0
+        assert rep["frobenius_error_full"] == rep["frobenius_error"]
+        assert recs[0].operator.shape == (rep["reliable_dim"],) * 2
 
     @pytest.mark.parametrize("j", ["20", "60"])
     def test_spin_large_j(self, tmp_path, j):
@@ -502,6 +508,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("infeasible parameters: ") and "n_max <= 22" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_photon_ordering_outside_domain_is_refused_before_the_tomogram(self, tmp_path, capsys):
+        code = main(["tomo", "photon", "--s", "0.5", "--reconstruct", "--out", str(tmp_path)])
+        assert code == 2
+        assert "needs s in (-1, 0]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv, what",

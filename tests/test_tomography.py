@@ -24,6 +24,7 @@ from groupoidal.tomography import (
     ReconstructionResult,
     angular_momentum,
     characteristic_value,
+    check_photon_reconstruction,
     displaced_parity,
     displaced_rows,
     displacement_operator,
@@ -384,6 +385,37 @@ class TestPhotonReconstruction:
         assert np.abs(blocks[:8, :8] - one[:8, :8]).max() < 1e-12
         assert np.abs(blocks - one).max() < 1e-13 * np.abs(one).max()
 
+    @pytest.mark.parametrize("s", [0.0, -0.5])
+    def test_resolvable_block_is_the_leading_block_of_the_full_sum(self, s):
+        n_t = 16
+        rho = _rand_density(np.random.default_rng(11), n_t)
+        lat = disk_lattice(3.0, 0.25)
+        tom = photon_tomogram(rho, lat, n_max=n_t)
+        rec = photon_reconstruct(tom, s=s, n_trunc=n_t)
+        # the whole n_t x n_t lattice sum in one contraction, no point batches;
+        # summed in another order, so it is compared relative to the summands
+        q, kappa = (s + 1) / (s - 1), -(1 - s) / (1 + s)
+        w = (lat.point_weight * (2 / (1 - s)) * (tom.table.T @ q ** np.arange(n_t))).astype(np.longdouble)
+        G = (2 / (1 + s)) * number_power_block(n_t, -lat.z_points, kappa)
+        r = rec.reliable_dim
+        full = np.tensordot(w, G, axes=1)[:r, :r]
+        scale = np.tensordot(np.abs(w), np.abs(G), axes=1)[:r, :r]
+        assert r == 8 and rec.operator.shape == (r, r)
+        assert np.all(np.abs(rec.operator - full) <= 1e-15 * scale)
+
+    def test_sums_only_the_resolvable_block(self, monkeypatch):
+        dims = []
+
+        def spy(dim, alpha, kappa):
+            dims.append(dim)
+            return number_power_block(dim, alpha, kappa)
+
+        monkeypatch.setattr(tomography, "number_power_block", spy)
+        lat = disk_lattice(3.0, 0.25)
+        tom = photon_tomogram(np.eye(16, dtype=complex) / 16, lat, n_max=16)
+        rec = photon_reconstruct(tom, s=-0.5, n_trunc=16)
+        assert dims == [rec.reliable_dim] * -(-len(lat) // tomography._POINT_BLOCK)
+
     def test_report_gives_largest_entry_beyond_reliable_block(self):
         op = np.zeros((4, 4), dtype=complex)
         op[:2, :2] = 100.0
@@ -404,6 +436,9 @@ class TestPhotonReconstruction:
         tom = photon_tomogram(np.eye(4, dtype=complex) / 4, lat, n_max=4)
         with pytest.raises(InfeasibleError, match="n_max"):
             photon_reconstruct(tom, s=-0.9999999, n_trunc=64)
+        with pytest.raises(InfeasibleError, match="n_max"):
+            check_photon_reconstruction(-0.9999999, 64)
+        assert check_photon_reconstruction(-0.5, 64) == -3.0
 
 
 class TestQuadratureOperator:
