@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groupoid import UNDEFINED, FiniteGroupoid, NotTransitiveError, classify, isotropy_group
+from .groupoid import FiniteGroupoid, NotTransitiveError, classify, isotropy_group
 
 
 class AlgebraMismatchError(ValueError):
@@ -107,20 +107,6 @@ def weyl_units(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # regular (left convolution) realization
 # ---------------------------------------------------------------------------
-
-
-def d_realization(G: FiniteGroupoid, gamma: int) -> np.ndarray:
-    """Matrix of the left-convolution operator ``delta_gamma *`` in the delta basis.
-
-    ``D(gamma)[i, k] = 1`` iff ``gamma o k = i``; products satisfy
-    ``D(a) D(b) = D(a o b)`` when defined and vanish otherwise.
-    """
-    if not 0 <= gamma < G.order:
-        raise ValueError(f"element {gamma} out of range")
-    D = np.zeros((G.order, G.order))
-    ks = np.nonzero(G.compose[gamma] != UNDEFINED)[0]
-    D[G.compose[gamma, ks], ks] = 1.0
-    return D
 
 
 def d_realization_stack(G: FiniteGroupoid) -> np.ndarray:

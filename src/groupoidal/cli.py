@@ -167,8 +167,8 @@ def cmd_equiv_genconv(args) -> RunReport:
     rep = starproduct.verify_gen_conv(G, n_pairs=args.pairs, seed=args.seed)
     report = RunReport("equiv genconv", {"order": G.order, "name": G.name, "pairs": args.pairs},
                        seed=args.seed)
-    norm = rep.details["normalization"]
-    print(f"normalization constant: {norm}")
+    norm = rep.details["normalization"]  # one int when every N(g) agrees, else the distinct N(g)
+    print(f"normalization constant: {', '.join(map(str, np.atleast_1d(norm)))}")
     report.add("kernel_equals_delta", rep.details["kernel_vs_delta_dev"] == 0.0,
                rep.details["kernel_vs_delta_dev"])
     report.add("star_equals_convolution", rep.max_dev < starproduct.STAR_CONVOLUTION_TOL,
@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = _leaf(sub, "axioms", cmd_axioms, "validate groupoid axioms exhaustively")
+    p = _leaf(sub, "axioms", cmd_axioms, "validate groupoid axioms (sampled above 2^24 triples)")
     _add_groupoid_selectors(p)
 
     equiv = sub.add_parser("equiv", help="star-product vs convolution equivalence checks")

@@ -398,7 +398,7 @@ def _first(indices) -> tuple | None:
 
 
 def validate_axioms(G: FiniteGroupoid, rng: np.random.Generator | None = None) -> AxiomReport:
-    """Check every groupoid axiom by exhaustive enumeration.
+    """Check every groupoid axiom by enumeration (associativity sampled on large tables).
 
     Reports all violated axioms (never fails fast) with minimal witnesses:
 

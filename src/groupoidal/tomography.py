@@ -6,11 +6,10 @@ tomogram, and the scheme-specific reconstruction formulas rebuild the
 operator from tomographic data.
 
 Numerical policy: delta measures are always realized as exact spectral
-atoms of truncated operators, never smoothed; smoothing appears only in
-comparison reports against continuum formulas, with bandwidth set by the
-local eigenvalue spacing; every truncated unitary comes from one
-eigendecomposition (the little-d from J_y; every quadrature direction, the
-Weyl and displacement operators and the intertwining kernel from q).
+atoms of truncated operators, never smoothed; every truncated unitary comes
+from one eigendecomposition (the little-d from J_y; every quadrature
+direction, the Weyl and displacement operators and the intertwining kernel
+from q).
 Reconstruction integrals are lattice quadratures whose grid parameters are
 part of every report, together with the Fock range the grid can actually
 resolve.
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groupoid import InfeasibleError
-from .realizations import CoherentGrid, SpinSpace, annihilation, hermite_functions
+from .realizations import CoherentGrid, SpinSpace, annihilation
 
 
 class OrderingParameterError(ValueError):
@@ -187,15 +186,6 @@ def displaced_rows(n_rows: int, n_cols: int, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # photon-number scheme
 # ---------------------------------------------------------------------------
-
-
-def photon_symbol(n_trunc: int, z: complex, A: np.ndarray) -> np.ndarray:
-    """Displaced symbol Phi_A(n, m; z) = <n, z|A|m, z> with |n, z> = D(z)|n>."""
-    A = np.asarray(A, dtype=np.complex128)
-    if A.shape != (n_trunc, n_trunc):
-        raise ValueError("operator dimension does not match n_trunc")
-    D = displacement_operator(n_trunc, z)
-    return D.conj().T @ A @ D
 
 
 def displaced_parity(n_trunc: int, z: complex, s: float) -> np.ndarray:
@@ -634,43 +624,3 @@ def quasi_symbol_from_tomograms(
     """
     rec = symplectic_reconstruct(n_trunc, provider, grid_limit, grid_step)
     return symplectic_quasi_symbol(n_trunc, mu, nu, rec.operator)
-
-
-# ---------------------------------------------------------------------------
-# continuum comparison helpers
-# ---------------------------------------------------------------------------
-
-
-def smoothed_atom_density(tomogram: SymplecticTomogram, xs: np.ndarray) -> np.ndarray:
-    """Gaussian-smoothed spectral measure on evaluation points ``xs``.
-
-    The bandwidth per atom is the local eigenvalue spacing, matching the
-    resolution the truncated spectrum actually has.
-    """
-    xs = np.asarray(xs, dtype=float)
-    bw = np.gradient(tomogram.x)
-    kern = np.exp(-((xs[:, None] - tomogram.x[None, :]) ** 2) / (2 * bw[None, :] ** 2))
-    kern /= np.sqrt(2 * np.pi) * bw[None, :]
-    return kern @ tomogram.p
-
-
-def smoothed_reference_density(density, tomogram: SymplecticTomogram, xs: np.ndarray) -> np.ndarray:
-    """The same smoothing applied to an analytic density for fair comparison.
-
-    Comparing raw atoms to a continuum density in sup norm is ill-posed;
-    mollifying both sides with the identical kernel isolates the actual
-    spectral-measure error from the O(bandwidth^2) smoothing bias.  The
-    density is integrated on 4001 points over [-9, 9].
-    """
-    xs = np.asarray(xs, dtype=float)
-    y = np.linspace(-9.0, 9.0, 4001)
-    dy = y[1] - y[0]
-    sig = np.interp(y, tomogram.x, np.gradient(tomogram.x))
-    kern = np.exp(-((xs[:, None] - y[None, :]) ** 2) / (2 * sig[None, :] ** 2))
-    kern /= np.sqrt(2 * np.pi) * sig[None, :]
-    return kern @ density(y) * dy
-
-
-def ground_state_position_density(x: np.ndarray) -> np.ndarray:
-    """|phi_0(x)|^2 = e^{-x^2} / sqrt(pi)."""
-    return hermite_functions(0, x)[0] ** 2

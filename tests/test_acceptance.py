@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from groupoidal.algebra import d_realization, normalization_constant
+from groupoidal.algebra import normalization_constant
 from groupoidal.groupoid import (
     FiniteGroupoid,
     UNDEFINED,
@@ -38,14 +38,10 @@ from groupoidal.starproduct import verify_gen_conv, verify_prop1
 from groupoidal.tomography import (
     EulerAngles,
     characteristic_value,
-    ground_state_position_density,
     photon_reconstruct,
-    photon_symbol,
     photon_tomogram,
     quadrature_operator,
     quasi_symbol_from_tomograms,
-    smoothed_atom_density,
-    smoothed_reference_density,
     spin_reconstruct_at_g,
     spin_symbol,
     spin_tomogram,
@@ -53,6 +49,13 @@ from groupoidal.tomography import (
     symplectic_reconstruct,
     symplectic_tomogram,
     wigner_D,
+)
+from oracles import (
+    d_realization,
+    ground_state_position_density,
+    photon_symbol,
+    smoothed_atom_density,
+    smoothed_reference_density,
 )
 
 

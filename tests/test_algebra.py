@@ -6,7 +6,6 @@ from groupoidal.algebra import (
     AlgebraMismatchError,
     GroupoidFunction,
     convolve,
-    d_realization,
     d_realization_stack,
     delta,
     group_convolve,
@@ -20,7 +19,6 @@ from groupoidal.algebra import (
 )
 from groupoidal.groupoid import (
     NotTransitiveError,
-    classify,
     cyclic_group_table,
     disjoint_union,
     group_groupoid,
@@ -35,6 +33,7 @@ from groupoidal.starproduct import (
     symbol,
     weyl_qdpair,
 )
+from oracles import d_realization
 
 
 def _weyl_matrix(f: GroupoidFunction) -> np.ndarray:
@@ -330,19 +329,15 @@ class TestScatterRealization:
         f = random_function(G, np.random.default_rng(G.order))
         want = sum(f.values[g] * d_realization(G, g) for g in range(G.order))
         assert np.array_equal(np.tensordot(f.values, d_realization_stack(G), 1), want)
-        if classify(G).transitive:  # the regular-realization pair needs a transitive G
-            assert np.array_equal(_d_quantize(f), want)
+        assert np.array_equal(_d_quantize(f), want)
 
-    @pytest.mark.parametrize(
-        "G", [pair_groupoid(3), transitive_groupoid(2, cyclic_group_table(2)),
-              group_groupoid(cyclic_group_table(4))],
-        ids=["pair3", "t2z2", "z4"],
-    )
+    @_SCATTER_CORPUS
     def test_dequantize_matches_trace(self, G):
+        # each element is normalized by its own trace Tr[D(g) D(g)^T], transitive or not
         rng = np.random.default_rng(G.order)
         A = rng.standard_normal((G.order,) * 2) + 1j * rng.standard_normal((G.order,) * 2)
-        norm = normalization_constant(G).value
-        want = [np.trace(A @ d_realization(G, g).T) / norm for g in range(G.order)]
+        D = [d_realization(G, g) for g in range(G.order)]
+        want = [np.trace(A @ d.T) / np.trace(d @ d.T) for d in D]
         assert np.abs(symbol(d_realization_qdpair(G), A).values - want).max() < 1e-12
 
 

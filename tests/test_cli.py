@@ -361,12 +361,29 @@ class TestKernelRoundtrip:
         assert main(["equiv", *argv]) == 2
         assert "input error" in capsys.readouterr().err
 
-    def test_equiv_genconv_nontransitive_is_input_error(self, tmp_path, capsys):
-        G = disjoint_union([pair_groupoid(2), pair_groupoid(2)])
+    def test_equiv_genconv_checks_a_nontransitive_union(self, tmp_path, capsys):
+        z2, z3 = groupoid.cyclic_group_table(2), groupoid.cyclic_group_table(3)
+        G = disjoint_union([pair_groupoid(2), groupoid.group_groupoid(z3),
+                            groupoid.transitive_groupoid(2, z2)])
         path = tmp_path / "union.json"
         path.write_text(json.dumps(G.to_dict()))
-        assert main(["equiv", "genconv", "--file", str(path)]) == 2
-        assert "transitive" in capsys.readouterr().err
+        assert main(["equiv", "genconv", "--file", str(path), "--out", str(tmp_path),
+                     "--json", "r.json"]) == 0
+        assert "normalization constant: 2, 3, 4" in capsys.readouterr().out
+        checks = json.loads((tmp_path / "r.json").read_text())["checks"]
+        assert checks[0]["name"] == "kernel_equals_delta" and checks[0]["deviation"] == 0.0
+        assert checks[1]["normalization"] == [2, 3, 4]
+
+    @pytest.mark.parametrize("command", [["equiv", "genconv"], ["kernel"]])
+    def test_empty_composition_row_is_input_error(self, tmp_path, capsys, command):
+        data = pair_groupoid(3).to_dict()
+        data["compose"] = [t for t in data["compose"] if t[0] != 1]
+        path = tmp_path / "empty_row.json"
+        path.write_text(json.dumps(data))
+        assert main([*command, "--file", str(path), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: element 1 composes with no element")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_roundtrip(self, tmp_path):
         code = main([

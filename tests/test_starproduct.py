@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from groupoidal import starproduct
 from groupoidal.algebra import convolve, random_function, weyl_units
 from groupoidal.groupoid import (
+    FiniteGroupoid,
+    GroupoidStructureError,
     InfeasibleError,
+    action_groupoid,
     cyclic_group_table,
+    disjoint_union,
     group_groupoid,
     pair_groupoid,
     transitive_groupoid,
@@ -474,11 +478,43 @@ class TestEquivalenceReports:
         with pytest.raises(ValueError, match="n_pairs >= 1"):
             verify_gen_conv(pair_groupoid(2), n_pairs=n_pairs)
 
-    def test_genconv_rejects_nontransitive(self):
-        from groupoidal.groupoid import disjoint_union
+    def test_genconv_checks_a_nontransitive_union(self):
+        # N(g) is 2, 3 and 4 on the three orbits; U(g) = D(g)/N(g) makes K = delta exactly
+        G = disjoint_union([pair_groupoid(2), group_groupoid(cyclic_group_table(3)),
+                            transitive_groupoid(2, cyclic_group_table(2))])
+        rep = verify_gen_conv(G)
+        assert rep.passed and rep.details["kernel_vs_delta_dev"] == 0.0
+        assert rep.details["normalization"] == [2, 3, 4]
 
-        with pytest.raises(ValueError):
-            verify_gen_conv(disjoint_union([pair_groupoid(2), pair_groupoid(2)]))
+    @pytest.mark.parametrize(
+        "G",
+        [pair_groupoid(6), group_groupoid(cyclic_group_table(7)),
+         group_groupoid(cyclic_group_table(49)), transitive_groupoid(2, cyclic_group_table(3)),
+         # Z2 swaps points 0 and 1 and fixes 2: two orbits, order 6
+         action_groupoid(cyclic_group_table(2), lambda x, g: x ^ g if x < 2 else x, 3)],
+        ids=["pair6", "z7", "z49", "t2z3", "action"],
+    )
+    def test_genconv_kernel_exact(self, G):
+        # at N = 6, 7 and 49, N copies of the rounded 1/N do not sum to 1
+        rep = verify_gen_conv(G, n_pairs=3)
+        assert rep.passed and rep.kernel_is_boolean
+        assert rep.details["kernel_vs_delta_dev"] == 0.0
+        assert rep.max_dev < starproduct.STAR_CONVOLUTION_TOL
+
+    def test_genconv_refuses_an_empty_row(self):
+        data = pair_groupoid(3).to_dict()
+        data["compose"] = [t for t in data["compose"] if t[0] != 1]
+        with pytest.raises(GroupoidStructureError, match="element 1 composes with no element"):
+            verify_gen_conv(FiniteGroupoid.from_dict(data))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=2, max_size=3)
+           .filter(lambda parts: sum(u * u * k for u, k in parts) <= 32))
+    def test_genconv_exact_on_unions_of_transitive_parts(self, parts):
+        G = disjoint_union([transitive_groupoid(u, cyclic_group_table(k)) for u, k in parts])
+        rep = verify_gen_conv(G, n_pairs=5)
+        assert rep.details["kernel_vs_delta_dev"] == 0.0
+        assert rep.max_dev < starproduct.STAR_CONVOLUTION_TOL and rep.passed
 
     def test_seed_reproducibility(self):
         a = verify_prop1(4, n_pairs=20, seed=11)

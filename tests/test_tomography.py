@@ -28,17 +28,13 @@ from groupoidal.tomography import (
     displaced_parity,
     displaced_rows,
     displacement_operator,
-    ground_state_position_density,
     grid_resolvable_dim,
     intertwining_kernel,
     number_power_block,
     photon_reconstruct,
-    photon_symbol,
     photon_tomogram,
     quadrature_operator,
     quasi_symbol_from_tomograms,
-    smoothed_atom_density,
-    smoothed_reference_density,
     spin_reconstruct_at_g,
     spin_symbol,
     spin_tomogram,
@@ -49,6 +45,12 @@ from groupoidal.tomography import (
     unitarity_defect,
     wigner_D,
     wigner_little_d,
+)
+from oracles import (
+    ground_state_position_density,
+    photon_symbol,
+    smoothed_atom_density,
+    smoothed_reference_density,
 )
 
 
