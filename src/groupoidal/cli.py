@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import itertools
 import json
 import os
@@ -86,6 +87,18 @@ def _finish(report: RunReport, path: Path | None) -> int:
         path.write_text(json.dumps(report.to_dict(), indent=2, default=float))
         print(f"report: {path}")
     return EXIT_PASS if report.all_passed else EXIT_CHECK_FAILED
+
+
+def _write_csv(path: Path, header: list, *columns) -> None:
+    """Write ``header``, then one row per index i holding entry i of every column.
+
+    An array column is flattened to Python scalars, so each float is its repr.
+    """
+    cols = [c.ravel().tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cols))
 
 
 def _finite(value, what: str):
@@ -155,6 +168,8 @@ def cmd_equiv_prop1(args) -> RunReport:
     rep = starproduct.verify_prop1(args.n, n_pairs=args.pairs, seed=args.seed)
     report = RunReport("equiv prop1", {"n": args.n, "pairs": args.pairs}, seed=args.seed)
     report.add("kernel_is_boolean", rep.kernel_is_boolean)
+    report.add("kernel_equals_delta", rep.details["kernel_vs_delta_dev"] == 0.0,
+               rep.details["kernel_vs_delta_dev"])
     report.add("star_equals_convolution", rep.max_dev < starproduct.STAR_CONVOLUTION_TOL,
                rep.max_dev)
     exact_dev = rep.details["integer_max_dev"]
@@ -254,13 +269,9 @@ def cmd_tomo_spin(args) -> RunReport:
     probs = tomography.spin_tomogram(j, tomography.EulerAngles(*angles.T), rho).probabilities
     worst_sum = float(np.abs(probs.sum(axis=1) - 1.0).max())
     worst_neg = max(0.0, -float(probs.min()))
-    alpha, beta, gamma = np.repeat(angles, dim, axis=0).T.tolist()
-    m = np.tile(np.arange(dim) - j, args.samples).tolist()
     path = out / "spin_tomogram.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "alpha", "beta", "gamma", "m", "probability"])
-        writer.writerows(zip(itertools.repeat(j), alpha, beta, gamma, m, probs.ravel().tolist()))
+    _write_csv(path, ["j", "alpha", "beta", "gamma", "m", "probability"], itertools.repeat(j),
+               *np.repeat(angles, dim, axis=0).T, np.tile(np.arange(dim) - j, args.samples), probs)
     print(f"tomograms: {path}")
     report.add("sums_equal_one", worst_sum < 1e-12, worst_sum)
     report.add("entries_nonnegative", worst_neg < 1e-12, worst_neg)
@@ -299,12 +310,9 @@ def cmd_tomo_photon(args) -> RunReport:
         lattice = realizations.CoherentGrid(np.array([z]), args.spacing**2)
     tom = tomography.photon_tomogram(rho, lattice, n_max=n_t)
     path = out / "photon_tomogram.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_z", "im_z", "n", "P"])
-        z = np.repeat(lattice.z_points, tom.n_max)
-        n = itertools.cycle(range(tom.n_max))
-        writer.writerows(zip(z.real.tolist(), z.imag.tolist(), n, tom.table.T.ravel().tolist()))
+    z = np.repeat(lattice.z_points, tom.n_max)
+    _write_csv(path, ["re_z", "im_z", "n", "P"], z.real, z.imag,
+               itertools.cycle(range(tom.n_max)), tom.table.T)
     print(f"tomograms: {path}")
     # column sums equal the trace up to the mass a displaced state leaks
     # beyond n_max; at the lattice edge that truncation tail dominates
@@ -315,7 +323,7 @@ def cmd_tomo_photon(args) -> RunReport:
         float(np.abs(sums - np.trace(rho).real).max()),
     )
     if args.reconstruct:
-        rec = tomography.photon_reconstruct(tom, s=args.s, n_trunc=n_t)
+        rec = tomography.photon_reconstruct(tom, s=args.s)
         _add_reconstruction(report, rec, rho, args, out)
     return report
 
@@ -340,11 +348,8 @@ def cmd_tomo_symplectic(args) -> RunReport:
         rec = tomography.symplectic_reconstruct(
             n_t, tomography.state_tomogram_provider(rho), grid_limit=args.L, grid_step=args.step)
     path = out / "symplectic_tomogram.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mu", "nu", "x_k", "p_k"])
-        writer.writerows(zip(itertools.repeat(args.mu), itertools.repeat(args.nu),
-                             tom.x.tolist(), tom.p.tolist()))
+    _write_csv(path, ["mu", "nu", "x_k", "p_k"], itertools.repeat(args.mu),
+               itertools.repeat(args.nu), tom.x, tom.p)
     print(f"tomogram: {path}")
     report.add("weights_sum_to_trace",
                abs(tom.p.sum() - np.trace(rho).real) < 1e-12,
@@ -361,16 +366,21 @@ def cmd_tomo_symplectic(args) -> RunReport:
 
 
 def cmd_kernel(args) -> RunReport:
+    """Flat (x1, x2, x, re, im) CSV of a kernel; refused above m = 16 before it is built."""
     if args.weyl is not None and args.isotropy is None:
         pair = starproduct.weyl_qdpair(args.weyl)
-        name = f"weyl{args.weyl}"
+        m, name = len(pair.space), f"weyl{args.weyl}"
+        build = functools.partial(starproduct.kernel, pair)
     else:  # a groupoid selector, or --isotropy without --units (refused there)
         G = _build_groupoid(args)
-        pair = starproduct.d_realization_qdpair(G)
-        name = f"dreal{G.order}"
+        m, name = G.order, f"dreal{G.order}"
+        build = functools.partial(starproduct.d_realization_kernel, G)
+    if m > 16:
+        raise groupoid.InfeasibleError("kernel CSV export is limited to m <= 16 index points")
+    K = build()
     report = RunReport("kernel", {"pair": name}, seed=args.seed)
     path = _out_dir(args) / f"kernel_{name}.csv"
-    starproduct.export_kernel_csv(pair, path)
+    _write_csv(path, ["x1", "x2", "x", "re", "im"], *np.indices(K.shape), K.real, K.imag)
     print(f"kernel: {path}")
     report.add("kernel_exported", True)
     return report
@@ -395,7 +405,8 @@ def cmd_roundtrip(args) -> RunReport:
     report.add("position_product_matches_matrix_product", dev2 < args.tol, dev2)
     if args.csv:
         path = _out_dir(args) / args.csv
-        realizations.save_grid_symbol_csv(f, grid, path)
+        _write_csv(path, ["x", "y", "re", "im"], np.repeat(grid.points, len(grid)),
+                   np.tile(grid.points, len(grid)), f.real, f.imag)
         print(f"grid symbol: {path}")
     return report
 

@@ -10,7 +10,6 @@ fails by a finite, reportable gap.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -259,19 +258,6 @@ def position_qdpair(grid: PositionGrid) -> QDPair:
     """
     kets = np.eye(len(grid)) / np.sqrt(grid.weights)[:, None]
     return rank_one_pair(kets, grid.points.tolist(), grid.weights)
-
-
-def save_grid_symbol_csv(f: np.ndarray, grid: PositionGrid, path) -> None:
-    """Export a grid symbol f(x, y) as CSV rows (x, y, re, im)."""
-    f = np.asarray(f, dtype=np.complex128)
-    m = len(grid)
-    if f.shape != (m, m):
-        raise ValueError("symbol shape must match the grid")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "re", "im"])
-        writer.writerows(zip(np.repeat(grid.points, m).tolist(), np.tile(grid.points, m).tolist(),
-                             f.real.ravel().tolist(), f.imag.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

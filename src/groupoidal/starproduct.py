@@ -7,9 +7,11 @@ but the regular realization is rank-one, |a_x><b_x|, and is stored as its
 vectors: symbols, reconstructions, kernels and residuals are then Gram
 products.  The star product of symbols is the image of the operator product,
 and ``star`` computes it in that factored form, symbol(reconstruct(f) @
-reconstruct(g)), at every size.  ``kernel`` materializes K(x1, x2, x) =
-Tr[D(x1) D(x2) U(x)^dagger] only as an oracle (m <= 64) for the 0/1 checks
-and the CSV export.
+reconstruct(g)), at every size.  The kernel K(x1, x2, x) =
+Tr[D(x1) D(x2) U(x)^dagger] is materialized only for the 0/1 checks and the
+CSV export (m <= 64): ``kernel`` as three Gram matrices of a rank-one pair,
+``d_realization_kernel`` as exact integer counts of products of the regular
+realization's 0/1 operators.
 
 The equivalence checks at the bottom confirm, instance by instance, that
 for Weyl-unit pairs and for regular-realization pairs the star product is
@@ -18,7 +20,6 @@ exactly the groupoid convolution.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
@@ -246,22 +247,23 @@ def resolution_residual(pair: QDPair) -> float:
     return float(np.sqrt(total))
 
 
-def kernel(pair: QDPair, force: bool = False) -> np.ndarray:
-    """Materialize K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] as an (m, m, m) array.
-
-    A rank-one pair gives K = <b1|a2><b2|d_x><c_x|a1>, a product of three m x m
-    Gram matrices; a dense pair is contracted one x1 slice at a time.
-    """
-    m = len(pair.space)
-    if m > KERNEL_MATERIALIZE_LIMIT and not force:
+def _check_kernel_size(m: int) -> None:
+    if m > KERNEL_MATERIALIZE_LIMIT:
         raise InfeasibleError(
             f"kernel tensor for m={m} index points exceeds the materialization "
             f"limit ({KERNEL_MATERIALIZE_LIMIT})"
         )
+
+
+def kernel(pair: QDPair) -> np.ndarray:
+    """Materialize K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] of a rank-one pair.
+
+    K = <b1|a2><b2|d_x><c_x|a1>, a product of three m x m Gram matrices, as an
+    (m, m, m) array.  The regular realization's kernel is ``d_realization_kernel``.
+    """
     if pair.factors is None:
-        D = pair.quantizers
-        Uf = np.conj(pair.dequantizers.reshape(m, -1))
-        return np.stack([(D[a] @ D).reshape(m, -1) @ Uf.T for a in range(m)])
+        raise ValueError("kernel needs a rank-one pair; use d_realization_kernel")
+    _check_kernel_size(len(pair.space))
     a, b, c, d = pair.factors
     bc = np.conj(b)
     return (bc @ a.T)[:, :, None] * (bc @ d.T)[None, :, :] * (a @ np.conj(c).T)[:, None, :]
@@ -272,16 +274,14 @@ def star(pair: QDPair, f: Symbol, g: Symbol) -> Symbol:
     return symbol(pair, reconstruct(pair, f) @ reconstruct(pair, g))
 
 
-def associativity_residual(pair: QDPair) -> float:
-    """Deviation of the kernel from the quadratic associativity identity.
+def associativity_residual(K: np.ndarray, weights: np.ndarray) -> float:
+    """Deviation of a kernel from the quadratic associativity identity.
 
     max over (x1, x2, x3, x) of
     |sum_y K(x1,x2,y) w_y K(y,x3,x) - sum_y K(x2,x3,y) w_y K(x1,y,x)|.
     """
-    K = kernel(pair)
-    w = pair.space.weights
-    lhs = np.einsum("aby,y,ycd->abcd", K, w, K)
-    rhs = np.einsum("bcy,y,ayd->abcd", K, w, K)
+    lhs = np.einsum("aby,y,ycd->abcd", K, weights, K)
+    rhs = np.einsum("bcy,y,ayd->abcd", K, weights, K)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -334,6 +334,20 @@ def d_realization_qdpair(G: FiniteGroupoid) -> QDPair:
     D = d_realization_stack(G).astype(np.complex128)
     space = IndexSpace(tuple(range(G.order)), np.ones(G.order))
     return QDPair(space, (D, D / _row_widths(G)[:, None, None]))
+
+
+def d_realization_kernel(G: FiniteGroupoid) -> np.ndarray:
+    """Regular-realization kernel K(g1, g2, g) = Tr[D(g1) D(g2) D(g)^T] / N(g), 0/1 exactly.
+
+    One (m, m) slice per g1 of products of the real 0/1 operators of
+    ``d_realization_stack`` gives integer counts, divided once by the row widths
+    (U(g)'s rounded 1/N would miss 1 at N = 6).  K comes from the operators, not
+    the composition table, so comparing it with delta_{g1 o g2}(g) checks them.
+    """
+    m = G.order
+    _check_kernel_size(m)
+    widths, D = _row_widths(G), d_realization_stack(G)
+    return np.stack([(D[a] @ D).reshape(m, -1) @ D.reshape(m, -1).T for a in range(m)]) / widths
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +410,7 @@ def verify_prop1(n: int, n_pairs: int = 100, seed: int = 0) -> EquivalenceReport
     """
     if n < 1:
         raise ValueError("verify_prop1 needs n >= 1")
-    if n * n > KERNEL_MATERIALIZE_LIMIT:
-        raise InfeasibleError(f"verify_prop1 needs n^2 <= {KERNEL_MATERIALIZE_LIMIT}, got n={n}")
+    _check_kernel_size(n * n)  # before the pair is built
     pair = weyl_qdpair(n)
     return _star_equals_convolution(pair, pair_groupoid(n), kernel(pair), n_pairs, seed,
                                     integer_pairs=max(1, n_pairs // 10))
@@ -406,28 +419,11 @@ def verify_prop1(n: int, n_pairs: int = 100, seed: int = 0) -> EquivalenceReport
 def verify_gen_conv(G: FiniteGroupoid, n_pairs: int = 20, seed: int = 0) -> EquivalenceReport:
     """Star product of the regular-realization pair vs convolution, on any finite groupoid.
 
-    The kernel is taken as Tr[D(g1) D(g2) D(g)^T] / N(g), real integer counts
-    divided once, so it is 0/1 exactly; against U(g)'s rounded 1/N it misses 1
-    by 1.1e-16 at N = 6.  ``normalization`` reports N(g): one int when all rows
-    are equally wide (every transitive groupoid), else the distinct widths.
+    The kernel is ``d_realization_kernel``.  ``normalization`` reports N(g):
+    one int when all rows are equally wide (every transitive groupoid), else
+    the distinct widths.
     """
-    if G.order > KERNEL_MATERIALIZE_LIMIT:
-        raise InfeasibleError(f"verify_gen_conv caps the order at {KERNEL_MATERIALIZE_LIMIT}")
-    pair, widths = d_realization_qdpair(G), _row_widths(G)
-    K = kernel(QDPair(pair.space, (pair.quantizers,) * 2)).real / widths
-    ns = np.unique(widths).tolist()
-    return _star_equals_convolution(pair, G, K, n_pairs, seed,
+    K = d_realization_kernel(G)
+    ns = np.unique(_row_widths(G)).tolist()
+    return _star_equals_convolution(d_realization_qdpair(G), G, K, n_pairs, seed,
                                     normalization=ns[0] if len(ns) == 1 else ns)
-
-
-def export_kernel_csv(pair: QDPair, path) -> None:
-    """Flat (x1, x2, x, re, im) CSV of a dense kernel; limited to m <= 16."""
-    m = len(pair.space)
-    if m > 16:
-        raise InfeasibleError("kernel CSV export is limited to m <= 16 index points")
-    K = kernel(pair)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "x", "re", "im"])
-        writer.writerows(zip(*np.indices(K.shape).reshape(3, -1).tolist(),
-                             K.real.ravel().tolist(), K.imag.ravel().tolist()))

@@ -373,11 +373,7 @@ def check_photon_reconstruction(s: float, n_trunc: int) -> float:
     return kappa
 
 
-def photon_reconstruct(
-    tomogram: PhotonTomogram,
-    s: float,
-    n_trunc: int,
-) -> ReconstructionResult:
+def photon_reconstruct(tomogram: PhotonTomogram, s: float) -> ReconstructionResult:
     """Rebuild an operator from photon-number tomographic data.
 
     Evaluates A = sum over the lattice of (cell/pi) sum_n P(n, -z) D_phi(n, z)
@@ -393,18 +389,19 @@ def photon_reconstruct(
     Only the leading ``reliable_dim`` x ``reliable_dim`` block, the entries
     the lattice resolves, is computed and returned: entry (m, n) of the
     closed-form block does not depend on its size, so this block equals the
-    leading block of the full n_trunc sum, whose other entries are
-    quadrature-limited.  The weight-overflow guard reads n_trunc, not the
-    block: keyed on the block it would admit 1 + s < 3e-10 at the default
-    grid, where the reconstruction misses by up to ~1e131.
+    leading block of the full sum over the tomogram's ``n_max`` Fock rows,
+    whose other entries are quadrature-limited.  The weight-overflow guard
+    reads ``n_max``, not the block: keyed on the block it would admit
+    1 + s < 3e-10 at the default grid, where the reconstruction misses by up
+    to ~1e131.
     """
-    kappa = check_photon_reconstruction(s, n_trunc)
+    kappa = check_photon_reconstruction(s, tomogram.n_max)
     grid = tomogram.z_grid
     q = (s + 1) / (s - 1)
     qn = q ** np.arange(tomogram.n_max, dtype=float)
     radius = float(np.abs(grid.z_points).max())
     spacing = float(np.sqrt(grid.cell_area))
-    reliable = min(n_trunc, grid_resolvable_dim(spacing, radius))
+    reliable = min(tomogram.n_max, grid_resolvable_dim(spacing, radius))
 
     # tomogram argument zeta corresponds to quantizer displacement -zeta
     weights = grid.point_weight * ((2 / (1 - s)) * (tomogram.table.T @ qn)).astype(np.longdouble)
@@ -416,7 +413,7 @@ def photon_reconstruct(
     return ReconstructionResult(
         operator=total.astype(np.complex128),
         scheme="photon",
-        n_trunc=n_trunc,
+        n_trunc=tomogram.n_max,
         reliable_dim=reliable,
         grid={"radius": radius, "spacing": spacing, "points": len(grid)},
         params={"s": s},

@@ -2,7 +2,9 @@
 
 Each helper here serves one comparison and claims nothing of its own: the
 per-element regular realization ``d_realization`` (oracle for
-``algebra.d_realization_stack`` and the regular-realization pair), the dense
+``algebra.d_realization_stack`` and the regular-realization pair), the
+kernel ``dense_kernel`` contracted from a pair's dense stacks (oracle for
+``starproduct.kernel`` and ``starproduct.d_realization_kernel``), the dense
 displaced symbol ``photon_symbol`` (criterion 6 and the photon tomography
 tests), and the smoothed densities of criterion 7, where atoms and a
 continuum density are mollified with the same kernel before they are
@@ -13,6 +15,7 @@ import numpy as np
 
 from groupoidal.groupoid import UNDEFINED, FiniteGroupoid
 from groupoidal.realizations import hermite_functions
+from groupoidal.starproduct import QDPair
 from groupoidal.tomography import SymplecticTomogram, displacement_operator
 
 
@@ -28,6 +31,17 @@ def d_realization(G: FiniteGroupoid, gamma: int) -> np.ndarray:
     ks = np.nonzero(G.compose[gamma] != UNDEFINED)[0]
     D[G.compose[gamma, ks], ks] = 1.0
     return D
+
+
+def dense_kernel(pair: QDPair) -> np.ndarray:
+    """K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] from the dense (m, d, d) stacks.
+
+    Contracted one x1 slice at a time, at any m; a rank-one pair's stacks are
+    materialized first.
+    """
+    m, D = len(pair.space), pair.quantizers
+    Uf = np.conj(pair.dequantizers.reshape(m, -1))
+    return np.stack([(D[a] @ D).reshape(m, -1) @ Uf.T for a in range(m)])
 
 
 def photon_symbol(n_trunc: int, z: complex, A: np.ndarray) -> np.ndarray:

@@ -252,7 +252,7 @@ def test_criterion_6_photon_number_tomography():
         rho = np.zeros((n_t, n_t), dtype=complex)
         rho[level, level] = 1.0
         tom = photon_tomogram(rho, lattice, n_max=n_t)
-        rec = photon_reconstruct(tom, s=-0.5, n_trunc=n_t)
+        rec = photon_reconstruct(tom, s=-0.5)
         errs = rec.errors_against(rho)
         results[level] = (errs["frobenius_error"], rec.reliable_dim, tol)
         assert errs["frobenius_error"] < tol, (level, errs)

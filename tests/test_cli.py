@@ -173,6 +173,24 @@ class TestEquiv:
         out = capsys.readouterr().out
         assert "star_equals_convolution" in out
 
+    def test_prop1_reports_kernel_equals_delta(self, tmp_path):
+        assert main(["equiv", "prop1", "--n", "3", "--out", str(tmp_path), "--json", "r.json"]) == 0
+        checks = json.loads((tmp_path / "r.json").read_text())["checks"]
+        assert [c["name"] for c in checks] == ["kernel_is_boolean", "kernel_equals_delta",
+                                              "star_equals_convolution", "integer_symbols_exact"]
+        assert checks[1]["passed"] and checks[1]["deviation"] == 0.0
+
+    def test_prop1_permuted_kernel_is_boolean_but_not_delta(self, monkeypatch, tmp_path, capsys):
+        # a 0/1 kernel with its last axis permuted passes kernel_is_boolean alone
+        weyl_kernel = starproduct.kernel
+        monkeypatch.setattr(starproduct, "kernel", lambda pair: weyl_kernel(pair)[:, :, ::-1])
+        assert main(["equiv", "prop1", "--n", "2", "--out", str(tmp_path), "--json", "r.json"]) == 1
+        checks = {c["name"]: c for c in json.loads((tmp_path / "r.json").read_text())["checks"]}
+        assert checks["kernel_is_boolean"]["passed"]
+        assert not checks["kernel_equals_delta"]["passed"]
+        assert checks["kernel_equals_delta"]["deviation"] == 1.0
+        assert "[FAIL] kernel_equals_delta" in capsys.readouterr().out
+
     def test_genconv_reports_normalization(self, capsys):
         assert main(["equiv", "genconv", "--units", "2", "--isotropy", "Z2"]) == 0
         assert "normalization constant: 4" in capsys.readouterr().out
@@ -310,6 +328,26 @@ class TestKernelRoundtrip:
         assert main(["kernel", "--weyl", "3", "--out", str(tmp_path)]) == 0
         rows = list(csv.reader((tmp_path / "kernel_weyl3.csv").open()))
         assert len(rows) == 1 + 9**3
+
+    def test_kernel_group_z6_is_exact(self, tmp_path):
+        # N = 6: against U's rounded 1/6 the ones would read 0.9999999999999999
+        assert main(["kernel", "--group", "Z6", "--out", str(tmp_path)]) == 0
+        rows = list(csv.reader((tmp_path / "kernel_dreal6.csv").open()))[1:]
+        ones = [r for r in rows if r[3] != "0.0"]
+        assert len(rows) == 6**3 and len(ones) == 36
+        assert all(r[3] == "1.0" and r[4] == "0.0" for r in ones)
+        assert {tuple(map(int, r[:3])) for r in ones} == {(j, k, (j + k) % 6)
+                                                         for j in range(6) for k in range(6)}
+
+    def test_kernel_file_with_rows_of_width_2_and_7(self, tmp_path):
+        z7 = groupoid.group_groupoid(groupoid.cyclic_group_table(7))
+        path = tmp_path / "union.json"
+        path.write_text(json.dumps(disjoint_union([pair_groupoid(2), z7]).to_dict()))
+        assert main(["kernel", "--file", str(path), "--out", str(tmp_path)]) == 0
+        rows = list(csv.reader((tmp_path / "kernel_dreal11.csv").open()))[1:]
+        assert len(rows) == 11**3
+        assert {r[3] for r in rows} == {"0.0", "1.0"} and {r[4] for r in rows} == {"0.0"}
+        assert sum(r[3] == "1.0" for r in rows) == 2**3 + 7**2
 
     def test_kernel_size_limit(self, tmp_path, capsys):
         assert main(["kernel", "--weyl", "5", "--out", str(tmp_path)]) == 3

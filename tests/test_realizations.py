@@ -356,27 +356,35 @@ class TestSelfDualStorage:
 
 class TestGridSymbolExport:
     def test_csv_round_trip(self, tmp_path):
+        # the symbol ``roundtrip --csv`` writes is f = fock_to_position_symbol(F)
+        # for the run's first random F; x runs slowest, as in f[x, y]
         import csv as csvmod
 
-        from groupoidal.realizations import save_grid_symbol_csv
+        from groupoidal.cli import main
 
-        grid = position_grid(-1, 1, 4)
-        rng = np.random.default_rng(0)
-        f = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        path = tmp_path / "sym.csv"
-        save_grid_symbol_csv(f, grid, path)
-        rows = list(csvmod.reader(path.open()))
+        argv = ["roundtrip", "--nt", "2", "--points", "24", "--xmax", "6", "--seed", "2"]
+        assert main([*argv, "--out", str(tmp_path), "--csv", "sym.csv"]) == 0
+        rng = np.random.default_rng(2)
+        F = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        grid = position_grid(-6, 6, 24)
+        f = fock_to_position_symbol(F, grid)
+        rows = list(csvmod.reader((tmp_path / "sym.csv").open()))
         assert rows[0] == ["x", "y", "re", "im"]
-        assert len(rows) == 1 + 16
-        back = np.array([float(r[2]) + 1j * float(r[3]) for r in rows[1:]]).reshape(4, 4)
+        assert len(rows) == 1 + 24**2
+        xy = np.array([[float(r[0]), float(r[1])] for r in rows[1:]]).reshape(24, 24, 2)
+        assert np.array_equal(xy[:, :, 0], np.repeat(grid.points[:, None], 24, axis=1))
+        assert np.array_equal(xy[:, :, 1], np.repeat(grid.points[None, :], 24, axis=0))
+        back = np.array([float(r[2]) + 1j * float(r[3]) for r in rows[1:]]).reshape(24, 24)
         assert np.array_equal(back, f)
 
     def test_exact_text_of_two_point_grid(self, tmp_path):
-        from groupoidal.realizations import save_grid_symbol_csv
+        from groupoidal.cli import _write_csv
 
         path = tmp_path / "sym.csv"
         f = np.array([[1 + 0.5j, -2.0], [0.25j, 1 / 3]])
-        save_grid_symbol_csv(f, position_grid(-1.5, 1.5, 2), path)
+        points = position_grid(-1.5, 1.5, 2).points
+        _write_csv(path, ["x", "y", "re", "im"], np.repeat(points, 2), np.tile(points, 2),
+                   f.real, f.imag)
         rows = ["x,y,re,im", "-1.5,-1.5,1.0,0.5", "-1.5,1.5,-2.0,0.0", "1.5,-1.5,0.0,0.25",
                 "1.5,1.5,0.3333333333333333,0.0"]
         assert path.read_bytes() == "".join(r + "\r\n" for r in rows).encode()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from groupoidal import starproduct
 from groupoidal.algebra import convolve, random_function, weyl_units
+from groupoidal.cli import _write_csv, main
 from groupoidal.groupoid import (
     FiniteGroupoid,
     GroupoidStructureError,
@@ -33,9 +34,9 @@ from groupoidal.starproduct import (
     SpaceMismatchError,
     Symbol,
     associativity_residual,
+    d_realization_kernel,
     d_realization_qdpair,
     duality_residual,
-    export_kernel_csv,
     kernel,
     reconstruct,
     resolution_residual,
@@ -45,6 +46,7 @@ from groupoidal.starproduct import (
     verify_prop1,
     weyl_qdpair,
 )
+from oracles import dense_kernel
 
 
 def _rand_op(rng, d):
@@ -196,7 +198,6 @@ class TestKernel:
         pair = coherent_pair(coherent_grid(3, 0.5), 8)  # m = 81 > 64
         with pytest.raises(InfeasibleError, match="materialization limit"):
             kernel(pair)
-        assert kernel(pair, force=True).shape == (81, 81, 81)
 
 
 class TestSpaceCheck:
@@ -316,7 +317,7 @@ class TestStar:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = star(pair, f, g)
-        K = kernel(pair, force=True)
+        K = dense_kernel(pair)
         w = pair.space.weights
         want = np.einsum("a,b,abc->c", f.values * w, g.values * w, K)
         assert np.abs(got.values - want).max() < 1e-10
@@ -342,6 +343,30 @@ class TestStarProperties:
         rhs = star(pair, sf, star(pair, sg, sh)).values
         # triple products reach |.| ~ 1e2 at order 64; compare relative to that
         assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(lhs).max())
+
+
+class TestDRealizationKernel:
+    @settings(max_examples=12, deadline=None)
+    @given(parts=st.one_of(
+        st.sampled_from(_TRANSITIVE_SHAPES).map(lambda shape: [shape]),
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 7)), min_size=2, max_size=3)
+        .filter(lambda parts: sum(u * u * k for u, k in parts) <= 64)))
+    def test_kernel_is_the_exact_delta_and_matches_the_dense_oracle(self, parts):
+        G = disjoint_union([transitive_groupoid(u, cyclic_group_table(k)) for u, k in parts])
+        K = d_realization_kernel(G)
+        delta = np.zeros_like(K)
+        delta[tuple(G.composable_triples().T)] = 1.0
+        assert np.array_equal(K, delta)  # 0/1 exactly, 1 exactly at the composable triples
+        # against Tr[D1 D2 U^dagger] with U's rounded 1/N
+        assert np.abs(dense_kernel(d_realization_qdpair(G)) - K).max() <= 1e-15
+
+    def test_refuses_an_order_above_the_limit_before_building(self, monkeypatch):
+        def unbuilt(G):
+            raise AssertionError("stack built before the size check")
+
+        monkeypatch.setattr(starproduct, "d_realization_stack", unbuilt)
+        with pytest.raises(InfeasibleError, match="m=81 index points exceeds"):
+            d_realization_kernel(pair_groupoid(9))
 
 
 # every rank-one family, sized by k; the Weyl-unit ones have 0/1 factors
@@ -381,7 +406,7 @@ class TestRankOneMatchesDenseOracle:
                 duality_residual(oracle), resolution_residual(oracle)]
         if m <= 64:
             got.append(kernel(pair))
-            want.append(kernel(oracle))
+            want.append(dense_kernel(oracle))
         for x, y in zip(got, want):
             if family in _UNIT_FAMILIES:
                 assert np.array_equal(x, y)
@@ -410,20 +435,19 @@ class TestDualityResidualBlocks:
 class TestAssociativity:
     def test_weyl_exact(self):
         for n in (2, 3, 6):
-            assert associativity_residual(weyl_qdpair(n)) == 0.0
+            pair = weyl_qdpair(n)
+            assert associativity_residual(kernel(pair), pair.space.weights) == 0.0
 
     def test_d_realization_small(self):
         for G in (pair_groupoid(3), transitive_groupoid(2, cyclic_group_table(2))):
-            assert associativity_residual(d_realization_qdpair(G)) < 1e-12
+            w = d_realization_qdpair(G).space.weights
+            assert associativity_residual(d_realization_kernel(G), w) == 0.0
 
     def test_perturbed_kernel_fails(self):
         pair = weyl_qdpair(2)
-        K = kernel(pair).copy()
+        K = kernel(pair)
         K[0, 0, 0] += 0.5
-        w = pair.space.weights
-        lhs = np.einsum("aby,y,ycd->abcd", K, w, K)
-        rhs = np.einsum("bcy,y,ayd->abcd", K, w, K)
-        assert np.abs(lhs - rhs).max() >= 0.4
+        assert associativity_residual(K, pair.space.weights) >= 0.4
 
 
 class TestEquivalenceReports:
@@ -523,17 +547,32 @@ class TestEquivalenceReports:
 
 
 class TestKernelExport:
+    """Kernel arrays through the CLI's CSV writer, in the columns ``kernel`` writes."""
+
+    @staticmethod
+    def _export(K, path):
+        _write_csv(path, ["x1", "x2", "x", "re", "im"], *np.indices(K.shape), K.real, K.imag)
+
     def test_csv_rows(self, tmp_path):
-        pair = weyl_qdpair(2)
         path = tmp_path / "k.csv"
-        export_kernel_csv(pair, path)
+        self._export(kernel(weyl_qdpair(2)), path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 4**3  # header + m^3 rows for m = 4 index points
         assert lines[0] == "x1,x2,x,re,im"
 
-    def test_size_limit(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_kernel_csv(weyl_qdpair(5), tmp_path / "k.csv")
+    @pytest.mark.parametrize("selector", [["--weyl", "5"], ["--pair", "5"], ["--group", "Z17"]],
+                             ids=["weyl5", "pair5", "z17"])
+    def test_size_limit(self, tmp_path, monkeypatch, capsys, selector):
+        # m = 25, 25 and 17 are refused before any kernel is built
+        def unbuilt(*args):
+            raise AssertionError("kernel built before the size check")
+
+        monkeypatch.setattr(starproduct, "kernel", unbuilt)
+        monkeypatch.setattr(starproduct, "d_realization_kernel", unbuilt)
+        assert main(["kernel", *selector, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "infeasible parameters: kernel CSV export is limited to m <= 16 index points\n")
+        assert not list(tmp_path.iterdir())
 
     def test_exact_text_of_two_point_kernel(self, tmp_path):
         # K(x1, x2, x) = a_x2 conj(a_x) a_x1 for a = (1, 0.5i); every float is repr'd
@@ -541,7 +580,7 @@ class TestKernelExport:
         ones = np.ones((2, 1))
         pair = QDPair(IndexSpace(("a", "b"), np.ones(2)), (a, ones, a, ones))
         path = tmp_path / "k.csv"
-        export_kernel_csv(pair, path)
+        self._export(kernel(pair), path)
         rows = ["x1,x2,x,re,im", "0,0,0,1.0,0.0", "0,0,1,0.0,-0.5", "0,1,0,0.0,0.5",
                 "0,1,1,0.25,0.0", "1,0,0,0.0,0.5", "1,0,1,0.25,0.0", "1,1,0,-0.25,0.0",
                 "1,1,1,0.0,0.125"]

@@ -361,7 +361,7 @@ class TestPhotonReconstruction:
     def test_zero_tomogram(self):
         lat = disk_lattice(2.0, 0.5)
         tom = photon_tomogram(np.zeros((8, 8), dtype=complex), lat, n_max=8)
-        rec = photon_reconstruct(tom, s=-0.5, n_trunc=8)
+        rec = photon_reconstruct(tom, s=-0.5)
         assert np.abs(rec.operator).max() < 1e-14
 
     def test_vacuum_small_grid(self):
@@ -370,7 +370,7 @@ class TestPhotonReconstruction:
         rho[0, 0] = 1.0
         lat = disk_lattice(3.0, 0.25)
         tom = photon_tomogram(rho, lat, n_max=n_t)
-        rec = photon_reconstruct(tom, s=-0.5, n_trunc=n_t)
+        rec = photon_reconstruct(tom, s=-0.5)
         errs = rec.errors_against(rho)
         assert rec.reliable_dim == grid_resolvable_dim(0.25, 3.0) == 8
         assert errs["frobenius_error"] < 5e-3
@@ -381,9 +381,9 @@ class TestPhotonReconstruction:
         rho = np.zeros((16, 16), dtype=complex)
         rho[1, 1] = 1.0
         tom = photon_tomogram(rho, disk_lattice(3.0, 0.25), n_max=16)
-        one = photon_reconstruct(tom, s=-0.5, n_trunc=16).operator
+        one = photon_reconstruct(tom, s=-0.5).operator
         monkeypatch.setattr(tomography, "_POINT_BLOCK", 7)
-        blocks = photon_reconstruct(tom, s=-0.5, n_trunc=16).operator
+        blocks = photon_reconstruct(tom, s=-0.5).operator
         assert np.abs(blocks[:8, :8] - one[:8, :8]).max() < 1e-12
         assert np.abs(blocks - one).max() < 1e-13 * np.abs(one).max()
 
@@ -393,7 +393,7 @@ class TestPhotonReconstruction:
         rho = _rand_density(np.random.default_rng(11), n_t)
         lat = disk_lattice(3.0, 0.25)
         tom = photon_tomogram(rho, lat, n_max=n_t)
-        rec = photon_reconstruct(tom, s=s, n_trunc=n_t)
+        rec = photon_reconstruct(tom, s=s)
         # the whole n_t x n_t lattice sum in one contraction, no point batches;
         # summed in another order, so it is compared relative to the summands
         q, kappa = (s + 1) / (s - 1), -(1 - s) / (1 + s)
@@ -415,7 +415,7 @@ class TestPhotonReconstruction:
         monkeypatch.setattr(tomography, "number_power_block", spy)
         lat = disk_lattice(3.0, 0.25)
         tom = photon_tomogram(np.eye(16, dtype=complex) / 16, lat, n_max=16)
-        rec = photon_reconstruct(tom, s=-0.5, n_trunc=16)
+        rec = photon_reconstruct(tom, s=-0.5)
         assert dims == [rec.reliable_dim] * -(-len(lat) // tomography._POINT_BLOCK)
 
     def test_report_gives_largest_entry_beyond_reliable_block(self):
@@ -431,13 +431,14 @@ class TestPhotonReconstruction:
         lat = disk_lattice(1.0, 0.5)
         tom = photon_tomogram(np.eye(4, dtype=complex) / 4, lat, n_max=4)
         with pytest.raises(OrderingParameterError):
-            photon_reconstruct(tom, s=0.5, n_trunc=4)
+            photon_reconstruct(tom, s=0.5)
 
     def test_weight_overflow_guard(self):
         lat = disk_lattice(1.0, 0.5)
-        tom = photon_tomogram(np.eye(4, dtype=complex) / 4, lat, n_max=4)
+        tom = photon_tomogram(np.eye(4, dtype=complex) / 4, lat, n_max=64)
+        assert tom.table.shape[0] == 64
         with pytest.raises(InfeasibleError, match="n_max"):
-            photon_reconstruct(tom, s=-0.9999999, n_trunc=64)
+            photon_reconstruct(tom, s=-0.9999999)
         with pytest.raises(InfeasibleError, match="n_max"):
             check_photon_reconstruction(-0.9999999, 64)
         assert check_photon_reconstruction(-0.5, 64) == -3.0
@@ -723,7 +724,7 @@ class TestOffDiagonalReconstruction:
         rho = np.outer(v, v.conj())
         lat = disk_lattice(4.0, 0.2)
         tom = photon_tomogram(rho, lat, n_max=n_t)
-        rec = photon_reconstruct(tom, s=-0.5, n_trunc=n_t)
+        rec = photon_reconstruct(tom, s=-0.5)
         errs = rec.errors_against(rho)
         assert errs["frobenius_error"] < 5e-3, errs
 
