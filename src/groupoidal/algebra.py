@@ -3,9 +3,9 @@
 Includes the Weyl matrix units, the regular (left-convolution) realization
 of an arbitrary finite groupoid, its trace normalization, and the
 quadrature-scale convolution variants for grids and matrices of
-group-algebra entries.  Functions are (de)quantized only through the pairs
-of ``starproduct``: ``weyl_qdpair(n)`` for pair groupoids and
-``d_realization_qdpair(G)`` for the regular realization.
+group-algebra entries.  Functions are (de)quantized only in ``starproduct``:
+through ``weyl_qdpair(n)`` for pair groupoids, and through
+``regular_reconstruct`` / ``regular_symbol`` for the regular realization.
 """
 
 from __future__ import annotations

@@ -164,16 +164,21 @@ def cmd_axioms(args) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
+def _add_star_checks(report: RunReport, rep, **details) -> None:
+    """The kernel, float and Gaussian-integer checks both ``equiv`` propositions report."""
+    report.add("kernel_equals_delta", rep.details["kernel_vs_delta_dev"] == 0.0,
+               rep.details["kernel_vs_delta_dev"])
+    report.add("star_equals_convolution", rep.max_dev < starproduct.STAR_CONVOLUTION_TOL,
+               rep.max_dev, **details)
+    exact_dev = rep.details["integer_max_dev"]
+    report.add("integer_symbols_exact", exact_dev == 0.0, exact_dev)
+
+
 def cmd_equiv_prop1(args) -> RunReport:
     rep = starproduct.verify_prop1(args.n, n_pairs=args.pairs, seed=args.seed)
     report = RunReport("equiv prop1", {"n": args.n, "pairs": args.pairs}, seed=args.seed)
     report.add("kernel_is_boolean", rep.kernel_is_boolean)
-    report.add("kernel_equals_delta", rep.details["kernel_vs_delta_dev"] == 0.0,
-               rep.details["kernel_vs_delta_dev"])
-    report.add("star_equals_convolution", rep.max_dev < starproduct.STAR_CONVOLUTION_TOL,
-               rep.max_dev)
-    exact_dev = rep.details["integer_max_dev"]
-    report.add("integer_symbols_exact", exact_dev == 0.0, exact_dev)
+    _add_star_checks(report, rep)
     return report
 
 
@@ -184,10 +189,7 @@ def cmd_equiv_genconv(args) -> RunReport:
                        seed=args.seed)
     norm = rep.details["normalization"]  # one int when every N(g) agrees, else the distinct N(g)
     print(f"normalization constant: {', '.join(map(str, np.atleast_1d(norm)))}")
-    report.add("kernel_equals_delta", rep.details["kernel_vs_delta_dev"] == 0.0,
-               rep.details["kernel_vs_delta_dev"])
-    report.add("star_equals_convolution", rep.max_dev < starproduct.STAR_CONVOLUTION_TOL,
-               rep.max_dev, normalization=norm)
+    _add_star_checks(report, rep, normalization=norm)
     return report
 
 
@@ -261,7 +263,9 @@ def cmd_tomo_spin(args) -> RunReport:
         raise ValueError(f"--samples must be at least 1 (got {args.samples})")
     j = args.j
     dim = realizations.SpinSpace(j).dim
-    groupoid.check_dense_size((args.samples, dim, dim), np.complex128, "rotation batch")
+    # spin_tomogram holds the probability table and rotates 2^18 entries, or one matrix, at a time
+    groupoid.check_dense_size((args.samples, dim), float, "probability table")
+    groupoid.check_dense_size((dim, dim), np.complex128, "rotation matrix")
     rho = _parse_state(args.state, dim, rng)
     report = RunReport("tomo spin", {"j": j, "state": args.state, "samples": args.samples},
                        seed=args.seed)

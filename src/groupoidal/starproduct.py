@@ -1,20 +1,25 @@
 """Quantizer-dequantizer pairs, operator symbols, and star products.
 
-A ``QDPair`` carries two operator families over a weighted index set: the
-quantizer D(x) used to rebuild operators from symbols and the dequantizer
-U(x) used to take symbols f_A(x) = Tr[A U(x)^dagger].  Every family here
-but the regular realization is rank-one, |a_x><b_x|, and is stored as its
-vectors: symbols, reconstructions, kernels and residuals are then Gram
-products.  The star product of symbols is the image of the operator product,
-and ``star`` computes it in that factored form, symbol(reconstruct(f) @
-reconstruct(g)), at every size.  The kernel K(x1, x2, x) =
-Tr[D(x1) D(x2) U(x)^dagger] is materialized only for the 0/1 checks and the
-CSV export (m <= 64): ``kernel`` as three Gram matrices of a rank-one pair,
-``d_realization_kernel`` as exact integer counts of products of the regular
-realization's 0/1 operators.
+A ``QDPair`` carries two rank-one operator families over a weighted index
+set: the quantizer D(x) = |a_x><b_x| used to rebuild operators from symbols
+and the dequantizer U(x) = |c_x><d_x| used to take symbols
+f_A(x) = Tr[A U(x)^dagger].  It is stored as its vectors, so symbols,
+reconstructions, kernels and residuals are Gram products.  The star product
+of symbols is the image of the operator product, and ``star`` computes it in
+that factored form, symbol(reconstruct(f) @ reconstruct(g)), at every size.
+
+The regular realization D(g)[i, k] = 1 iff g o k = i of a finite groupoid is
+not rank-one.  Its composable triples (j, k, i) describe it whole:
+``regular_reconstruct`` is a scatter-add over them and ``regular_symbol`` a
+gather divided by the row widths N(g).
+
+The kernel K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] is materialized only
+for the 0/1 checks and the CSV export (m <= 64): ``kernel`` as three Gram
+matrices of a rank-one pair, ``d_realization_kernel`` as exact integer
+counts of products of the regular realization's 0/1 operators.
 
 The equivalence checks at the bottom confirm, instance by instance, that
-for Weyl-unit pairs and for regular-realization pairs the star product is
+for Weyl-unit pairs and for the regular realization the star product is
 exactly the groupoid convolution.
 """
 
@@ -69,15 +74,13 @@ class IndexSpace:
 
 @dataclass(frozen=True, eq=False)
 class QDPair:
-    """Quantizer/dequantizer families over an index space.
+    """Rank-one quantizer/dequantizer families over an index space.
 
-    ``families`` is either (D, U), the dense (m, d, d) stacks of D(x) and
-    U(x), or (a, b, c, d), the (m, d) vector stacks of a rank-one pair
-    D(x) = |a_x><b_x|, U(x) = |c_x><d_x|.  A rank-one pair stores m*d numbers,
-    every operation below is then a product of m x d and m x m matrices, and
-    ``quantizers`` / ``dequantizers`` build its dense stacks only as a test
-    oracle.  A self-dual pair, (D, D) or (a, b, a, b), keeps one read-only
-    storage for both families.
+    ``families`` is (a, b, c, d), the (m, d) vector stacks of
+    D(x) = |a_x><b_x| and U(x) = |c_x><d_x|.  The pair stores m*d numbers per
+    stack, and every operation below is a product of m x d and m x m
+    matrices.  A self-dual pair, (a, b, a, b), keeps one read-only storage for
+    both families.
     """
 
     space: IndexSpace
@@ -85,14 +88,13 @@ class QDPair:
 
     def __post_init__(self):
         fam = tuple(self.families)
-        h = len(fam) // 2
-        if len(fam) not in (2, 4):
-            raise SpaceMismatchError("families must be (D, U) or (a, b, c, d)")
-        shared = all(u is v for u, v in zip(fam[:h], fam[h:]))
-        stored = tuple(np.asarray(v, dtype=np.complex128) for v in (fam[:h] if shared else fam))
-        shape = (len(self.space),) + stored[0].shape[1:2] * (3 - h)
-        if len(shape) != 4 - h or any(v.shape != shape for v in stored):
-            raise SpaceMismatchError(f"each family must be a stack of shape (m, d{', d' * (2 - h)})")
+        if len(fam) != 4:
+            raise SpaceMismatchError("families must be the vector stacks (a, b, c, d)")
+        shared = fam[2] is fam[0] and fam[3] is fam[1]
+        stored = tuple(np.asarray(v, dtype=np.complex128) for v in (fam[:2] if shared else fam))
+        shape = (len(self.space),) + stored[0].shape[1:2]
+        if len(shape) != 2 or any(v.shape != shape for v in stored):
+            raise SpaceMismatchError("each family must be a stack of shape (m, d)")
         if shared:
             for v in stored:
                 v.setflags(write=False)
@@ -105,7 +107,6 @@ class QDPair:
             return NotImplemented
         return self is other or (
             self.space == other.space
-            and len(self.families) == len(other.families)
             and all(np.array_equal(u, v) for u, v in zip(self.families, other.families))
         )
 
@@ -114,29 +115,9 @@ class QDPair:
         return self.families[0].shape[-1]
 
     @property
-    def factors(self) -> tuple | None:
-        """The (a, b, c, d) vector stacks of a rank-one pair; None for a dense pair."""
-        return self.families if len(self.families) == 4 else None
-
-    @property
-    def quantizers(self) -> np.ndarray:
-        """(m, d, d) stack of D(x); built afresh for a rank-one pair."""
-        return self._stack(0)
-
-    @property
-    def dequantizers(self) -> np.ndarray:
-        """(m, d, d) stack of U(x); built afresh for a rank-one pair."""
-        return self._stack(1)
-
-    def _stack(self, k: int) -> np.ndarray:
-        f = self.families
-        return f[k] if len(f) == 2 else np.einsum("xi,xj->xij", f[2 * k], np.conj(f[2 * k + 1]))
-
-    @property
     def self_dual(self) -> bool:
-        f = self.families
-        h = len(f) // 2
-        return all(u is v or np.array_equal(u, v) for u, v in zip(f[:h], f[h:]))
+        a, b, c, d = self.families
+        return all(u is v or np.array_equal(u, v) for u, v in ((a, c), (b, d)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,16 +147,12 @@ def _check_space(pair: QDPair, f: Symbol) -> None:
 
 
 def symbol(pair: QDPair, A: np.ndarray) -> Symbol:
-    """Dequantization: f_A(x) = Tr[A U(x)^dagger], = <c_x|A|d_x> for a rank-one pair."""
+    """Dequantization: f_A(x) = Tr[A U(x)^dagger] = <c_x|A|d_x>."""
     A = np.asarray(A, dtype=np.complex128)
     if A.shape != (pair.hilbert_dim, pair.hilbert_dim):
         raise SpaceMismatchError("operator dimension does not match the pair")
-    if pair.factors is None:
-        vals = np.einsum("ab,xab->x", A, np.conj(pair.dequantizers))
-    else:
-        _, _, c, d = pair.factors
-        vals = np.sum((np.conj(c) @ A) * d, axis=1)
-    return Symbol(pair.space, vals)
+    _, _, c, d = pair.families
+    return Symbol(pair.space, np.sum((np.conj(c) @ A) * d, axis=1))
 
 
 def reconstruct(pair: QDPair, f: Symbol) -> np.ndarray:
@@ -186,34 +163,26 @@ def reconstruct(pair: QDPair, f: Symbol) -> np.ndarray:
     reconstruction defect rather than hiding it.
     """
     _check_space(pair, f)
-    if pair.factors is None:
-        return np.einsum("x,x,xab->ab", f.values, pair.space.weights, pair.quantizers)
-    a, b, _, _ = pair.factors
+    a, b, _, _ = pair.families
     return a.T @ ((f.values * pair.space.weights)[:, None] * np.conj(b))
 
 
 def duality_residual(pair: QDPair) -> float:
     """max over (x, x') of |Tr[D(x) U(x')^dagger] w(x') - delta_xx'|.
 
-    For a rank-one pair Tr[D(x) U(x')^dagger] = <c_x'|a_x><b_x|d_x'>, two
-    Gram matrices.  The m x m overlap is taken in row blocks of about
-    _OVERLAP_BLOCK entries, so memory stays O(m) per row at any lattice size.
+    Tr[D(x) U(x')^dagger] = <c_x'|a_x><b_x|d_x'>, two Gram matrices.  The
+    m x m overlap is taken in row blocks of about _OVERLAP_BLOCK entries, so
+    memory stays O(m) per row at any lattice size.
     """
     m, w = len(pair.space), pair.space.weights
-    if pair.factors is None:
-        D, Uc = pair.quantizers, np.conj(pair.dequantizers)
-    else:
-        a, b, c, d = pair.factors
-        bc, ch = np.conj(b), np.conj(c).T
+    a, b, c, d = pair.families
+    bc, ch = np.conj(b), np.conj(c).T
     worst = 0.0
     step = max(1, _OVERLAP_BLOCK // m)
     for lo in range(0, m, step):
         rows = np.arange(lo, min(lo + step, m))
-        if pair.factors is None:
-            overlap = np.einsum("xab,yab->xy", D[rows], Uc)
-        else:
-            overlap = a[rows] @ ch
-            overlap *= bc[rows] @ d.T
+        overlap = a[rows] @ ch
+        overlap *= bc[rows] @ d.T
         overlap *= w[None, :]
         overlap[np.arange(len(rows)), rows] -= 1.0
         worst = max(worst, float(np.abs(overlap).max()))
@@ -224,19 +193,13 @@ def resolution_residual(pair: QDPair) -> float:
     """Frobenius distance of S = sum_x w_x vec D(x) vec U(x)^dagger from the identity.
 
     Zero exactly when symbol followed by reconstruct is the identity on all
-    operators (the family resolves the identity on operator space).  For a
-    rank-one pair the (i, k) block of S is the weighted Gram product
+    operators (the family resolves the identity on operator space).  The
+    (i, k) block of S is the weighted Gram product
     sum_x w_x a_x[i] conj(c_x[k]) conj(b_x) d_x^T, so S is never held whole and
     the identity is subtracted block by block (no cancellation near zero).
     """
     w = pair.space.weights
-    if pair.factors is None:
-        d2 = pair.hilbert_dim**2
-        Dv = pair.quantizers.reshape(len(pair.space), d2)
-        Uv = np.conj(pair.dequantizers.reshape(len(pair.space), d2))
-        S = np.einsum("x,xa,xb->ab", w, Dv, Uv)
-        return float(np.linalg.norm(S - np.eye(d2)))
-    a, b, c, d = pair.factors
+    a, b, c, d = pair.families
     bh, cc, eye = np.conj(b).T, np.conj(c), np.eye(pair.hilbert_dim)
     total = 0.0
     for i in range(pair.hilbert_dim):
@@ -261,10 +224,8 @@ def kernel(pair: QDPair) -> np.ndarray:
     K = <b1|a2><b2|d_x><c_x|a1>, a product of three m x m Gram matrices, as an
     (m, m, m) array.  The regular realization's kernel is ``d_realization_kernel``.
     """
-    if pair.factors is None:
-        raise ValueError("kernel needs a rank-one pair; use d_realization_kernel")
     _check_kernel_size(len(pair.space))
-    a, b, c, d = pair.factors
+    a, b, c, d = pair.families
     bc = np.conj(b)
     return (bc @ a.T)[:, :, None] * (bc @ d.T)[None, :, :] * (a @ np.conj(c).T)[:, None, :]
 
@@ -325,15 +286,38 @@ def _row_widths(G: FiniteGroupoid) -> np.ndarray:
     return widths
 
 
-def d_realization_qdpair(G: FiniteGroupoid) -> QDPair:
-    """Regular-realization pair of any finite groupoid: D(g), U(g) = D(g) / N(g).
+def regular_reconstruct(G: FiniteGroupoid, f) -> np.ndarray:
+    """Quantization in the regular realization: sum_g f(g) D(g), D(g)[i, k] = 1 iff g o k = i.
 
-    N(g) is ord(G0) * ord(H) on a transitive groupoid and that product over
-    the orbit of g otherwise, so Tr[D(g1) D(g2) U(g)^dagger] = delta_{g1 o g2, g}.
+    f(j) is added at (i, k) for each composable triple (j, k, i).  Added, not
+    assigned: on a table that is no groupoid two elements may send k to the
+    same i, and the sum then holds both terms.
     """
-    D = d_realization_stack(G).astype(np.complex128)
-    space = IndexSpace(tuple(range(G.order)), np.ones(G.order))
-    return QDPair(space, (D, D / _row_widths(G)[:, None, None]))
+    f = np.asarray(f, dtype=np.complex128)
+    if f.shape != (G.order,):
+        raise SpaceMismatchError("one value per groupoid element required")
+    j, k, i = G.composable_triples().T
+    A = np.zeros((G.order, G.order), dtype=np.complex128)
+    np.add.at(A, (i, k), f[j])
+    return A
+
+
+def regular_symbol(G: FiniteGroupoid, A: np.ndarray) -> np.ndarray:
+    """Dequantization in the regular realization: f_A(g) = Tr[A D(g)^T] / N(g).
+
+    The trace is a gather, the sum of A[i, k] over the triples (g, k, i),
+    divided once by the row widths N(g) = Tr[D(g) D(g)^T].  N(g) is
+    ord(G0) * ord(H) on a transitive groupoid and that product over the orbit
+    of g otherwise, so regular_symbol(G, regular_reconstruct(G, f)) = f.
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    if A.shape != (G.order, G.order):
+        raise SpaceMismatchError("operator dimension does not match the groupoid order")
+    j, k, i = G.composable_triples().T
+    vals, widths = A[i, k], _row_widths(G)
+    # real divisions, rounded correctly; a complex one would miss integers at N = 49
+    return (np.bincount(j, vals.real, G.order) / widths
+            + 1j * (np.bincount(j, vals.imag, G.order) / widths))
 
 
 def d_realization_kernel(G: FiniteGroupoid) -> np.ndarray:
@@ -370,17 +354,17 @@ def nonboolean_margin(K: np.ndarray) -> float:
 
 
 def _star_equals_convolution(
-    pair: QDPair, G: FiniteGroupoid, K: np.ndarray, n_pairs: int, seed: int,
-    integer_pairs: int = 0, **details,
+    product, G: FiniteGroupoid, K: np.ndarray, n_pairs: int, seed: int, **details,
 ) -> EquivalenceReport:
-    """The one check that the star product of ``pair`` is the convolution of ``G``.
+    """The one check that a star product of symbols on ``G`` is its convolution.
 
-    ``K``, the pair's kernel built once by the caller (``verify_gen_conv`` passes
-    its exact count form), is compared with delta_{g1 o g2}(g) by subtracting 1
-    in place at the composable triples.  Then ``integer_pairs``
-    Gaussian-integer symbol pairs, which must agree exactly, and ``n_pairs``
-    float pairs are drawn in that order from ``default_rng(seed)``; symbols and
-    groupoid functions share the flat element indexing.
+    ``product(f1, f2)`` maps two symbols, value arrays in the flat element
+    indexing of ``G``, to their star product.  ``K``, its kernel built once by
+    the caller (``verify_gen_conv`` passes its exact count form), is compared
+    with delta_{g1 o g2}(g) by subtracting 1 in place at the composable
+    triples.  Then max(1, n_pairs // 10) Gaussian-integer symbol pairs, which
+    must agree exactly, and ``n_pairs`` float pairs are drawn in that order
+    from ``default_rng(seed)``.
     """
     if n_pairs < 1:
         raise ValueError("the star-convolution check needs a symbol pair (n_pairs >= 1)")
@@ -390,13 +374,11 @@ def _star_equals_convolution(
     details["kernel_vs_delta_dev"] = float(np.abs(K).max())
     rng = np.random.default_rng(seed)
     dev = np.zeros((2, 2))  # [float, integer] pairs -> largest (max, Frobenius) deviation
-    for integer in [1] * integer_pairs + [0] * n_pairs:
+    for integer in [1] * max(1, n_pairs // 10) + [0] * n_pairs:
         f1, f2 = (random_function(G, rng, integer=bool(integer)) for _ in range(2))
-        got = star(pair, Symbol(pair.space, f1.values), Symbol(pair.space, f2.values))
-        diff = np.abs(got.values - convolve(f1, f2).values)
+        diff = np.abs(product(f1.values, f2.values) - convolve(f1, f2).values)
         dev[integer] = np.maximum(dev[integer], [diff.max(), np.linalg.norm(diff)])
-    if integer_pairs:
-        details["integer_max_dev"] = float(dev[1, 0])
+    details["integer_max_dev"] = float(dev[1, 0])
     exact = max(details["kernel_vs_delta_dev"], dev[1, 0]) == 0.0
     return EquivalenceReport(float(dev[0, 0]), float(dev[0, 1]), boolean,
                              bool(exact and dev[0, 0] < STAR_CONVOLUTION_TOL), details)
@@ -412,18 +394,26 @@ def verify_prop1(n: int, n_pairs: int = 100, seed: int = 0) -> EquivalenceReport
         raise ValueError("verify_prop1 needs n >= 1")
     _check_kernel_size(n * n)  # before the pair is built
     pair = weyl_qdpair(n)
-    return _star_equals_convolution(pair, pair_groupoid(n), kernel(pair), n_pairs, seed,
-                                    integer_pairs=max(1, n_pairs // 10))
+
+    def product(f1, f2):
+        return star(pair, Symbol(pair.space, f1), Symbol(pair.space, f2)).values
+
+    return _star_equals_convolution(product, pair_groupoid(n), kernel(pair), n_pairs, seed)
 
 
 def verify_gen_conv(G: FiniteGroupoid, n_pairs: int = 20, seed: int = 0) -> EquivalenceReport:
-    """Star product of the regular-realization pair vs convolution, on any finite groupoid.
+    """Star product of the regular realization vs convolution, on any finite groupoid.
 
-    The kernel is ``d_realization_kernel``.  ``normalization`` reports N(g):
-    one int when all rows are equally wide (every transitive groupoid), else
-    the distinct widths.
+    The kernel is ``d_realization_kernel``, and the product is
+    regular_symbol(regular_reconstruct(f1) @ regular_reconstruct(f2)).
+    ``normalization`` reports N(g): one int when all rows are equally wide
+    (every transitive groupoid), else the distinct widths.
     """
     K = d_realization_kernel(G)
     ns = np.unique(_row_widths(G)).tolist()
-    return _star_equals_convolution(d_realization_qdpair(G), G, K, n_pairs, seed,
+
+    def product(f1, f2):
+        return regular_symbol(G, regular_reconstruct(G, f1) @ regular_reconstruct(G, f2))
+
+    return _star_equals_convolution(product, G, K, n_pairs, seed,
                                     normalization=ns[0] if len(ns) == 1 else ns)

@@ -1,14 +1,19 @@
 """Reference forms the tests compare the library against.
 
-Each helper here serves one comparison and claims nothing of its own: the
-per-element regular realization ``d_realization`` (oracle for
-``algebra.d_realization_stack`` and the regular-realization pair), the
-kernel ``dense_kernel`` contracted from a pair's dense stacks (oracle for
-``starproduct.kernel`` and ``starproduct.d_realization_kernel``), the dense
-displaced symbol ``photon_symbol`` (criterion 6 and the photon tomography
-tests), and the smoothed densities of criterion 7, where atoms and a
-continuum density are mollified with the same kernel before they are
-compared.
+Each helper here serves one comparison and claims nothing of its own:
+
+- the per-element regular realization ``d_realization`` and its stacks
+  ``regular_stacks`` (oracles for ``algebra.d_realization_stack``,
+  ``starproduct.regular_symbol`` and ``starproduct.regular_reconstruct``);
+- the dense (m, d, d) operator stacks of a rank-one pair, ``dense_stacks``,
+  and the dense formulas on any stacks: ``dense_symbol``,
+  ``dense_reconstruct``, ``dense_duality_residual``,
+  ``dense_resolution_residual`` and ``dense_kernel`` (oracles for the Gram
+  products of ``starproduct`` and for ``starproduct.d_realization_kernel``);
+- the dense displaced symbol ``photon_symbol`` (criterion 6 and the photon
+  tomography tests);
+- the smoothed densities of criterion 7, where atoms and a continuum density
+  are mollified with the same kernel before they are compared.
 """
 
 import numpy as np
@@ -33,14 +38,48 @@ def d_realization(G: FiniteGroupoid, gamma: int) -> np.ndarray:
     return D
 
 
-def dense_kernel(pair: QDPair) -> np.ndarray:
-    """K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] from the dense (m, d, d) stacks.
+def regular_stacks(G: FiniteGroupoid) -> tuple:
+    """(D, U) stacks of the regular realization: D(g) = d_realization(G, g), U(g) = D(g) / N(g).
 
-    Contracted one x1 slice at a time, at any m; a rank-one pair's stacks are
-    materialized first.
+    N(g) = Tr[D(g) D(g)^T] is read off the operators, not the table.
     """
-    m, D = len(pair.space), pair.quantizers
-    Uf = np.conj(pair.dequantizers.reshape(m, -1))
+    D = np.stack([d_realization(G, g) for g in range(G.order)])
+    return D, D / np.einsum("xab,xab->x", D, D)[:, None, None]
+
+
+def dense_stacks(pair: QDPair) -> tuple:
+    """(D, U) stacks of a rank-one pair: D(x) = |a_x><b_x|, U(x) = |c_x><d_x|."""
+    a, b, c, d = pair.families
+    return tuple(np.einsum("xi,xj->xij", u, np.conj(v)) for u, v in ((a, b), (c, d)))
+
+
+def dense_symbol(U: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """f_A(x) = Tr[A U(x)^dagger]."""
+    return np.einsum("ab,xab->x", A, np.conj(U))
+
+
+def dense_reconstruct(D: np.ndarray, weights: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """A = sum_x f(x) w(x) D(x)."""
+    return np.einsum("x,x,xab->ab", f, weights, D)
+
+
+def dense_duality_residual(D: np.ndarray, U: np.ndarray, weights: np.ndarray) -> float:
+    """max over (x, x') of |Tr[D(x) U(x')^dagger] w(x') - delta_xx'|."""
+    overlap = np.einsum("xab,yab->xy", D, np.conj(U)) * weights[None, :]
+    return float(np.abs(overlap - np.eye(len(D))).max())
+
+
+def dense_resolution_residual(D: np.ndarray, U: np.ndarray, weights: np.ndarray) -> float:
+    """Frobenius distance of sum_x w_x vec D(x) vec U(x)^dagger from the identity."""
+    m, d2 = len(D), D[0].size
+    S = np.einsum("x,xa,xb->ab", weights, D.reshape(m, d2), np.conj(U.reshape(m, d2)))
+    return float(np.linalg.norm(S - np.eye(d2)))
+
+
+def dense_kernel(D: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger], one x1 slice at a time, at any m."""
+    m = len(D)
+    Uf = np.conj(U.reshape(m, -1))
     return np.stack([(D[a] @ D).reshape(m, -1) @ Uf.T for a in range(m)])
 
 

@@ -26,10 +26,12 @@ from groupoidal.groupoid import (
     transitive_groupoid,
 )
 from groupoidal.starproduct import (
+    IndexSpace,
     SpaceMismatchError,
     Symbol,
-    d_realization_qdpair,
     reconstruct,
+    regular_reconstruct,
+    regular_symbol,
     symbol,
     weyl_qdpair,
 )
@@ -43,9 +45,8 @@ def _weyl_matrix(f: GroupoidFunction) -> np.ndarray:
 
 
 def _d_quantize(f: GroupoidFunction) -> np.ndarray:
-    """sum f(g) D(g), through the regular-realization pair."""
-    pair = d_realization_qdpair(f.groupoid)
-    return reconstruct(pair, Symbol(pair.space, f.values))
+    """sum f(g) D(g), through the regular realization."""
+    return regular_reconstruct(f.groupoid, f.values)
 
 
 class TestOwnerCheck:
@@ -202,9 +203,9 @@ class TestPairRealization:
 
     def test_non_pair_owner_rejected(self):
         # a symbol on another index space of the same size is refused
-        other = d_realization_qdpair(group_groupoid(cyclic_group_table(4)))
+        other = IndexSpace(tuple(range(4)), np.ones(4))
         with pytest.raises(SpaceMismatchError):
-            reconstruct(weyl_qdpair(2), Symbol(other.space, np.eye(4)[0]))
+            reconstruct(weyl_qdpair(2), Symbol(other, np.eye(4)[0]))
 
 
 class TestDRealization:
@@ -294,17 +295,17 @@ class TestDQuantization:
     def test_round_trip(self, G):
         rng = np.random.default_rng(5)
         f = random_function(G, rng)
-        back = symbol(d_realization_qdpair(G), _d_quantize(f))
-        assert np.abs(back.values - f.values).max() < 1e-12
+        back = regular_symbol(G, _d_quantize(f))
+        assert np.abs(back - f.values).max() < 1e-12
 
     def test_zero_operator(self):
-        out = symbol(d_realization_qdpair(pair_groupoid(2)), np.zeros((4, 4)))
-        assert np.all(out.values == 0)
+        out = regular_symbol(pair_groupoid(2), np.zeros((4, 4)))
+        assert np.all(out == 0)
 
     def test_delta_recovered_from_d_matrix(self):
         G = transitive_groupoid(2, cyclic_group_table(2))
-        out = symbol(d_realization_qdpair(G), d_realization(G, 3))
-        assert np.array_equal(out.values, delta(G, 3).values)
+        out = regular_symbol(G, d_realization(G, 3))
+        assert np.array_equal(out, delta(G, 3).values)
 
 
 _SCATTER_CORPUS = pytest.mark.parametrize(
@@ -338,7 +339,7 @@ class TestScatterRealization:
         A = rng.standard_normal((G.order,) * 2) + 1j * rng.standard_normal((G.order,) * 2)
         D = [d_realization(G, g) for g in range(G.order)]
         want = [np.trace(A @ d.T) / np.trace(d @ d.T) for d in D]
-        assert np.abs(symbol(d_realization_qdpair(G), A).values - want).max() < 1e-12
+        assert np.abs(regular_symbol(G, A) - want).max() < 1e-12
 
 
 class TestGridConvolution:

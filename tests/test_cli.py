@@ -198,6 +198,39 @@ class TestEquiv:
     def test_genconv_group(self):
         assert main(["equiv", "genconv", "--group", "Z4"]) == 0
 
+    def test_genconv_reports_integer_symbols_exact(self, tmp_path):
+        # N(g) = 6: the product is divided once by N, so Gaussian integers come back exactly
+        argv = ["equiv", "genconv", "--group", "Z6", "--out", str(tmp_path), "--json", "r.json"]
+        assert main(argv) == 0
+        checks = json.loads((tmp_path / "r.json").read_text())["checks"]
+        assert [c["name"] for c in checks] == ["kernel_equals_delta", "star_equals_convolution",
+                                              "integer_symbols_exact"]
+        assert checks[2]["passed"] and checks[2]["deviation"] == 0.0
+
+    def test_genconv_file_that_is_no_groupoid_keeps_its_report(self, tmp_path):
+        # Z2 with a o a = a loads, since equiv does not validate axioms.  e and a
+        # both send a to a, so reconstruct must add both terms at (a, a).  The
+        # figures are the ones the dense (m, m, m) operator stacks gave.
+        data = {"order": 2, "units": [0], "source": [0, 0], "target": [0, 0], "inverse": [0, 1],
+                "compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]], "name": "Z2, a o a = a"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["equiv", "genconv", "--file", str(path), "--out", str(tmp_path),
+                     "--json", "r.json"]) == 1
+        report = json.loads((tmp_path / "r.json").read_text())
+        del report["wall_time_s"]
+        integer = report["checks"].pop()
+        assert integer["name"] == "integer_symbols_exact" and not integer["passed"]
+        assert report == {
+            "schema": 1, "command": "equiv genconv",
+            "parameters": {"order": 2, "name": "Z2, a o a = a", "pairs": 20}, "seed": 0,
+            "checks": [
+                {"name": "kernel_equals_delta", "passed": False, "deviation": 0.5},
+                {"name": "star_equals_convolution", "passed": False,
+                 "deviation": 3.222917598125614, "normalization": 2},
+            ],
+        }
+
     def test_coherent_counterexample_passes_when_gap_large(self, capsys):
         assert main(["equiv", "coherent", "--grid", "5", "--spacing", "0.5"]) == 0
         out = capsys.readouterr().out
@@ -574,9 +607,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, what",
         [
-            ("tomo spin --j 1e6 --samples 1", "rotation batch"),
-            ("tomo spin --j 300 --samples 2000", "rotation batch"),
-            ("tomo spin --j 1e300 --samples 1", "rotation batch"),
+            ("tomo spin --j 1e6 --samples 1", "rotation matrix"),
+            ("tomo spin --j 1e300 --samples 1", "probability table"),
             ("tomo photon --nt 100000", "density matrix"),
             ("axioms --pair 182", "composition table"),
             ("axioms --pair 300", "composition table"),
@@ -599,6 +631,28 @@ class TestExitCodes:
         else:
             assert err.startswith(f"infeasible parameters: {what} of shape")
             assert "GiB limit" in err
+
+
+    @pytest.mark.parametrize("j", ["1e6", "1e300"])
+    def test_spin_refusal_writes_no_file(self, tmp_path, capsys, j):
+        out = tmp_path / "out"
+        argv = ["tomo", "spin", "--j", j, "--samples", "1", "--out", str(out), "--json", "r.json"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("infeasible parameters: ")
+        assert list(out.rglob("*")) == []
+
+    def test_spin_admits_what_the_tomogram_holds(self, tmp_path, monkeypatch):
+        # j = 300 and 2000 samples: the whole rotation batch would be 10.8 GiB, but
+        # spin_tomogram holds a 9.6 MB probability table and one 5.8 MB rotation
+        class Admitted(Exception):
+            pass
+
+        def admitted(j, g, rho):
+            raise Admitted
+
+        monkeypatch.setattr(tomography, "spin_tomogram", admitted)
+        with pytest.raises(Admitted):
+            main(["tomo", "spin", "--j", "300", "--samples", "2000", "--out", str(tmp_path)])
 
 
 class TestDeterminism:

@@ -4,7 +4,9 @@ The scan collects the module-level functions, classes and constants whose
 name does not start with ``_`` and that no ``src`` code spells as a name or
 an attribute.  That set must equal ``KEPT``, where each entry says which
 paper claim or test oracle keeps it.  A new helper that only the tests call
-belongs in ``tests/oracles.py``; adding it to ``src`` fails here.
+belongs in ``tests/oracles.py``; adding it to ``src`` fails here.  In turn,
+every public function of ``tests/oracles.py`` must be used by a test module,
+so dense reference code cannot linger there unused.
 """
 
 import ast
@@ -37,9 +39,10 @@ KEPT = {
 }
 
 
-def _unreferenced_public_names() -> set:
+def _public_names(paths) -> tuple:
+    """(public module-level names defined, names spelled as a name or an attribute)."""
     defined, referenced = set(), set()
-    for path in Path(groupoidal.__file__).parent.glob("*.py"):
+    for path in paths:
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -51,8 +54,16 @@ def _unreferenced_public_names() -> set:
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    return {name for name in defined - referenced if not name.startswith("_")}
+    return {name for name in defined if not name.startswith("_")}, referenced
 
 
 def test_every_unreferenced_public_name_is_kept_on_purpose():
-    assert _unreferenced_public_names() == set(KEPT)
+    defined, referenced = _public_names(Path(groupoidal.__file__).parent.glob("*.py"))
+    assert defined - referenced == set(KEPT)
+
+
+def test_every_oracle_is_used_by_a_test():
+    tests = Path(__file__).parent
+    oracles, _ = _public_names([tests / "oracles.py"])
+    _, used = _public_names(tests.glob("test_*.py"))
+    assert oracles - used == set()

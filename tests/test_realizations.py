@@ -24,7 +24,6 @@ from groupoidal.realizations import (
     two_mode_weyl_pair,
 )
 from groupoidal.starproduct import (
-    QDPair,
     Symbol,
     duality_residual,
     resolution_residual,
@@ -33,6 +32,7 @@ from groupoidal.starproduct import (
     weyl_qdpair,
 )
 from groupoidal.tomography import displacement_operator
+from oracles import dense_duality_residual, dense_stacks
 
 
 def _rand_op(rng, d):
@@ -43,7 +43,7 @@ class TestSpinPair:
     def test_half_spin_equals_weyl_units(self):
         pair = spin_weyl_pair(0.5)
         assert pair.hilbert_dim == 2
-        assert np.array_equal(pair.quantizers, weyl_units(2))
+        assert np.array_equal(dense_stacks(pair)[0], weyl_units(2))
         assert pair.self_dual
 
     def test_symbol_is_matrix_element(self):
@@ -56,8 +56,9 @@ class TestSpinPair:
 
     def test_completeness(self):
         pair = spin_weyl_pair(1.5)
+        D, _ = dense_stacks(pair)
         diag = sum(
-            pair.quantizers[i]
+            D[i]
             for i, (m, mp) in enumerate(pair.space.labels)
             if m == mp
         )
@@ -90,7 +91,7 @@ class TestFockPair:
         assert np.abs(out.values.reshape(4, 4) - A @ B).max() < 1e-12
 
     def test_qubit_reduction(self):
-        assert np.array_equal(weyl_qdpair(2).quantizers, weyl_units(2))
+        assert np.array_equal(dense_stacks(weyl_qdpair(2))[0], weyl_units(2))
 
     def test_truncated_ladder_elements(self):
         a = annihilation(8)
@@ -116,7 +117,7 @@ class TestTwoModePair:
 
     def test_forbidden_products_vanish(self):
         pair = two_mode_weyl_pair(2, 2)
-        ops = pair.quantizers
+        ops, _ = dense_stacks(pair)
         labels = pair.space.labels
         for i, (a1, b1) in enumerate(labels):
             for j, (a2, b2) in enumerate(labels):
@@ -275,8 +276,8 @@ class TestCoherent:
 
     def test_factored_duality_residual_matches_dense_oracle(self):
         pair = coherent_pair(coherent_grid(3, 0.6), 24)
-        oracle = QDPair(pair.space, (pair.quantizers, pair.dequantizers))
-        assert abs(duality_residual(pair) - duality_residual(oracle)) < 1e-12
+        oracle = dense_duality_residual(*dense_stacks(pair), pair.space.weights)
+        assert abs(duality_residual(pair) - oracle) < 1e-12
 
     def test_batched_vectors_equal_single_calls(self):
         z = np.concatenate([coherent_grid(5, 0.5).z_points, [0j, 1e-300, -2.5j]])
@@ -318,7 +319,7 @@ class TestSpinBlocks:
 
     def test_block_diagonal_quantizers(self):
         pair = spin_block_pair((0.5, 1.0))
-        for op in pair.quantizers:
+        for op in dense_stacks(pair)[0]:
             assert np.all(op[:2, 2:] == 0) and np.all(op[2:, :2] == 0)
 
     def test_residuals(self):
@@ -337,7 +338,7 @@ class TestSelfDualStorage:
         ids=["rank_one", "blocks", "coherent", "position"],
     )
     def test_one_read_only_stack(self, pair):
-        a, b, c, d = pair.factors
+        a, b, c, d = pair.families
         assert c is a and d is b
         assert pair.self_dual
         for v in (a, b):

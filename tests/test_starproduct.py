@@ -35,10 +35,11 @@ from groupoidal.starproduct import (
     Symbol,
     associativity_residual,
     d_realization_kernel,
-    d_realization_qdpair,
     duality_residual,
     kernel,
     reconstruct,
+    regular_reconstruct,
+    regular_symbol,
     resolution_residual,
     star,
     symbol,
@@ -46,7 +47,16 @@ from groupoidal.starproduct import (
     verify_prop1,
     weyl_qdpair,
 )
-from oracles import dense_kernel
+from oracles import (
+    d_realization,
+    dense_duality_residual,
+    dense_kernel,
+    dense_reconstruct,
+    dense_resolution_residual,
+    dense_stacks,
+    dense_symbol,
+    regular_stacks,
+)
 
 
 def _rand_op(rng, d):
@@ -99,16 +109,15 @@ class TestSymbolReconstruct:
         with pytest.raises(SpaceMismatchError):
             reconstruct(pair, Symbol(other.space, np.zeros(9)))
 
-    def test_symbol_side_identity_for_non_spanning_pair(self):
+    def test_symbol_side_identity_for_non_spanning_family(self):
         # zero duality residual gives the identity on symbols even when the
-        # family does not span operator space (regular-realization pairs)
+        # family does not span operator space (the regular realization)
         G = transitive_groupoid(2, cyclic_group_table(2))
-        pair = d_realization_qdpair(G)
-        assert duality_residual(pair) == 0.0
+        assert dense_duality_residual(*regular_stacks(G), np.ones(8)) == 0.0
         rng = np.random.default_rng(3)
-        f = Symbol(pair.space, rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        back = symbol(pair, reconstruct(pair, f))
-        assert np.abs(back.values - f.values).max() < 1e-12
+        f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        back = regular_symbol(G, regular_reconstruct(G, f))
+        assert np.abs(back - f).max() < 1e-12
 
 
 class TestResiduals:
@@ -118,9 +127,9 @@ class TestResiduals:
             assert duality_residual(pair) == 0.0
             assert resolution_residual(pair) == 0.0
 
-    def test_d_realization_pair_duality(self):
+    def test_regular_realization_duality(self):
         for G in (pair_groupoid(3), transitive_groupoid(2, cyclic_group_table(2))):
-            assert duality_residual(d_realization_qdpair(G)) == 0.0
+            assert dense_duality_residual(*regular_stacks(G), np.ones(G.order)) == 0.0
 
     def test_coherent_residual_large_and_bounded_below(self):
         grid = coherent_grid(5, 0.5)
@@ -229,7 +238,7 @@ class TestRankOnePair:
         vecs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
         w = np.array([0.5, 2.0, 3.0, 0.25])
         full = starproduct.rank_one_pair(vecs, basis, w)
-        kets, bras = full.factors[:2]  # D(x) = |v_i><v_k|
+        kets, bras = full.families[:2]  # D(x) = |v_i><v_k|
         for i in range(n):
             for k in range(n):
                 x = i * n + k
@@ -241,12 +250,12 @@ class TestRankOnePair:
         part = starproduct.rank_one_pair(vecs, basis, w, select)
         assert part.space.labels == tuple(full.space.labels[x] for x in select)
         assert np.array_equal(part.space.weights, full.space.weights[select])
-        for got, want in zip(part.factors, full.factors):
+        for got, want in zip(part.families, full.families):
             assert np.array_equal(got, want[select])
         for pair in (full, part):
             assert pair.self_dual
             assert all(u is v for u, v in zip(pair.families[:2], pair.families[2:]))
-            assert np.array_equal(pair.quantizers, pair.dequantizers)
+            assert np.array_equal(*dense_stacks(pair))
 
 
 class TestQDPairEquality:
@@ -260,7 +269,7 @@ class TestQDPairEquality:
 
     def test_operators_and_space_are_compared(self):
         pair = weyl_qdpair(2)
-        a, b, c, d = pair.factors
+        a, b, c, d = pair.families
         changed_ops = QDPair(pair.space, (a, b, 2 * c, d))
         reweighted = IndexSpace(pair.space.labels, 2 * pair.space.weights)
         changed_space = QDPair(reweighted, (a, b, a, b))
@@ -269,13 +278,13 @@ class TestQDPairEquality:
         assert pair != changed_ops
         assert pair != changed_space
 
-    def test_dense_pairs_compare_their_stacks(self):
+    def test_dense_operator_stacks_are_refused(self):
+        # a pair stores only the four (m, d) vector stacks of a rank-one family
         pair = weyl_qdpair(2)
-        D, U = pair.quantizers, pair.dequantizers
-        dense = QDPair(pair.space, (D, U))
-        assert dense == QDPair(pair.space, (D.copy(), U.copy()))
-        assert dense != QDPair(pair.space, (D, 2 * U))
-        assert dense != pair  # same operators, other stored form
+        D, U = dense_stacks(pair)
+        for families in ((D, U), (D, D, U, U)):
+            with pytest.raises(SpaceMismatchError):
+                QDPair(pair.space, families)
 
 
 class TestSymbolEquality:
@@ -317,7 +326,7 @@ class TestStar:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = star(pair, f, g)
-        K = dense_kernel(pair)
+        K = dense_kernel(*dense_stacks(pair))
         w = pair.space.weights
         want = np.einsum("a,b,abc->c", f.values * w, g.values * w, K)
         assert np.abs(got.values - want).max() < 1e-10
@@ -326,6 +335,15 @@ class TestStar:
 # every transitive groupoid T(u, Z_k) whose regular realization fits the
 # dense-kernel limit, u^2 k <= 64
 _TRANSITIVE_SHAPES = [(u, k) for k in range(1, 65) for u in range(1, 9) if u * u * k <= 64]
+# one transitive shape, or a union of 2-3 transitive parts, of order <= 64
+_GROUPOID_PARTS = st.one_of(
+    st.sampled_from(_TRANSITIVE_SHAPES).map(lambda shape: [shape]),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 7)), min_size=2, max_size=3)
+    .filter(lambda parts: sum(u * u * k for u, k in parts) <= 64))
+
+
+def _union(parts):
+    return disjoint_union([transitive_groupoid(u, cyclic_group_table(k)) for u, k in parts])
 
 
 class TestStarProperties:
@@ -333,32 +351,31 @@ class TestStarProperties:
     @given(shape=st.sampled_from(_TRANSITIVE_SHAPES), seed=st.integers(0, 2**32 - 1))
     def test_star_is_convolution_and_associative(self, shape, seed):
         G = transitive_groupoid(shape[0], cyclic_group_table(shape[1]))
-        pair = d_realization_qdpair(G)
+
+        def star_(f1, f2):
+            return regular_symbol(G, regular_reconstruct(G, f1) @ regular_reconstruct(G, f2))
+
         rng = np.random.default_rng(seed)
         f, g, h = (random_function(G, rng) for _ in range(3))
-        sf, sg, sh = (Symbol(pair.space, x.values) for x in (f, g, h))
-        fg = star(pair, sf, sg)
-        assert np.abs(fg.values - convolve(f, g).values).max() < 1e-12
-        lhs = star(pair, fg, sh).values
-        rhs = star(pair, sf, star(pair, sg, sh)).values
+        fg = star_(f.values, g.values)
+        assert np.abs(fg - convolve(f, g).values).max() < 1e-12
+        lhs = star_(fg, h.values)
+        rhs = star_(f.values, star_(g.values, h.values))
         # triple products reach |.| ~ 1e2 at order 64; compare relative to that
         assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(lhs).max())
 
 
 class TestDRealizationKernel:
     @settings(max_examples=12, deadline=None)
-    @given(parts=st.one_of(
-        st.sampled_from(_TRANSITIVE_SHAPES).map(lambda shape: [shape]),
-        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 7)), min_size=2, max_size=3)
-        .filter(lambda parts: sum(u * u * k for u, k in parts) <= 64)))
+    @given(parts=_GROUPOID_PARTS)
     def test_kernel_is_the_exact_delta_and_matches_the_dense_oracle(self, parts):
-        G = disjoint_union([transitive_groupoid(u, cyclic_group_table(k)) for u, k in parts])
+        G = _union(parts)
         K = d_realization_kernel(G)
         delta = np.zeros_like(K)
         delta[tuple(G.composable_triples().T)] = 1.0
         assert np.array_equal(K, delta)  # 0/1 exactly, 1 exactly at the composable triples
         # against Tr[D1 D2 U^dagger] with U's rounded 1/N
-        assert np.abs(dense_kernel(d_realization_qdpair(G)) - K).max() <= 1e-15
+        assert np.abs(dense_kernel(*regular_stacks(G)) - K).max() <= 1e-15
 
     def test_refuses_an_order_above_the_limit_before_building(self, monkeypatch):
         def unbuilt(G):
@@ -367,6 +384,43 @@ class TestDRealizationKernel:
         monkeypatch.setattr(starproduct, "d_realization_stack", unbuilt)
         with pytest.raises(InfeasibleError, match="m=81 index points exceeds"):
             d_realization_kernel(pair_groupoid(9))
+
+
+class TestRegularRealization:
+    """The gather and scatter-add over composable triples against the dense stacks."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(parts=_GROUPOID_PARTS, seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_is_exact_on_integers_and_matches_the_dense_stacks(self, parts, seed):
+        G = _union(parts)
+        rng = np.random.default_rng(seed)
+        f = random_function(G, rng, integer=True).values
+        assert np.array_equal(regular_symbol(G, regular_reconstruct(G, f)), f)
+        f = random_function(G, rng).values
+        A = regular_reconstruct(G, f)
+        D, U = regular_stacks(G)
+        assert np.array_equal(A, dense_reconstruct(D, np.ones(G.order), f))
+        # both sides sum N(g) terms, so each may round by about N(g) ulps of f
+        widths = np.einsum("xab,xab->x", D, D)
+        dev = np.abs(regular_symbol(G, A) - dense_symbol(U, A))
+        assert np.all(dev <= 1e-15 * widths * np.abs(f).max())
+
+    def test_scatter_adds_elements_that_send_k_to_the_same_i(self):
+        # Z2 with a o a = a: e o a = a o a = a, so D(e) and D(a) both hold (a, a)
+        G = FiniteGroupoid.from_dict({"order": 2, "units": [0], "source": [0, 0],
+                                      "target": [0, 0], "inverse": [0, 1],
+                                      "compose": [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]})
+        f = np.array([2.0 + 1j, -3.0 + 0.5j])
+        want = sum(f[g] * d_realization(G, g) for g in range(G.order))
+        assert want[1, 1] == f[0] + f[1]
+        assert np.array_equal(regular_reconstruct(G, f), want)
+
+    def test_shapes_are_checked(self):
+        G = pair_groupoid(2)
+        with pytest.raises(SpaceMismatchError):
+            regular_reconstruct(G, np.ones(3))
+        with pytest.raises(SpaceMismatchError):
+            regular_symbol(G, np.eye(3))
 
 
 # every rank-one family, sized by k; the Weyl-unit ones have 0/1 factors
@@ -392,9 +446,7 @@ class TestRankOneMatchesDenseOracle:
     @given(k=st.integers(0, 59), seed=st.integers(0, 2**32 - 1))
     def test_factored_equals_dense(self, family, k, seed):
         pair = _RANK_ONE_FAMILIES[family](k)
-        assert pair.factors is not None
-        oracle = QDPair(pair.space, (pair.quantizers, pair.dequantizers))
-        assert oracle.factors is None
+        (D, U), w = dense_stacks(pair), pair.space.weights
         rng = np.random.default_rng(seed)
         m, d = len(pair.space), pair.hilbert_dim
         A = _rand_op(rng, d)
@@ -402,11 +454,12 @@ class TestRankOneMatchesDenseOracle:
                 for _ in range(2))
         got = [symbol(pair, A).values, reconstruct(pair, f), star(pair, f, g).values,
                duality_residual(pair), resolution_residual(pair)]
-        want = [symbol(oracle, A).values, reconstruct(oracle, f), star(oracle, f, g).values,
-                duality_residual(oracle), resolution_residual(oracle)]
+        fg = dense_reconstruct(D, w, f.values) @ dense_reconstruct(D, w, g.values)
+        want = [dense_symbol(U, A), dense_reconstruct(D, w, f.values), dense_symbol(U, fg),
+                dense_duality_residual(D, U, w), dense_resolution_residual(D, U, w)]
         if m <= 64:
             got.append(kernel(pair))
-            want.append(dense_kernel(oracle))
+            want.append(dense_kernel(D, U))
         for x, y in zip(got, want):
             if family in _UNIT_FAMILIES:
                 assert np.array_equal(x, y)
@@ -420,16 +473,14 @@ class TestDualityResidualBlocks:
         # m = 9 with block 40 gives row blocks 0-3, 4-7 and a short last one,
         # which alone holds the defect |3 - 1| of the rescaled last dequantizer
         weyl = weyl_qdpair(3)
-        a, b, c, d = weyl.factors
-        U = weyl.dequantizers
-        U[-1] *= 3
+        a, b, c, d = weyl.families
         pairs = [QDPair(weyl.space, (a, b, np.vstack([c[:-1], 3 * c[-1:]]), d)),
-                 QDPair(weyl.space, (weyl.quantizers, U)),
                  coherent_pair(coherent_grid(2, 0.5), 12)]
         want = [duality_residual(p) for p in pairs]
         monkeypatch.setattr(starproduct, "_OVERLAP_BLOCK", block)
         assert [duality_residual(p) for p in pairs] == want
-        assert want[:2] == [2.0, 2.0] and want[2] > 0.1
+        assert want[0] == 2.0 == dense_duality_residual(*dense_stacks(pairs[0]), np.ones(9))
+        assert want[1] > 0.1
 
 
 class TestAssociativity:
@@ -440,8 +491,7 @@ class TestAssociativity:
 
     def test_d_realization_small(self):
         for G in (pair_groupoid(3), transitive_groupoid(2, cyclic_group_table(2))):
-            w = d_realization_qdpair(G).space.weights
-            assert associativity_residual(d_realization_kernel(G), w) == 0.0
+            assert associativity_residual(d_realization_kernel(G), np.ones(G.order)) == 0.0
 
     def test_perturbed_kernel_fails(self):
         pair = weyl_qdpair(2)
@@ -479,7 +529,6 @@ class TestEquivalenceReports:
         # independent oracle: classical convolution on Z4 by double loop
         table = cyclic_group_table(4)
         G = group_groupoid(table)
-        pair = d_realization_qdpair(G)
         rng = np.random.default_rng(21)
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -487,8 +536,8 @@ class TestEquivalenceReports:
         for g1 in range(4):
             for g2 in range(4):
                 want[table[g1, g2]] += a[g1] * b[g2]
-        got = star(pair, Symbol(pair.space, a), Symbol(pair.space, b))
-        assert np.abs(got.values - want).max() < 1e-12
+        got = regular_symbol(G, regular_reconstruct(G, a) @ regular_reconstruct(G, b))
+        assert np.abs(got - want).max() < 1e-12
 
     def test_genconv_mixed(self):
         rep = verify_gen_conv(transitive_groupoid(2, cyclic_group_table(2)))
@@ -600,7 +649,8 @@ class TestValidation:
     def test_self_dual_flag(self):
         pair = weyl_qdpair(2)
         assert pair.self_dual
-        other = QDPair(pair.space, (pair.quantizers, pair.quantizers * 2))
+        a, b, _, _ = pair.families
+        other = QDPair(pair.space, (a, b, a, 2 * b))
         assert not other.self_dual
 
 
