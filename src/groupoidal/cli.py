@@ -535,6 +535,8 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float):
                 _finite(value, f"--{name}")
+        if getattr(args, "tol", 1.0) <= 0:  # a check `error < tol` could never pass
+            raise ValueError(f"--tol must be positive (got {args.tol})")
         path = args.json and _out_dir(args) / args.json
         if path:  # made before the work, so a path that cannot be made exits 2 first
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,7 @@ resolve.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,8 +41,8 @@ _POINT_BLOCK = 32
 # rotation-matrix entries per batch of spin_tomogram: (2j+1)^2 per rotation, so
 # 594 rotations at j = 10 and 17 at j = 60; bounds each complex temporary to 4 MB
 _ROTATION_BLOCK = 1 << 18
-# lattice points above which symplectic_reconstruct is refused: 41-53 us a
-# point measured at N_t 8-32 (2 vCPUs), so about a minute of work
+# lattice points above which symplectic_reconstruct is refused: 14-24 us a
+# point measured at N_t 8-32 (2 vCPUs), so under half a minute of work
 SYMPLECTIC_POINT_LIMIT = 1 << 20
 
 
@@ -444,6 +445,10 @@ class SymplecticTomogram:
     x: np.ndarray  # eigenvalues, ascending
     p: np.ndarray  # weights <e_k|rho|e_k>
 
+    def reflected(self) -> SymplecticTomogram:
+        """The tomogram at (-mu, -nu): M(X, -mu, -nu) = M(-X, mu, nu), atoms kept ascending."""
+        return SymplecticTomogram(mu=-self.mu, nu=-self.nu, x=-self.x[::-1], p=self.p[::-1])
+
 
 class QuadratureFrame:
     """Spectrum and eigenvectors of every quadrature mu q + nu p from one eigh(q).
@@ -455,16 +460,25 @@ class QuadratureFrame:
 
     def __init__(self, n_trunc: int):
         self.x_q, self.V_q = np.linalg.eigh(quadrature_operator(n_trunc, 1.0, 0.0))
+        self._x_max = float(self.x_q[-1])
 
     def rotated(self, theta: float) -> np.ndarray:
         """Eigenvectors U_theta V_q of cos(theta) q + sin(theta) p."""
         return np.exp(1j * theta * np.arange(len(self.x_q)))[:, None] * self.V_q
 
     def direction(self, mu: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, eigenvector columns) of mu q + nu p."""
+        """(eigenvalues, eigenvector columns) of mu q + nu p.
+
+        Raises InfeasibleError when the eigenvalues r x_q are not finite; the
+        largest, r max(x_q), decides, so the check costs one product.
+        """
         if mu == 0 and nu == 0:
             raise DegenerateDirectionError("direction (mu, nu) = (0, 0) is degenerate")
-        return np.hypot(mu, nu) * self.x_q, self.rotated(np.arctan2(nu, mu))
+        r = np.hypot(mu, nu)
+        if not math.isfinite(float(r) * self._x_max):  # Python floats overflow silently
+            raise InfeasibleError(f"the eigenvalues of mu q + nu p at (mu, nu) = ({mu:g}, {nu:g}) "
+                                  "overflow float64; use a shorter direction")
+        return r * self.x_q, self.rotated(np.arctan2(nu, mu))
 
     def weyl(self, mu: float, nu: float) -> np.ndarray:
         """Weyl operator exp(-i(mu q + nu p)) on the truncated space.
@@ -500,14 +514,20 @@ def symplectic_reconstruct(
     ``provider(mu, nu)`` must return the SymplecticTomogram of the target
     state; the inner x-integral of the reconstruction formula is evaluated
     exactly on the tomogram atoms, the outer integral by a trapezoid lattice
-    over [-L, L]^2.  In the quadrature frame the sum is
+    over [-L, L]^2.  The provider is asked for half the lattice only (the
+    rows mu > 0 and the points nu > 0 of the row mu = 0): by homogeneity,
+    M(X, -mu, -nu) = M(-X, mu, nu), the reflected tomogram gives chi at the
+    mirror point (-mu, -nu), with no assumption that the operator is
+    Hermitian.  In the quadrature frame the sum is
     A[j, k] = sum_a V_q[j, a] S[j - k, a] conj(V_q[k, a]) with
     S[d, a] = sum over points of chi e^{itd} e^{-i r x_a}, accumulated one
-    mu-row at a time; (0, 0) enters with r = t = 0 and chi = Tr[A].
+    mu-row at a time, each row mu > 0 together with its mirror row, whose
+    angles are t + pi; (0, 0) enters with r = t = 0 and chi = Tr[A].
 
     If |chi| has not decayed at the grid boundary the lattice misses
     characteristic-function mass; a warning reports the largest |chi| on the
-    first row and column of the lattice, which is also recorded in the result.
+    first row (mu = -L) and column (nu = -L) of the lattice, which is also
+    recorded in the result.
     """
     if not (0 < grid_limit < np.inf and 0 < grid_step < np.inf):
         raise ValueError("grid_limit and grid_step must be positive and finite")
@@ -518,16 +538,27 @@ def symplectic_reconstruct(
                               f"{SYMPLECTIC_POINT_LIMIT:,}-point limit; use a coarser step")
     n_half = round(ratio)
     grid = grid_step * np.arange(-n_half, n_half + 1)
+    mus, nus = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    # in row-major order point k mirrors point -1 - k, and the centre is (0, 0)
+    centre = len(mus) // 2
+    chi = np.empty(len(mus), dtype=np.complex128)
+    chi[centre] = np.sum(provider(grid_step * 1e-9, 0.0).p)
+    for k in range(centre + 1, len(mus)):
+        tomogram = provider(mus[k], nus[k])
+        chi[k] = characteristic_value(tomogram)
+        chi[-1 - k] = characteristic_value(tomogram.reflected())
+    chi = chi.reshape(len(grid), len(grid))
+    tail = max(np.abs(chi[0]).max(), np.abs(chi[:, 0]).max())
+
     frame = QuadratureFrame(n_trunc)
     shifts = np.arange(1 - n_trunc, n_trunc)
+    signs = (-1.0) ** shifts[:, None]  # e^{i(t + pi)d} = (-1)^d e^{itd}
     S = np.zeros((len(shifts), n_trunc), dtype=np.complex128)
-    tail = 0.0
-    for mu in grid:
-        chi = np.array([characteristic_value(provider(mu, nu)) if mu or nu
-                        else np.sum(provider(grid_step * 1e-9, 0.0).p) for nu in grid])
-        tail = max(tail, np.abs(chi if mu == grid[0] else chi[:1]).max())
-        phases = chi * np.exp(1j * np.multiply.outer(shifts, np.arctan2(grid, mu)))
-        S += phases @ np.exp(-1j * np.multiply.outer(np.hypot(mu, grid), frame.x_q))
+    for i in range(n_half, len(grid)):
+        # row mu > 0 carries its mirror row -mu, point for point at the same r
+        row = chi[i] if i == n_half else chi[i] + signs * chi[-1 - i, ::-1]
+        phases = row * np.exp(1j * np.multiply.outer(shifts, np.arctan2(grid, grid[i])))
+        S += phases @ np.exp(-1j * np.multiply.outer(np.hypot(grid[i], grid), frame.x_q))
     j, k = np.indices((n_trunc, n_trunc))
     total = np.einsum("ja,jka,ka->jk", frame.V_q, S[j - k + n_trunc - 1], frame.V_q.conj())
     total *= grid_step**2 / (2 * np.pi)

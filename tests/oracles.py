@@ -12,6 +12,9 @@ Each helper here serves one comparison and claims nothing of its own:
   products of ``starproduct`` and for ``starproduct.d_realization_kernel``);
 - the dense displaced symbol ``photon_symbol`` (criterion 6 and the photon
   tomography tests);
+- the full-lattice symplectic sum ``full_lattice_reconstruct``, which asks
+  the provider for every lattice point (oracle for
+  ``tomography.symplectic_reconstruct``, which reads half of them);
 - the smoothed densities of criterion 7, where atoms and a continuum density
   are mollified with the same kernel before they are compared.
 """
@@ -21,7 +24,12 @@ import numpy as np
 from groupoidal.groupoid import UNDEFINED, FiniteGroupoid
 from groupoidal.realizations import hermite_functions
 from groupoidal.starproduct import QDPair
-from groupoidal.tomography import SymplecticTomogram, displacement_operator
+from groupoidal.tomography import (
+    QuadratureFrame,
+    SymplecticTomogram,
+    characteristic_value,
+    displacement_operator,
+)
 
 
 def d_realization(G: FiniteGroupoid, gamma: int) -> np.ndarray:
@@ -90,6 +98,30 @@ def photon_symbol(n_trunc: int, z: complex, A: np.ndarray) -> np.ndarray:
         raise ValueError("operator dimension does not match n_trunc")
     D = displacement_operator(n_trunc, z)
     return D.conj().T @ A @ D
+
+
+def full_lattice_reconstruct(n: int, provider, L: float, step: float) -> tuple:
+    """(operator, boundary tail) of the symplectic lattice sum over every point of [-L, L]^2.
+
+    Each lattice point gets its own provider call; (0, 0) is the trace, read
+    from the tomogram at (step 1e-9, 0).  The tail is the largest |chi| on the
+    first lattice row and column.
+    """
+    n_half = round(L / step)
+    grid = step * np.arange(-n_half, n_half + 1)
+    frame = QuadratureFrame(n)
+    shifts = np.arange(1 - n, n)
+    S = np.zeros((len(shifts), n), dtype=np.complex128)
+    tail = 0.0
+    for mu in grid:
+        chi = np.array([characteristic_value(provider(mu, nu)) if mu or nu
+                        else np.sum(provider(step * 1e-9, 0.0).p) for nu in grid])
+        tail = max(tail, np.abs(chi if mu == grid[0] else chi[:1]).max())
+        phases = chi * np.exp(1j * np.multiply.outer(shifts, np.arctan2(grid, mu)))
+        S += phases @ np.exp(-1j * np.multiply.outer(np.hypot(mu, grid), frame.x_q))
+    j, k = np.indices((n, n))
+    A = np.einsum("ja,jka,ka->jk", frame.V_q, S[j - k + n - 1], frame.V_q.conj())
+    return A * step**2 / (2 * np.pi), float(tail)
 
 
 def smoothed_atom_density(tomogram: SymplecticTomogram, xs: np.ndarray) -> np.ndarray:

@@ -293,6 +293,14 @@ class TestTomo:
         assert capsys.readouterr().err.startswith("infeasible parameters: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_symplectic_overflowing_direction_is_infeasible(self, tmp_path, capsys):
+        # hypot(1e308, 1e308) overflows: refused before the tomogram CSV is written
+        code = main(["tomo", "symplectic", "--mu", "1e308", "--nu", "1e308", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1
+        assert err.startswith("infeasible parameters: ") and "overflow" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_photon_infeasible_grid(self, tmp_path, capsys):
         code = main([
             "tomo", "photon", "--state", "vac", "--nt", "8", "--radius", "2",
@@ -514,6 +522,10 @@ class TestExitCodes:
             "tomo photon --z 1+1j --reconstruct",
             "tomo symplectic --L 1 --step 5 --tol 0",
             "tomo symplectic --step 0.1",
+            # a tolerance no error can fall below
+            "tomo symplectic --reconstruct --tol -1",
+            "roundtrip --tol -1",
+            "tomo photon --reconstruct --tol 0",
             "equiv prop1 --pair 8",
             "equiv prop1 --units 2 --isotropy Z2",
             "equiv coherent --pairs 0",

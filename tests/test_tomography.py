@@ -22,6 +22,7 @@ from groupoidal.tomography import (
     OrderingParameterError,
     QuadratureFrame,
     ReconstructionResult,
+    SymplecticTomogram,
     angular_momentum,
     characteristic_value,
     check_photon_reconstruction,
@@ -47,6 +48,7 @@ from groupoidal.tomography import (
     wigner_little_d,
 )
 from oracles import (
+    full_lattice_reconstruct,
     ground_state_position_density,
     photon_symbol,
     smoothed_atom_density,
@@ -68,6 +70,17 @@ def _rand_op(rng, d):
 # dense eigh oracle of mu q + nu p loses its eigenvectors to underflow
 _COORD = st.one_of(st.just(0.0), st.floats(0.01, 4.0), st.floats(-4.0, -0.01))
 _DIRECTION = st.tuples(_COORD, _COORD).filter(lambda d: d != (0.0, 0.0))
+
+
+def _complex_weight_provider(A):
+    """Provider whose weights diag(V^dag A V) keep the complex part of a non-Hermitian A."""
+    frame = QuadratureFrame(len(A))
+
+    def provider(mu, nu):
+        x, V = frame.direction(mu, nu)
+        return SymplecticTomogram(mu=mu, nu=nu, x=x, p=np.einsum("ja,jk,ka->a", V.conj(), A, V))
+
+    return provider
 
 
 def _assert_diagonalises(qs, n_t, mu, nu):
@@ -491,9 +504,17 @@ class TestSymplecticTomogram:
         scaled = symplectic_tomogram(16, lam * 0.8, lam * 0.3, rho)
         assert np.abs(scaled.x - lam * base.x).max() < 1e-10
         assert np.abs(scaled.p - base.p).max() < 1e-10
-        neg = symplectic_tomogram(16, -0.8, -0.3, rho)
-        assert np.abs(neg.x + base.x[::-1]).max() < 1e-10
-        assert np.abs(neg.p - base.p[::-1]).max() < 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_t=st.integers(2, 40), direction=_DIRECTION, seed=st.integers(0, 2**32 - 1))
+    def test_reflection_is_the_mirror_direction(self, n_t, direction, seed):
+        # M(X, -mu, -nu) = M(-X, mu, nu): the reflected tomogram is the provider's at (-mu, -nu)
+        mu, nu = direction
+        provider = state_tomogram_provider(_rand_density(np.random.default_rng(seed), n_t))
+        reflected, mirror = provider(mu, nu).reflected(), provider(-mu, -nu)
+        assert (reflected.mu, reflected.nu) == (-mu, -nu)
+        assert np.abs(reflected.x - mirror.x).max() <= 1e-13 * np.hypot(mu, nu)
+        assert np.abs(reflected.p - mirror.p).max() <= 1e-13
 
     def test_characteristic_symmetry(self):
         rng = np.random.default_rng(11)
@@ -573,6 +594,8 @@ class TestSymplecticReconstruction:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_default_lattice_is_symmetric_and_holds_origin(self):
+        # every tomogram serves its own point and the mirror point, so the
+        # provider is asked for half the 121^2 lattice plus the trace
         seen = []
         inner = state_tomogram_provider(np.eye(2, dtype=complex) / 2)
 
@@ -581,11 +604,14 @@ class TestSymplecticReconstruction:
             return inner(mu, nu)
 
         rec = symplectic_reconstruct(2, provider)
-        nus = np.array([nu for mu, nu in seen[:121]])
-        assert rec.grid["points"] == len(seen) == 121**2
-        assert np.array_equal(nus, -nus[::-1]) and nus[60] == 0.0
+        assert rec.grid["points"] == 121**2 and len(seen) == 7321
         # the origin is served by the exact chi(0, 0) = Tr branch
         assert (0.0, 0.0) not in seen and (0.1 * 1e-9, 0.0) in seen
+        points = set(seen) - {(0.1 * 1e-9, 0.0)}
+        mirrors = {(-mu, -nu) for mu, nu in points}
+        assert not points & mirrors
+        grid = 0.1 * np.arange(-60, 61)
+        assert points | mirrors | {(0.0, 0.0)} == {(mu, nu) for mu in grid for nu in grid}
 
     @pytest.mark.parametrize(
         "limit,step", [(6.0, 0.0), (0.0, 0.1), (6.0, -0.1), (np.inf, 0.1), (6.0, np.nan)]
@@ -612,6 +638,29 @@ class TestSymplecticReconstruction:
     def test_point_limit_admits_the_documented_grids(self):
         # L 6 at step 0.1 and 0.05 (121^2 and 241^2 points) pass; 1025^2 does not
         assert 241**2 <= tomography.SYMPLECTIC_POINT_LIMIT < 1025**2
+
+
+class TestHalfLattice:
+    """symplectic_reconstruct reads half the lattice and equals the full-lattice sum."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["state", "complex weights"])
+    @settings(max_examples=10, deadline=None)
+    @given(n_t=st.integers(4, 12), limit=st.floats(2.0, 3.0), step=st.floats(0.25, 0.5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_full_lattice(self, kind, n_t, limit, step, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "state":
+            A = _rand_density(rng, n_t)
+            provider = state_tomogram_provider(A)
+        else:  # a non-Hermitian operator: chi(-mu, -nu) is not conj chi(mu, nu)
+            A = _rand_op(rng, n_t)
+            provider = _complex_weight_provider(A)
+        rec = symplectic_reconstruct(n_t, provider, limit, step)
+        ref, tail = full_lattice_reconstruct(n_t, provider, limit, step)
+        scale = np.abs(A).max()
+        assert np.abs(rec.operator - ref).max() <= 1e-13 * scale
+        assert rec.params["boundary_tail"] == pytest.approx(tail, rel=0, abs=1e-13 * scale)
 
 
 class TestQuasiSymbol:
