@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -348,9 +349,15 @@ def cmd_tomo_symplectic(args) -> RunReport:
             f"step={args.step}); suggested: --L 6 --step 0.1"
         )
     tom = tomography.symplectic_tomogram(n_t, args.mu, args.nu, rho)
-    if args.reconstruct:  # before any file is written, so a refused grid leaves none
-        rec = tomography.symplectic_reconstruct(
-            n_t, tomography.state_tomogram_provider(rho), grid_limit=args.L, grid_step=args.step)
+    if args.reconstruct:  # before any file is written, so a refused grid or window leaves none
+        with warnings.catch_warnings():  # the boundary tail is gated on --tol below
+            warnings.filterwarnings("ignore", "characteristic values reach", RuntimeWarning)
+            rec = tomography.symplectic_reconstruct(
+                n_t, tomography.state_tomogram_provider(rho), grid_limit=args.L, grid_step=args.step)
+        tail = rec.params["boundary_tail"]
+        if tail > args.tol:  # the window misses characteristic-function mass
+            raise groupoid.InfeasibleError(f"boundary tail |chi| = {tail:.2e} at L={args.L:g} exceeds "
+                                           f"--tol {args.tol:g}; enlarge --L, with --nt above L^2/2")
     path = out / "symplectic_tomogram.csv"
     _write_csv(path, ["mu", "nu", "x_k", "p_k"], itertools.repeat(args.mu),
                itertools.repeat(args.nu), tom.x, tom.p)
@@ -359,8 +366,7 @@ def cmd_tomo_symplectic(args) -> RunReport:
                abs(tom.p.sum() - np.trace(rho).real) < 1e-12,
                abs(float(tom.p.sum() - np.trace(rho).real)))
     if args.reconstruct:
-        _add_reconstruction(report, rec, rho, args, out,
-                            boundary_tail=rec.params["boundary_tail"])
+        _add_reconstruction(report, rec, rho, args, out, boundary_tail=tail)
     return report
 
 

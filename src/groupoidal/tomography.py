@@ -41,7 +41,7 @@ _POINT_BLOCK = 32
 # rotation-matrix entries per batch of spin_tomogram: (2j+1)^2 per rotation, so
 # 594 rotations at j = 10 and 17 at j = 60; bounds each complex temporary to 4 MB
 _ROTATION_BLOCK = 1 << 18
-# lattice points above which symplectic_reconstruct is refused: 14-24 us a
+# lattice points above which symplectic_reconstruct is refused: 12-20 us a
 # point measured at N_t 8-32 (2 vCPUs), so under half a minute of work
 SYMPLECTIC_POINT_LIMIT = 1 << 20
 
@@ -456,29 +456,34 @@ class QuadratureFrame:
     With U_t = diag(e^{itn}), U_t q U_t^dag = cos(t) q + sin(t) p holds exactly
     on the truncated space, so mu q + nu p (r = hypot(mu, nu), t = atan2(nu, mu))
     has eigenvalues r x_q and eigenvectors U_t V_q, with the frame's phases.
+    ``polar`` refuses a direction once, for the eigenbases, the Weyl operators
+    and the weight table of ``state_tomogram_provider`` alike.
     """
 
     def __init__(self, n_trunc: int):
         self.x_q, self.V_q = np.linalg.eigh(quadrature_operator(n_trunc, 1.0, 0.0))
         self._x_max = float(self.x_q[-1])
 
-    def rotated(self, theta: float) -> np.ndarray:
-        """Eigenvectors U_theta V_q of cos(theta) q + sin(theta) p."""
-        return np.exp(1j * theta * np.arange(len(self.x_q)))[:, None] * self.V_q
+    def polar(self, mu: float, nu: float, origin_ok: bool = False) -> tuple[float, float]:
+        """(r, t) = (hypot(mu, nu), atan2(nu, mu)); the refusals of every direction.
 
-    def direction(self, mu: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, eigenvector columns) of mu q + nu p.
-
-        Raises InfeasibleError when the eigenvalues r x_q are not finite; the
+        Raises DegenerateDirectionError at (0, 0) unless ``origin_ok``, and
+        InfeasibleError when the eigenvalues r x_q are not finite; the
         largest, r max(x_q), decides, so the check costs one product.
         """
-        if mu == 0 and nu == 0:
+        if mu == 0 and nu == 0 and not origin_ok:
             raise DegenerateDirectionError("direction (mu, nu) = (0, 0) is degenerate")
         r = np.hypot(mu, nu)
         if not math.isfinite(float(r) * self._x_max):  # Python floats overflow silently
             raise InfeasibleError(f"the eigenvalues of mu q + nu p at (mu, nu) = ({mu:g}, {nu:g}) "
                                   "overflow float64; use a shorter direction")
-        return r * self.x_q, self.rotated(np.arctan2(nu, mu))
+        return r, np.arctan2(nu, mu)
+
+    def direction(self, mu: float, nu: float,
+                  origin_ok: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues r x_q, eigenvector columns U_t V_q) of mu q + nu p, checked by ``polar``."""
+        r, theta = self.polar(mu, nu, origin_ok)
+        return r * self.x_q, np.exp(1j * theta * np.arange(len(self.x_q)))[:, None] * self.V_q
 
     def weyl(self, mu: float, nu: float) -> np.ndarray:
         """Weyl operator exp(-i(mu q + nu p)) on the truncated space.
@@ -486,9 +491,8 @@ class QuadratureFrame:
         Computed as 1 + U_t V_q diag(e^{-i r x_q} - 1) V_q^dag U_t^dag, with the
         identity split off so that (mu, nu) = (0, 0) gives exactly 1.
         """
-        V = self.rotated(np.arctan2(nu, mu))
-        phases = np.exp(-1j * np.hypot(mu, nu) * self.x_q) - 1.0
-        return np.eye(len(self.x_q)) + (V * phases) @ V.conj().T
+        x, V = self.direction(mu, nu, origin_ok=True)
+        return np.eye(len(x)) + (V * (np.exp(-1j * x) - 1.0)) @ V.conj().T
 
 
 def symplectic_tomogram(n_trunc: int, mu: float, nu: float, rho: np.ndarray) -> SymplecticTomogram:
@@ -582,15 +586,27 @@ def symplectic_reconstruct(
 
 
 def state_tomogram_provider(rho: np.ndarray):
-    """Provider for symplectic_reconstruct: rho is validated once, one frame serves all."""
+    """Provider for symplectic_reconstruct: every direction's weights from one table.
+
+    In the eigenvectors U_t V_q of direction t, p_a(t) = sum_d e^{-itd} C[d, a] with
+    C[d, a] = sum_{j-k=d} conj(V_q[j, a]) rho[j, k] V_q[k, a], d = 1-N_t..N_t-1; C is
+    summed once along the diagonals of rho, and a direction costs one row product.
+    """
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (len(rho), len(rho)) or np.abs(rho - rho.conj().T).max() > 1e-10:
+    n = len(rho)
+    if rho.shape != (n, n) or np.abs(rho - rho.conj().T).max() > 1e-10:
         raise ValueError("rho must be a square Hermitian matrix")
-    frame = QuadratureFrame(len(rho))
+    frame = QuadratureFrame(n)
+    shifts, V = np.arange(1 - n, n), frame.V_q
+    C = np.empty((len(shifts), n), dtype=np.complex128)
+    for i, d in enumerate(shifts):
+        j = np.arange(max(d, 0), n + min(d, 0))  # the rows of the diagonal j - k = d
+        C[i] = rho[j, j - d] @ (V[j].conj() * V[j - d])
 
     def provider(mu: float, nu: float) -> SymplecticTomogram:
-        x, V = frame.direction(mu, nu)
-        return SymplecticTomogram(mu=mu, nu=nu, x=x, p=((V.conj().T @ rho) * V.T).sum(1).real)
+        r, theta = frame.polar(mu, nu)
+        return SymplecticTomogram(mu=mu, nu=nu, x=r * frame.x_q,
+                                  p=(np.exp(-1j * theta * shifts) @ C).real)
 
     return provider
 

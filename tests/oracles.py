@@ -12,6 +12,9 @@ Each helper here serves one comparison and claims nothing of its own:
   products of ``starproduct`` and for ``starproduct.d_realization_kernel``);
 - the dense displaced symbol ``photon_symbol`` (criterion 6 and the photon
   tomography tests);
+- the per-direction symplectic weights ``rotated_frame_tomogram``, which
+  rotate the frame's eigenvectors to each direction (oracle for the weight
+  table of ``tomography.state_tomogram_provider``);
 - the full-lattice symplectic sum ``full_lattice_reconstruct``, which asks
   the provider for every lattice point (oracle for
   ``tomography.symplectic_reconstruct``, which reads half of them);
@@ -98,6 +101,13 @@ def photon_symbol(n_trunc: int, z: complex, A: np.ndarray) -> np.ndarray:
         raise ValueError("operator dimension does not match n_trunc")
     D = displacement_operator(n_trunc, z)
     return D.conj().T @ A @ D
+
+
+def rotated_frame_tomogram(frame: QuadratureFrame, rho: np.ndarray, mu: float,
+                           nu: float) -> SymplecticTomogram:
+    """Atoms and weights diag(V^dag rho V) in the eigenvectors V of mu q + nu p."""
+    x, V = frame.direction(mu, nu)
+    return SymplecticTomogram(mu=mu, nu=nu, x=x, p=((V.conj().T @ rho) * V.T).sum(1).real)
 
 
 def full_lattice_reconstruct(n: int, provider, L: float, step: float) -> tuple:

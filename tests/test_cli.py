@@ -293,6 +293,21 @@ class TestTomo:
         assert capsys.readouterr().err.startswith("infeasible parameters: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_symplectic_window_tail_refused_before_any_file(self, tmp_path, capsys):
+        # |chi| of |1> is still 2.1e-3 on the L = 6 edge, above the default --tol 1e-3
+        code = main(["tomo", "symplectic", "--reconstruct", "--state", "fock:1",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3 and err.count("\n") == 1
+        assert err.startswith("infeasible parameters: boundary tail |chi| = 2.10e-03")
+        assert "L=6 " in err and "--tol 0.001" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_symplectic_wider_window_holds_fock_1(self, tmp_path):
+        code = main(["tomo", "symplectic", "--reconstruct", "--state", "fock:1", "--L", "7",
+                     "--out", str(tmp_path)])
+        assert code == 0
+
     def test_symplectic_overflowing_direction_is_infeasible(self, tmp_path, capsys):
         # hypot(1e308, 1e308) overflows: refused before the tomogram CSV is written
         code = main(["tomo", "symplectic", "--mu", "1e308", "--nu", "1e308", "--out", str(tmp_path)])
@@ -319,10 +334,11 @@ class TestTomo:
         assert (tmp_path / "spin_tomogram.csv").exists()
 
     def test_symplectic_reconstruct_report(self, tmp_path):
-        # N_t = 16 floors the reliable-block error near 2e-2 (truncation, not
-        # grid); acceptance runs the criterion-scale N_t = 32 configuration
+        # the spectrum of N_t = 20 holds the L = 6 window under --tol 0.05
+        # (tail 5.9e-3; at N_t = 16 it is 9.7e-2 and the run exits 3);
+        # acceptance runs the criterion-scale N_t = 32 configuration
         code = main([
-            "tomo", "symplectic", "--state", "vac", "--nt", "16", "--L", "6",
+            "tomo", "symplectic", "--state", "vac", "--nt", "20", "--L", "6",
             "--step", "0.15", "--reconstruct", "--tol", "0.05",
             "--out", str(tmp_path), "--json", "run.json",
         ])

@@ -51,6 +51,7 @@ from oracles import (
     full_lattice_reconstruct,
     ground_state_position_density,
     photon_symbol,
+    rotated_frame_tomogram,
     smoothed_atom_density,
     smoothed_reference_density,
 )
@@ -70,6 +71,14 @@ def _rand_op(rng, d):
 # dense eigh oracle of mu q + nu p loses its eigenvectors to underflow
 _COORD = st.one_of(st.just(0.0), st.floats(0.01, 4.0), st.floats(-4.0, -0.01))
 _DIRECTION = st.tuples(_COORD, _COORD).filter(lambda d: d != (0.0, 0.0))
+
+
+# directions of radius 1e-9..10: exactly on an axis, or at any angle
+_RADIUS = st.floats(-9.0, 1.0).map(lambda e: 10.0**e)
+_AXIS_DIRECTION = st.builds(lambda r, k: [(r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r)][k],
+                            _RADIUS, st.integers(0, 3))
+_ANGLE_DIRECTION = st.builds(lambda r, t: (r * math.cos(t), r * math.sin(t)),
+                             _RADIUS, st.floats(-math.pi, math.pi))
 
 
 def _complex_weight_provider(A):
@@ -549,6 +558,19 @@ class TestQuadratureFrame:
         with pytest.raises(DegenerateDirectionError):
             QuadratureFrame(8).direction(0.0, 0.0)
 
+    def test_overflowing_weyl_direction_is_infeasible(self):
+        # r max(x_q) overflows: refused, not an all-NaN matrix
+        with pytest.raises(InfeasibleError, match="overflow"):
+            QuadratureFrame(4).weyl(1e308, 1e308)
+        with pytest.raises(InfeasibleError, match="overflow"):
+            displacement_operator(4, 1e308)
+        with pytest.raises(InfeasibleError, match="overflow"):
+            intertwining_kernel(4, (0.0, 1e308, 1e308), 1.0, 0.0)
+
+    def test_weyl_at_the_origin_is_exactly_the_identity(self):
+        for mu, nu in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)):
+            assert np.array_equal(QuadratureFrame(6).weyl(mu, nu), np.eye(6))
+
     @settings(max_examples=25, deadline=None)
     @given(n_t=st.integers(2, 40), direction=_DIRECTION, seed=st.integers(0, 2**32 - 1))
     def test_matches_dense_eigh(self, n_t, direction, seed):
@@ -571,6 +593,23 @@ class TestQuadratureFrame:
         xs, Vp = np.linalg.eigh(quadrature_operator(n_t, *prime))
         d_sigma = (Vp * np.exp(1j * (xp - xs))) @ Vp.conj().T / (2 * np.pi)
         assert np.abs(K.basis.conj().T @ d_sigma @ K.basis - K.matrix).max() < 1e-12
+
+
+class TestWeightTable:
+    """state_tomogram_provider's weight table against the rotated eigenvectors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_t=st.integers(2, 16), direction=st.one_of(_AXIS_DIRECTION, _ANGLE_DIRECTION),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_rotated_frame(self, n_t, direction, seed):
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(0.5, 2.0) * _rand_density(rng, n_t)
+        provider, frame = state_tomogram_provider(rho), QuadratureFrame(n_t)
+        mu, nu = direction
+        for m, n in ((mu, nu), (-mu, -nu)):  # a point and its mirror
+            tom, ref = provider(m, n), rotated_frame_tomogram(frame, rho, m, n)
+            assert np.array_equal(tom.x, ref.x)
+            assert np.abs(tom.p - ref.p).max() <= 1e-14 * np.trace(rho).real
 
 
 class TestSymplecticReconstruction:
