@@ -2,10 +2,11 @@
 
 Includes the Weyl matrix units, the regular (left-convolution) realization
 of an arbitrary finite groupoid, its trace normalization, and the
-quadrature-scale convolution variants for grids and matrices of
-group-algebra entries.  Functions are (de)quantized only in ``starproduct``:
-through ``weyl_qdpair(n)`` for pair groupoids, and through
-``regular_reconstruct`` / ``regular_symbol`` for the regular realization.
+density-weighted grid convolution.  With ids (u*n + v)*|H| + h, ``convolve``
+on ``transitive_groupoid(n, H)`` is the product of M_n(C[H]).  Functions are
+(de)quantized only in ``starproduct``: through ``weyl_qdpair(n)`` for pair
+groupoids, and through ``regular_reconstruct`` / ``regular_symbol`` for the
+regular realization.
 """
 
 from __future__ import annotations
@@ -136,10 +137,6 @@ class NormalizationInfo:
     def formula_value(self) -> int:
         return self.unit_count + self.isotropy_excess
 
-    @property
-    def matches_formula(self) -> bool:
-        return self.value == self.formula_value
-
 
 def normalization_constant(G: FiniteGroupoid) -> NormalizationInfo:
     """Normalizer making the regular realization an orthogonal family.
@@ -214,39 +211,6 @@ def weighted_grid_convolve(
         raise ValueError("density must be positive on every grid point")
     core = (f1 * (density**2 * weights)[None, :]) @ f2
     return density[:, None] * density[None, :] * core
-
-
-def group_convolve(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Classical group-algebra convolution (a * b)(g) = sum_{g1 g2 = g} a(g1) b(g2)."""
-    table = np.asarray(table, dtype=np.int64)
-    m = table.shape[0]
-    out = np.zeros(m, dtype=np.complex128)
-    for g1 in range(m):
-        out[table[g1]] += a[g1] * b
-    return out
-
-
-def matrix_group_convolve(F1: np.ndarray, F2: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Row-by-column product of matrices whose entries are group-algebra elements.
-
-    ``F1, F2`` have shape (n, n, ord(H)); scalar multiplication inside the
-    matrix product is replaced by convolution on the group H.
-    """
-    F1 = np.asarray(F1, dtype=np.complex128)
-    F2 = np.asarray(F2, dtype=np.complex128)
-    if F1.shape != F2.shape or F1.ndim != 3:
-        raise ValueError("operands must be (n, n, ord(H)) arrays of equal shape")
-    n, _, m = F1.shape
-    if np.asarray(table).shape != (m, m):
-        raise ValueError("group table does not match the entry length")
-    out = np.zeros_like(F1)
-    for i in range(n):
-        for j in range(n):
-            acc = np.zeros(m, dtype=np.complex128)
-            for k in range(n):
-                acc += group_convolve(F1[i, k], F2[k, j], table)
-            out[i, j] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------

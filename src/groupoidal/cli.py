@@ -271,7 +271,7 @@ def cmd_tomo_spin(args) -> RunReport:
     report = RunReport("tomo spin", {"j": j, "state": args.state, "samples": args.samples},
                        seed=args.seed)
     angles = rng.uniform(-np.pi, np.pi, (args.samples, 3))
-    probs = tomography.spin_tomogram(j, tomography.EulerAngles(*angles.T), rho).probabilities
+    probs = tomography.spin_tomogram(j, tomography.EulerAngles(*angles.T), rho)
     worst_sum = float(np.abs(probs.sum(axis=1) - 1.0).max())
     worst_neg = max(0.0, -float(probs.min()))
     path = out / "spin_tomogram.csv"

@@ -196,12 +196,6 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     return out
 
 
-def hermite_function(n: int, x):
-    """phi_n(x) = <x|n> for scalar or array x."""
-    vals = hermite_functions(n, x)[n]
-    return vals[0] if np.isscalar(x) else vals
-
-
 def fock_to_position_symbol(F: Symbol | np.ndarray, grid: PositionGrid) -> np.ndarray:
     """Position-representation kernel f(x, y) = sum F(n, m) phi_n(x) phi_m(y)."""
     Fm = _fock_symbol_matrix(F)

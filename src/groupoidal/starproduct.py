@@ -4,9 +4,9 @@ A ``QDPair`` carries two rank-one operator families over a weighted index
 set: the quantizer D(x) = |a_x><b_x| used to rebuild operators from symbols
 and the dequantizer U(x) = |c_x><d_x| used to take symbols
 f_A(x) = Tr[A U(x)^dagger].  It is stored as its vectors, so symbols,
-reconstructions, kernels and residuals are Gram products.  The star product
-of symbols is the image of the operator product, and ``star`` computes it in
-that factored form, symbol(reconstruct(f) @ reconstruct(g)), at every size.
+reconstructions, kernels and the duality residual are Gram products.  The
+star product of symbols is the image of the operator product, and ``star``
+computes it as symbol(reconstruct(f) @ reconstruct(g)) at every size.
 
 The regular realization D(g)[i, k] = 1 iff g o k = i of a finite groupoid is
 not rank-one.  Its composable triples (j, k, i) describe it whole:
@@ -114,11 +114,6 @@ class QDPair:
     def hilbert_dim(self) -> int:
         return self.families[0].shape[-1]
 
-    @property
-    def self_dual(self) -> bool:
-        a, b, c, d = self.families
-        return all(u is v or np.array_equal(u, v) for u, v in ((a, c), (b, d)))
-
 
 @dataclass(frozen=True, eq=False)
 class Symbol:
@@ -189,27 +184,6 @@ def duality_residual(pair: QDPair) -> float:
     return worst
 
 
-def resolution_residual(pair: QDPair) -> float:
-    """Frobenius distance of S = sum_x w_x vec D(x) vec U(x)^dagger from the identity.
-
-    Zero exactly when symbol followed by reconstruct is the identity on all
-    operators (the family resolves the identity on operator space).  The
-    (i, k) block of S is the weighted Gram product
-    sum_x w_x a_x[i] conj(c_x[k]) conj(b_x) d_x^T, so S is never held whole and
-    the identity is subtracted block by block (no cancellation near zero).
-    """
-    w = pair.space.weights
-    a, b, c, d = pair.families
-    bh, cc, eye = np.conj(b).T, np.conj(c), np.eye(pair.hilbert_dim)
-    total = 0.0
-    for i in range(pair.hilbert_dim):
-        wa = w * a[:, i]
-        for k in range(pair.hilbert_dim):
-            block = (bh * (wa * cc[:, k])) @ d - (eye if i == k else 0.0)
-            total += float(np.vdot(block, block).real)
-    return float(np.sqrt(total))
-
-
 def _check_kernel_size(m: int) -> None:
     if m > KERNEL_MATERIALIZE_LIMIT:
         raise InfeasibleError(
@@ -233,17 +207,6 @@ def kernel(pair: QDPair) -> np.ndarray:
 def star(pair: QDPair, f: Symbol, g: Symbol) -> Symbol:
     """Star product symbol(reconstruct(f) @ reconstruct(g)); equals the kernel double sum."""
     return symbol(pair, reconstruct(pair, f) @ reconstruct(pair, g))
-
-
-def associativity_residual(K: np.ndarray, weights: np.ndarray) -> float:
-    """Deviation of a kernel from the quadratic associativity identity.
-
-    max over (x1, x2, x3, x) of
-    |sum_y K(x1,x2,y) w_y K(y,x3,x) - sum_y K(x2,x3,y) w_y K(x1,y,x)|.
-    """
-    lhs = np.einsum("aby,y,ycd->abcd", K, weights, K)
-    rhs = np.einsum("bcy,y,ayd->abcd", K, weights, K)
-    return float(np.abs(lhs - rhs).max())
 
 
 # ---------------------------------------------------------------------------

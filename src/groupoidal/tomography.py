@@ -112,17 +112,8 @@ def spin_reconstruct_at_g(j: float, g: EulerAngles, w: np.ndarray) -> np.ndarray
     return D @ w @ D.conj().T
 
 
-@dataclass(frozen=True)
-class SpinTomogram:
-    """Diagonal of the rotated spin symbol: a probability vector per group element."""
-
-    j: float
-    g: EulerAngles
-    probabilities: np.ndarray
-
-
-def spin_tomogram(j: float, g: EulerAngles, rho: np.ndarray) -> SpinTomogram:
-    """Tomograms <g, j m|rho|g, j m> of one group element or a batch, rotated in blocks."""
+def spin_tomogram(j: float, g: EulerAngles, rho: np.ndarray) -> np.ndarray:
+    """Tomograms <g, j m|rho|g, j m>, the diagonal of ``spin_symbol``, as a (..., 2j+1) array."""
     dim = SpinSpace(j).dim
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (dim, dim):
@@ -134,7 +125,7 @@ def spin_tomogram(j: float, g: EulerAngles, rho: np.ndarray) -> SpinTomogram:
     for lo in range(0, len(probs), step):
         D = wigner_D(j, EulerAngles(*(a[lo:lo + step] for a in flat)))
         probs[lo:lo + step] = np.sum(np.conj(D) * (rho @ D), axis=-2).real
-    return SpinTomogram(j=j, g=g, probabilities=probs.reshape(angles[0].shape + (dim,)))
+    return probs.reshape(angles[0].shape + (dim,))
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +145,6 @@ def displacement_operator(n_trunc: int, z: complex) -> np.ndarray:
     return QuadratureFrame(n_trunc).weyl(-np.sqrt(2) * np.imag(z), np.sqrt(2) * np.real(z))
 
 
-def unitarity_defect(U: np.ndarray) -> float:
-    U = np.asarray(U)
-    return float(np.abs(U @ U.conj().T - np.eye(U.shape[0])).max())
-
-
 def displaced_rows(n_rows: int, n_cols: int, z) -> np.ndarray:
     """Exact matrix elements R[n, m] = <n|D(z)|m> of the full displacement.
 
@@ -174,9 +160,9 @@ def displaced_rows(n_rows: int, n_cols: int, z) -> np.ndarray:
     zs = z.reshape(-1, 1)
     sq = np.sqrt(np.arange(n_cols))
     R = np.empty((len(zs), n_rows, n_cols), dtype=np.complex128)
-    steps = np.ones((len(zs), n_cols), dtype=np.complex128)
-    steps[:, 1:] = -np.conj(zs) / sq[1:]
-    R[:, 0] = np.exp(-np.abs(zs) ** 2 / 2) * np.cumprod(steps, axis=1)
+    with np.errstate(over="ignore"):  # the prefactor leads: huge |z| gives 0, not 0 * inf
+        steps = np.hstack([np.exp(-np.abs(zs) ** 2 / 2), -np.conj(zs) / sq[1:]])
+    R[:, 0] = np.cumprod(steps, axis=1)
     for n in range(n_rows - 1):
         row = zs * R[:, n]
         row[:, 1:] += sq[1:] * R[:, n, :-1]

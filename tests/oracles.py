@@ -19,7 +19,14 @@ Each helper here serves one comparison and claims nothing of its own:
   the provider for every lattice point (oracle for
   ``tomography.symplectic_reconstruct``, which reads half of them);
 - the smoothed densities of criterion 7, where atoms and a continuum density
-  are mollified with the same kernel before they are compared.
+  are mollified with the same kernel before they are compared;
+- the group-algebra loops ``group_convolve`` and ``matrix_group_convolve``
+  (oracles for ``algebra.convolve`` on ``group_groupoid(H)`` and
+  ``transitive_groupoid(n, H)``: C[T(n, H)] is M_n(C[H]));
+- the blockwise ``resolution_residual`` of a rank-one pair, the kernel
+  identity ``associativity_residual``, the flag ``self_dual``, the
+  ``unitarity_defect`` of a matrix and the single Hermite function
+  ``hermite_function`` (against the batched recurrence).
 """
 
 import numpy as np
@@ -167,3 +174,76 @@ def smoothed_reference_density(density, tomogram: SymplecticTomogram, xs: np.nda
 def ground_state_position_density(x: np.ndarray) -> np.ndarray:
     """|phi_0(x)|^2 = e^{-x^2} / sqrt(pi)."""
     return hermite_functions(0, x)[0] ** 2
+
+
+def group_convolve(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Classical group-algebra convolution (a * b)(g) = sum_{g1 g2 = g} a(g1) b(g2)."""
+    table = np.asarray(table, dtype=np.int64)
+    out = np.zeros(len(table), dtype=np.complex128)
+    for g1 in range(len(table)):
+        out[table[g1]] += a[g1] * b
+    return out
+
+
+def matrix_group_convolve(F1: np.ndarray, F2: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Row-by-column product of (n, n, ord(H)) matrices of group-algebra entries.
+
+    Scalar multiplication inside the matrix product is replaced by
+    ``group_convolve`` on the group H.
+    """
+    n = len(F1)
+    out = np.zeros(np.shape(F1), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i, j] += group_convolve(F1[i, k], F2[k, j], table)
+    return out
+
+
+def resolution_residual(pair: QDPair) -> float:
+    """Frobenius distance of S = sum_x w_x vec D(x) vec U(x)^dagger from the identity.
+
+    Zero exactly when symbol followed by reconstruct is the identity on all
+    operators.  The (i, k) block of S is the weighted Gram product
+    sum_x w_x a_x[i] conj(c_x[k]) conj(b_x) d_x^T, so S is never held whole and
+    the identity is subtracted block by block (no cancellation near zero).
+    """
+    w = pair.space.weights
+    a, b, c, d = pair.families
+    bh, cc, eye = np.conj(b).T, np.conj(c), np.eye(pair.hilbert_dim)
+    total = 0.0
+    for i in range(pair.hilbert_dim):
+        wa = w * a[:, i]
+        for k in range(pair.hilbert_dim):
+            block = (bh * (wa * cc[:, k])) @ d - (eye if i == k else 0.0)
+            total += float(np.vdot(block, block).real)
+    return float(np.sqrt(total))
+
+
+def associativity_residual(K: np.ndarray, weights: np.ndarray) -> float:
+    """Deviation of a kernel from the quadratic associativity identity.
+
+    max over (x1, x2, x3, x) of
+    |sum_y K(x1,x2,y) w_y K(y,x3,x) - sum_y K(x2,x3,y) w_y K(x1,y,x)|.
+    """
+    lhs = np.einsum("aby,y,ycd->abcd", K, weights, K)
+    rhs = np.einsum("bcy,y,ayd->abcd", K, weights, K)
+    return float(np.abs(lhs - rhs).max())
+
+
+def self_dual(pair: QDPair) -> bool:
+    """Whether the dequantizer family equals the quantizer family."""
+    a, b, c, d = pair.families
+    return all(u is v or np.array_equal(u, v) for u, v in ((a, c), (b, d)))
+
+
+def unitarity_defect(U: np.ndarray) -> float:
+    """max |U U^dagger - 1|."""
+    U = np.asarray(U)
+    return float(np.abs(U @ U.conj().T - np.eye(U.shape[0])).max())
+
+
+def hermite_function(n: int, x):
+    """phi_n(x) = <x|n> for scalar or array x, read off the batched recurrence."""
+    vals = hermite_functions(n, x)[n]
+    return vals[0] if np.isscalar(x) else vals

@@ -262,6 +262,21 @@ class TestTomo:
         for n in range(10):
             assert abs(table[n] - np.exp(-1) / math.factorial(n)) < 1e-8
 
+    def test_photon_far_displacement_writes_finite_rows_and_strict_json(self, tmp_path):
+        # the displaced vacuum leaves the 4 levels, so the column check fails honestly
+        code = main(["tomo", "photon", "--z", "1e200", "--nt", "4", "--out", str(tmp_path),
+                     "--json", "r.json"])
+        assert code == 1
+        rows = list(csv.reader((tmp_path / "photon_tomogram.csv").open()))
+        assert [float(r[3]) for r in rows[1:]] == [0.0] * 4
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse)
+        assert report["checks"] == [{"name": "columns_normalized", "passed": False,
+                                     "deviation": 1.0}]
+
     def test_symplectic_writes_atoms(self, tmp_path):
         code = main([
             "tomo", "symplectic", "--state", "vac", "--nt", "16",
