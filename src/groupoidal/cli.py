@@ -314,18 +314,22 @@ def cmd_tomo_photon(args) -> RunReport:
         z = _finite(complex(args.z), "--z")
         lattice = realizations.CoherentGrid(np.array([z]), args.spacing**2)
     tom = tomography.photon_tomogram(rho, lattice, n_max=n_t)
+    # column sums equal the trace up to the mass a displaced state leaks
+    # beyond n_max; at the lattice edge that truncation tail dominates
+    sums, trace = tom.table.sum(axis=0), np.trace(rho).real
+    if not args.reconstruct and sums[0] < 1e-3 * trace:  # before the CSV is written
+        raise groupoid.InfeasibleError(
+            f"|z|^2 = {abs(z) * abs(z):.3g} displaces the state out of the N_t = {n_t} levels "
+            f"(the tomogram keeps {sums[0]:.2e} of the trace); lower |z| or raise --nt")
     path = out / "photon_tomogram.csv"
     z = np.repeat(lattice.z_points, tom.n_max)
     _write_csv(path, ["re_z", "im_z", "n", "P"], z.real, z.imag,
                itertools.cycle(range(tom.n_max)), tom.table.T)
     print(f"tomograms: {path}")
-    # column sums equal the trace up to the mass a displaced state leaks
-    # beyond n_max; at the lattice edge that truncation tail dominates
-    sums = tom.table.sum(axis=0)
     report.add(
         "columns_normalized",
-        bool(np.all(np.abs(sums - np.trace(rho).real) < 1e-3)),
-        float(np.abs(sums - np.trace(rho).real).max()),
+        bool(np.all(np.abs(sums - trace) < 1e-3)),
+        float(np.abs(sums - trace).max()),
     )
     if args.reconstruct:
         rec = tomography.photon_reconstruct(tom, s=args.s)
@@ -348,12 +352,13 @@ def cmd_tomo_symplectic(args) -> RunReport:
             f"reconstruction needs L >= 6 and step <= 0.15 (got L={args.L}, "
             f"step={args.step}); suggested: --L 6 --step 0.1"
         )
-    tom = tomography.symplectic_tomogram(n_t, args.mu, args.nu, rho)
+    provider = tomography.state_tomogram_provider(rho)  # one weight table serves both
+    tom = provider(args.mu, args.nu)
     if args.reconstruct:  # before any file is written, so a refused grid or window leaves none
         with warnings.catch_warnings():  # the boundary tail is gated on --tol below
             warnings.filterwarnings("ignore", "characteristic values reach", RuntimeWarning)
-            rec = tomography.symplectic_reconstruct(
-                n_t, tomography.state_tomogram_provider(rho), grid_limit=args.L, grid_step=args.step)
+            rec = tomography.symplectic_reconstruct(n_t, provider, grid_limit=args.L,
+                                                    grid_step=args.step)
         tail = rec.params["boundary_tail"]
         if tail > args.tol:  # the window misses characteristic-function mass
             raise groupoid.InfeasibleError(f"boundary tail |chi| = {tail:.2e} at L={args.L:g} exceeds "

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -97,6 +99,58 @@ def _order(value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise GroupoidStructureError("order must be an integer >= 1")
     return int(value)
+
+
+# "key": of an object member, after the "{" or "," before it
+_MEMBER = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*("(?:[^"\\\x00-\x1f]|\\.)*")[ \t\n\r]*:[ \t\n\r]*')
+_OBJECT_END = re.compile(r"[ \t\n\r]*}[ \t\n\r]*\Z")
+# an array of arrays ends at the first "]" then "]", which closes flat rows
+_ROWS_START = re.compile(r"\[[ \t\n\r]*\[")
+_ROWS_END = re.compile(r"\][ \t\n\r]*\]")
+_DECODER = json.JSONDecoder()
+
+
+def _int_rows(raw: bytes) -> np.ndarray:
+    """The JSON array of integer triples ``raw`` as an (n, 3) int64 array, no list per row.
+
+    Ids are >= 0, so -0 is the one signed number to let through; a leading
+    zero, which json refuses, shows as more digits than the values print with.
+    """
+    message = "compose must be an array of integer triples"
+    digits = raw.translate(None, b"0123456789")
+    skeleton = digits.translate(None, b"- \t\n\r")
+    n = len(skeleton) // 5
+    if skeleton != b"[" + b"[,,]," * (n - 1) + b"[,,]]" or (
+            b"-" in raw and raw.count(b"-") != raw.count(b"-0")):
+        raise GroupoidStructureError(message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # older numpy only warns about data left over
+        try:
+            values = np.fromstring(raw.translate(None, b"[]"), np.int64, sep=",")
+        except (ValueError, Warning) as exc:
+            raise GroupoidStructureError(message) from exc
+    shown = values.size + sum(np.count_nonzero(values >= 10**k)
+                              for k in range(1, len(str(values.max(initial=0)))))
+    if shown != len(raw) - len(digits):
+        raise GroupoidStructureError(message)
+    return values.reshape(n, 3)
+
+
+def _read_json(text: str):
+    """``json.loads(text)``, except that top-level "compose" rows come back as an int64 array.
+
+    The top-level object is walked member by member; a text that is not an
+    object, and a syntax error between members, are left to ``json.loads``.
+    """
+    data, i = {}, 0
+    while (member := _MEMBER.match(text, i)) and (member[1] == "{") == (i == 0):
+        key, i = json.loads(member[2]), member.end()
+        rows = key == "compose" and _ROWS_START.match(text, i) and _ROWS_END.search(text, i)
+        if rows:
+            data[key], i = _int_rows(text[i:rows.end()].encode()), rows.end()
+        else:
+            data[key], i = _DECODER.raw_decode(text, i)
+    return data if data and _OBJECT_END.match(text, i) else json.loads(text)
 
 
 def _defined_rows(compose: np.ndarray):
@@ -224,8 +278,9 @@ class FiniteGroupoid:
 
     @staticmethod
     def load(path) -> "FiniteGroupoid":
+        """``from_dict`` of the JSON file at ``path``, its compose rows decoded as one array."""
         with open(path) as fh:
-            return FiniteGroupoid.from_dict(json.load(fh))
+            return FiniteGroupoid.from_dict(_read_json(fh.read()))
 
 
 # ---------------------------------------------------------------------------

@@ -95,21 +95,24 @@ def wigner_D(j: float, g: EulerAngles) -> np.ndarray:
 
 
 def spin_symbol(j: float, g: EulerAngles, A: np.ndarray) -> np.ndarray:
-    """Rotated symbol w_A(g; m, m') = <g, j m| A |g, j m'> = (D^dag A D)[m, m']."""
+    """Rotated symbol w_A(g; m, m') = <g, j m| A |g, j m'> = (D^dag A D)[m, m'].
+
+    Array angles batch: the result has shape ``angles.shape + (2j+1, 2j+1)``.
+    """
     D = wigner_D(j, g)
     A = np.asarray(A, dtype=np.complex128)
-    if A.shape != D.shape:
+    if A.shape != D.shape[-2:]:
         raise ValueError("operator dimension does not match 2j+1")
-    return D.conj().T @ A @ D
+    return D.conj().swapaxes(-1, -2) @ A @ D
 
 
 def spin_reconstruct_at_g(j: float, g: EulerAngles, w: np.ndarray) -> np.ndarray:
-    """Exact inverse of spin_symbol at the same group element: A = D w D^dag."""
+    """Exact inverse of spin_symbol at the same group elements: A = D w D^dag."""
     D = wigner_D(j, g)
     w = np.asarray(w, dtype=np.complex128)
-    if w.shape != D.shape:
+    if w.shape[-2:] != D.shape[-2:]:
         raise ValueError("symbol dimension does not match 2j+1")
-    return D @ w @ D.conj().T
+    return D @ w @ D.conj().swapaxes(-1, -2)
 
 
 def spin_tomogram(j: float, g: EulerAngles, rho: np.ndarray) -> np.ndarray:

@@ -262,20 +262,32 @@ class TestTomo:
         for n in range(10):
             assert abs(table[n] - np.exp(-1) / math.factorial(n)) < 1e-8
 
-    def test_photon_far_displacement_writes_finite_rows_and_strict_json(self, tmp_path):
-        # the displaced vacuum leaves the 4 levels, so the column check fails honestly
+    def test_photon_far_displacement_is_refused_before_any_file(self, tmp_path, capsys):
+        # the displaced vacuum leaves the 4 levels entirely: infeasible, not a failed check
         code = main(["tomo", "photon", "--z", "1e200", "--nt", "4", "--out", str(tmp_path),
+                     "--json", "r.json"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible parameters: |z|^2 = ") and err.count("\n") == 1
+        assert "N_t = 4" in err
+        assert not (tmp_path / "photon_tomogram.csv").exists()
+
+    def test_photon_partial_leak_fails_the_check_with_strict_json(self, tmp_path):
+        # |z|^2 = 9 keeps a Poisson mass of ~0.021 on the 4 levels: a failed check, not a refusal
+        code = main(["tomo", "photon", "--z", "3", "--nt", "4", "--out", str(tmp_path),
                      "--json", "r.json"])
         assert code == 1
         rows = list(csv.reader((tmp_path / "photon_tomogram.csv").open()))
-        assert [float(r[3]) for r in rows[1:]] == [0.0] * 4
+        kept = sum(float(r[3]) for r in rows[1:])
+        assert abs(kept - np.exp(-9) * (1 + 9 + 81 / 2 + 729 / 6)) < 1e-12
 
         def refuse(name):
             raise ValueError(f"{name} is not JSON")
 
         report = json.loads((tmp_path / "r.json").read_text(), parse_constant=refuse)
-        assert report["checks"] == [{"name": "columns_normalized", "passed": False,
-                                     "deviation": 1.0}]
+        [check] = report["checks"]
+        assert check["name"] == "columns_normalized" and not check["passed"]
+        assert abs(check["deviation"] - (1 - kept)) < 1e-12
 
     def test_symplectic_writes_atoms(self, tmp_path):
         code = main([

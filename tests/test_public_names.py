@@ -30,6 +30,8 @@ KEPT = {
     "two_mode_weyl_pair": "the two-mode realization of a product pair groupoid",
     "spin_block_pair": "the immersion of a disjoint union of spin pair groupoids",
     "position_qdpair": "the position-grid pair of the continuous pair groupoid",
+    "symplectic_tomogram": "the tomogram M(X; mu, nu) of one direction, which the "
+                           "acceptance criteria check",
     "intertwining_kernel": "the kernel that carries symplectic tomograms to quasi-symbols",
     "quasi_symbol_from_tomograms": "the symplectic quasi-symbol rebuilt from tomograms",
     "displaced_parity": "the s-ordered displaced parity, the photon quantizer",

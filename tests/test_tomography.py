@@ -245,6 +245,29 @@ class TestSpinScheme:
             assert np.abs(probs[i] - diagonal).max() < 1e-13
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(two_j=st.integers(1, 10), batch=st.sampled_from([(1,), (5,), (2, 3)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_symbol_and_inverse_stack_single_calls(self, two_j, batch, seed):
+        rng = np.random.default_rng(seed)
+        A = _rand_op(rng, two_j + 1)
+        g = EulerAngles(*rng.uniform(-2 * np.pi, 2 * np.pi, (3,) + batch))
+        w = spin_symbol(two_j / 2, g, A)
+        back = spin_reconstruct_at_g(two_j / 2, g, w)
+        assert w.shape == back.shape == batch + A.shape
+        for i in np.ndindex(batch):
+            single = EulerAngles(g.alpha[i], g.beta[i], g.gamma[i])
+            w_i = spin_symbol(two_j / 2, single, A)
+            assert np.abs(w[i] - w_i).max() < 1e-13
+            assert np.abs(back[i] - spin_reconstruct_at_g(two_j / 2, single, w_i)).max() < 1e-13
+        assert np.abs(back - A).max() < 1e-12
+
+    def test_batched_symbol_refuses_a_wrong_dimension(self):
+        g = EulerAngles(np.zeros(2), np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match="operator dimension"):
+            spin_symbol(1, g, np.eye(4))
+        with pytest.raises(ValueError, match="symbol dimension"):
+            spin_reconstruct_at_g(1, g, np.zeros((2, 4, 4)))
 class TestDisplacement:
     def test_zero_displacement(self):
         assert np.array_equal(displacement_operator(8, 0), np.eye(8))
