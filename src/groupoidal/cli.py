@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import functools
 import itertools
 import json
@@ -31,7 +30,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,14 +61,7 @@ class RunReport:
         return all(c["passed"] for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "checks": self.checks,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 def _out_dir(args) -> Path:
@@ -90,16 +82,22 @@ def _finish(report: RunReport, path: Path | None) -> int:
     return EXIT_PASS if report.all_passed else EXIT_CHECK_FAILED
 
 
-def _write_csv(path: Path, header: list, *columns) -> None:
-    """Write ``header``, then one row per index i holding entry i of every column.
+def _write_csv(path: Path, header: list, prefix, rows) -> None:
+    """Write ``header``, then per group a block of rows, each led by the group's prefix.
 
-    An array column is flattened to Python scalars, so each float is its repr.
+    ``prefix`` holds columns of one entry per group, ``rows`` columns of one
+    entry per row, group-major, as many in every group.  A cell is the repr of
+    its column's ``tolist()`` value, as ``csv.writer`` writes numbers, and a
+    prefix is formatted once for its block; lines end in ``\\r\\n``.
     """
-    cols = [c.ravel().tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    heads = map(",".join, zip(*(map(repr, np.ravel(c).tolist()) for c in prefix)))
+    lines = map(",".join, zip(*(map(repr, np.ravel(c).tolist()) for c in rows)))
+    per_group = np.size(rows[0]) // max(np.size(prefix[0]), 1)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cols))
+        fh.write(",".join(header) + "\r\n")
+        for head in heads:
+            head += ","
+            fh.write(head + ("\r\n" + head).join(itertools.islice(lines, per_group)) + "\r\n")
 
 
 def _finite(value, what: str):
@@ -275,8 +273,8 @@ def cmd_tomo_spin(args) -> RunReport:
     worst_sum = float(np.abs(probs.sum(axis=1) - 1.0).max())
     worst_neg = max(0.0, -float(probs.min()))
     path = out / "spin_tomogram.csv"
-    _write_csv(path, ["j", "alpha", "beta", "gamma", "m", "probability"], itertools.repeat(j),
-               *np.repeat(angles, dim, axis=0).T, np.tile(np.arange(dim) - j, args.samples), probs)
+    _write_csv(path, ["j", "alpha", "beta", "gamma", "m", "probability"],
+               [[j] * args.samples, *angles.T], [np.tile(np.arange(dim) - j, args.samples), probs])
     print(f"tomograms: {path}")
     report.add("sums_equal_one", worst_sum < 1e-12, worst_sum)
     report.add("entries_nonnegative", worst_neg < 1e-12, worst_neg)
@@ -322,9 +320,8 @@ def cmd_tomo_photon(args) -> RunReport:
             f"|z|^2 = {abs(z) * abs(z):.3g} displaces the state out of the N_t = {n_t} levels "
             f"(the tomogram keeps {sums[0]:.2e} of the trace); lower |z| or raise --nt")
     path = out / "photon_tomogram.csv"
-    z = np.repeat(lattice.z_points, tom.n_max)
-    _write_csv(path, ["re_z", "im_z", "n", "P"], z.real, z.imag,
-               itertools.cycle(range(tom.n_max)), tom.table.T)
+    _write_csv(path, ["re_z", "im_z", "n", "P"], [lattice.z_points.real, lattice.z_points.imag],
+               [np.tile(np.arange(tom.n_max), len(lattice.z_points)), tom.table.T])
     print(f"tomograms: {path}")
     report.add(
         "columns_normalized",
@@ -364,8 +361,7 @@ def cmd_tomo_symplectic(args) -> RunReport:
             raise groupoid.InfeasibleError(f"boundary tail |chi| = {tail:.2e} at L={args.L:g} exceeds "
                                            f"--tol {args.tol:g}; enlarge --L, with --nt above L^2/2")
     path = out / "symplectic_tomogram.csv"
-    _write_csv(path, ["mu", "nu", "x_k", "p_k"], itertools.repeat(args.mu),
-               itertools.repeat(args.nu), tom.x, tom.p)
+    _write_csv(path, ["mu", "nu", "x_k", "p_k"], [[args.mu], [args.nu]], [tom.x, tom.p])
     print(f"tomogram: {path}")
     report.add("weights_sum_to_trace",
                abs(tom.p.sum() - np.trace(rho).real) < 1e-12,
@@ -395,7 +391,8 @@ def cmd_kernel(args) -> RunReport:
     K = build()
     report = RunReport("kernel", {"pair": name}, seed=args.seed)
     path = _out_dir(args) / f"kernel_{name}.csv"
-    _write_csv(path, ["x1", "x2", "x", "re", "im"], *np.indices(K.shape), K.real, K.imag)
+    _write_csv(path, ["x1", "x2", "x", "re", "im"], np.indices((m, m)),
+               [np.tile(np.arange(m), m * m), K.real, K.imag])
     print(f"kernel: {path}")
     report.add("kernel_exported", True)
     return report
@@ -420,8 +417,8 @@ def cmd_roundtrip(args) -> RunReport:
     report.add("position_product_matches_matrix_product", dev2 < args.tol, dev2)
     if args.csv:
         path = _out_dir(args) / args.csv
-        _write_csv(path, ["x", "y", "re", "im"], np.repeat(grid.points, len(grid)),
-                   np.tile(grid.points, len(grid)), f.real, f.imag)
+        _write_csv(path, ["x", "y", "re", "im"], [grid.points],
+                   [np.tile(grid.points, len(grid)), f.real, f.imag])
         print(f"grid symbol: {path}")
     return report
 
@@ -469,24 +466,23 @@ def _add_tomo_options(p: argparse.ArgumentParser, **reconstruct_only):
     return mode
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
     ap = _Parser(
         prog="groupoidal",
         description="verification campaigns for groupoid algebras, star products, "
                     "and tomographic reconstruction",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    # declared once and copied into every leaf: add_argument is the costly
-    # part of a build, and the parser is built on every run
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--out", default=None, help="output directory (or $GROUPOIDAL_OUT)")
-    common.add_argument("--json", default=None, metavar="NAME", help="write a JSON report")
 
     def _leaf(parent, name: str, func, help: str) -> argparse.ArgumentParser:
         """A subcommand that runs ``func``, taking the common options unabbreviated."""
-        p = parent.add_parser(name, help=help, parents=[common], allow_abbrev=False)
-        p.set_defaults(func=func)
+        p = parent.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func.__name__)  # looked up per run, so a wrapped cmd_* is called
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--out", default=None, help="output directory (or $GROUPOIDAL_OUT)")
+        p.add_argument("--json", default=None, metavar="NAME", help="write a JSON report")
         return p
 
     p = _leaf(sub, "axioms", cmd_axioms, "validate groupoid axioms (sampled above 2^24 triples)")
@@ -551,7 +547,7 @@ def main(argv=None) -> int:
         path = args.json and _out_dir(args) / args.json
         if path:  # made before the work, so a path that cannot be made exits 2 first
             path.parent.mkdir(parents=True, exist_ok=True)
-        report = args.func(args)
+        report = globals()[args.func](args)
         report.wall_time_s = time.perf_counter() - t0
         return _finish(report, path)
     except groupoid.InfeasibleError as exc:

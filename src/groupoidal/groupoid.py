@@ -17,6 +17,7 @@ threads; every operation here is a pure function.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -80,7 +81,7 @@ class NotTransitiveError(ValueError):
 
 
 def _element_ids(values, order: int, what: str, row: tuple = (), low: int = 0) -> np.ndarray:
-    """Ids as an integer (n, *row) array in low..order-1; 0.9 is refused, not truncated."""
+    """Ids as an integer (n, *row) array in low..order-1; 0.9 and false are refused, not cast."""
     message = f"{what} must be integer element ids in " + (f"rows of {row[0]}" if row else "a list")
     try:
         arr = np.asarray(values)
@@ -89,6 +90,9 @@ def _element_ids(values, order: int, what: str, row: tuple = (), low: int = 0) -
     if arr.shape == (0,):
         arr = np.empty((0, *row), dtype=np.int64)
     if arr.ndim != 1 + len(row) or arr.shape[1:] != row or arr.dtype.kind not in "iu":
+        raise GroupoidStructureError(message)
+    cells = itertools.chain.from_iterable(values) if row else values  # [False, 3] is int64
+    if not isinstance(values, np.ndarray) and {bool, np.bool_} & set(map(type, cells)):
         raise GroupoidStructureError(message)
     if arr.size and (arr.min() < low or arr.max() >= order):
         raise GroupoidStructureError(f"{what} entry outside the element ids {low}..{order - 1}")

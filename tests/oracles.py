@@ -26,8 +26,12 @@ Each helper here serves one comparison and claims nothing of its own:
 - the blockwise ``resolution_residual`` of a rank-one pair, the kernel
   identity ``associativity_residual``, the flag ``self_dual``, the
   ``unitarity_defect`` of a matrix and the single Hermite function
-  ``hermite_function`` (against the batched recurrence).
+  ``hermite_function`` (against the batched recurrence);
+- the row-by-row ``csv.writer`` table ``write_csv`` (byte oracle for the
+  block writer ``cli._write_csv``).
 """
+
+import csv
 
 import numpy as np
 
@@ -247,3 +251,15 @@ def hermite_function(n: int, x):
     """phi_n(x) = <x|n> for scalar or array x, read off the batched recurrence."""
     vals = hermite_functions(n, x)[n]
     return vals[0] if np.isscalar(x) else vals
+
+
+def write_csv(path, header: list, *columns) -> None:
+    """Write ``header``, then one row per index i holding entry i of every column.
+
+    An array column is flattened to Python scalars, so each float is its repr.
+    """
+    cols = [c.ravel().tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cols))

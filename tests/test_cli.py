@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import re
@@ -10,11 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groupoidal
-from groupoidal import groupoid, starproduct, tomography
-from groupoidal.cli import build_parser, main
+from groupoidal import groupoid, realizations, starproduct, tomography
+from groupoidal.cli import _write_csv, build_parser, main
 from groupoidal.groupoid import FiniteGroupoid, disjoint_union, pair_groupoid
+from oracles import write_csv
 
 
 @pytest.fixture()
@@ -730,3 +734,145 @@ class TestKernelGenconv:
         assert code == 0
         rows = (tmp_path / "kernel_dreal8.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 8**3
+
+
+def _spin_columns(j: float, samples: int, seed: int) -> tuple:
+    """``tomo spin --j J --samples S --seed SEED`` of the vacuum, as the row-by-row columns."""
+    dim = int(round(2 * j)) + 1
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
+    angles = np.random.default_rng(seed).uniform(-np.pi, np.pi, (samples, 3))
+    probs = tomography.spin_tomogram(j, tomography.EulerAngles(*angles.T), rho)
+    return (["j", "alpha", "beta", "gamma", "m", "probability"], itertools.repeat(j),
+            *np.repeat(angles, dim, axis=0).T, np.tile(np.arange(dim) - j, samples), probs)
+
+
+def _photon_columns(lattice, state_z, n_t: int) -> tuple:
+    """The photon CSV of the coherent state |state_z> on ``lattice``, row by row."""
+    v = realizations.coherent_state_vector(n_t, state_z)
+    tom = tomography.photon_tomogram(np.outer(v, v.conj()), lattice, n_max=n_t)
+    z = np.repeat(lattice.z_points, tom.n_max)
+    return (["re_z", "im_z", "n", "P"], z.real, z.imag, itertools.cycle(range(tom.n_max)),
+            tom.table.T)
+
+
+def _symplectic_columns(n_t: int, mu: float, nu: float) -> tuple:
+    rho = np.zeros((n_t, n_t), dtype=complex)
+    rho[0, 0] = 1.0
+    tom = tomography.state_tomogram_provider(rho)(mu, nu)
+    return (["mu", "nu", "x_k", "p_k"], itertools.repeat(mu), itertools.repeat(nu),
+            tom.x, tom.p)
+
+
+def _kernel_columns(K: np.ndarray) -> tuple:
+    return (["x1", "x2", "x", "re", "im"], *np.indices(K.shape), K.real, K.imag)
+
+
+def _roundtrip_columns(n_t: int, xmax: float, points: int, seed: int) -> tuple:
+    rng = np.random.default_rng(seed)
+    grid = realizations.position_grid(-xmax, xmax, points)
+    F = rng.standard_normal((n_t, n_t)) + 1j * rng.standard_normal((n_t, n_t))
+    f = realizations.fock_to_position_symbol(F, grid)
+    return (["x", "y", "re", "im"], np.repeat(grid.points, points), np.tile(grid.points, points),
+            f.real, f.imag)
+
+
+# label: (argv, exit code, CSV file, the columns csv.writer writes row by row)
+CSV_RUNS = {
+    "spin_integer_j": ("tomo spin --j 10 --samples 40 --seed 3", 0, "spin_tomogram.csv",
+                       lambda: _spin_columns(10.0, 40, 3)),
+    "spin_half_integer_j": ("tomo spin --j 2.5 --samples 25 --seed 5", 0, "spin_tomogram.csv",
+                            lambda: _spin_columns(2.5, 25, 5)),
+    # columns_normalized fails at the lattice edge, where the Fock truncation leaks
+    "photon_lattice": (
+        "tomo photon --reconstruct --state coherent:0.3-0.2j", 1, "photon_tomogram.csv",
+        lambda: _photon_columns(realizations.disk_lattice(4.0, 0.2), 0.3 - 0.2j, 32)),
+    "photon_z": (
+        "tomo photon --z 0.5-0.25j --nt 16 --state coherent:0.1+0.4j", 0, "photon_tomogram.csv",
+        lambda: _photon_columns(realizations.CoherentGrid(np.array([0.5 - 0.25j]), 0.04),
+                                0.1 + 0.4j, 16)),
+    "symplectic": ("tomo symplectic --nt 16 --mu 0.3 --nu -1.7", 0, "symplectic_tomogram.csv",
+                   lambda: _symplectic_columns(16, 0.3, -1.7)),
+    "kernel_weyl3": ("kernel --weyl 3", 0, "kernel_weyl3.csv",
+                     lambda: _kernel_columns(starproduct.kernel(starproduct.weyl_qdpair(3)))),
+    "kernel_units2_z2": (
+        "kernel --units 2 --isotropy Z2", 0, "kernel_dreal8.csv",
+        lambda: _kernel_columns(starproduct.d_realization_kernel(
+            groupoid.transitive_groupoid(2, groupoid.cyclic_group_table(2))))),
+    # 16 points are too few for the round trip to pass; the symbol is written all the same
+    "roundtrip_csv": ("roundtrip --points 16 --csv grid.csv", 1, "grid.csv",
+                      lambda: _roundtrip_columns(16, 8.0, 16, 0)),
+}
+
+_FLOAT_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 1e-4, 0.1, 1 / 3,
+                float("inf"), float("-inf"), float("nan"), 1.7976931348623157e308]
+_CELLS = {
+    np.float64: st.one_of(st.sampled_from(_FLOAT_EDGES), st.floats()),
+    np.int64: st.one_of(st.sampled_from([0, -1, 2**53 + 1, -(2**63), 2**63 - 1]),
+                        st.integers(-(2**63), 2**63 - 1)),
+}
+
+
+@st.composite
+def _column(draw, length: int):
+    """A float64 or int64 column, as a Python list or a numpy array."""
+    dtype = draw(st.sampled_from(list(_CELLS)))
+    values = draw(st.lists(_CELLS[dtype], min_size=length, max_size=length))
+    return np.array(values, dtype=dtype) if draw(st.booleans()) else values
+
+
+class TestCsvBytes:
+    """Every CSV the CLI writes is byte for byte the row-by-row ``csv.writer`` table."""
+
+    @pytest.mark.parametrize("argv,code,name,columns", list(CSV_RUNS.values()), ids=list(CSV_RUNS))
+    def test_cli_csv_matches_csv_writer(self, tmp_path, argv, code, name, columns):
+        out = tmp_path / "out"
+        assert main([*argv.split(), "--out", str(out)]) == code
+        write_csv(tmp_path / "oracle.csv", *columns())
+        assert (out / name).read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), groups=st.integers(0, 4), per_group=st.integers(1, 4),
+           n_prefix=st.integers(1, 3), n_rows=st.integers(1, 3))
+    def test_block_writer_matches_csv_writer(self, tmp_path_factory, data, groups, per_group,
+                                             n_prefix, n_rows):
+        prefix = [data.draw(_column(groups)) for _ in range(n_prefix)]
+        rows = [data.draw(_column(groups * per_group)) for _ in range(n_rows)]
+        header = [f"c{i}" for i in range(n_prefix + n_rows)]
+        tmp = tmp_path_factory.mktemp("csv")
+        _write_csv(tmp / "block.csv", header, prefix, rows)
+        write_csv(tmp / "oracle.csv", header,
+                  *(np.repeat(np.array(c, dtype=object), per_group) for c in prefix), *rows)
+        assert (tmp / "block.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
+
+
+class TestParserOnce:
+    """The parser is built once per process; each run still reads as in a fresh process."""
+
+    # the last photon run would exit 2 if the refused --s had left a default behind
+    RUNS = [("tomo photon --s -0.5 --reconstruct", 0),
+            ("tomo photon --s -0.5", 2),
+            ("tomo photon --nt 8", 0),
+            ("axioms --pair 3", 0)]
+
+    def test_runs_in_one_process_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        src = str(Path(groupoidal.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for i, (argv, code) in enumerate(self.RUNS):
+            args = [*argv.split(), "--out", ".", "--json", "r.json"]
+            fresh, same = tmp_path / f"fresh{i}", tmp_path / f"same{i}"
+            fresh.mkdir()
+            same.mkdir()
+            proc = subprocess.run([sys.executable, "-m", "groupoidal.cli", *args], cwd=fresh,
+                                  capture_output=True, text=True, env=env, timeout=120)
+            monkeypatch.chdir(same)
+            assert main(args) == proc.returncode == code, argv
+            assert capsys.readouterr() == (proc.stdout, proc.stderr), argv
+            reports = [d / "r.json" for d in (fresh, same)]
+            assert [p.exists() for p in reports] == [code == 0] * 2
+            if code == 0:
+                fresh_report, same_report = (json.loads(p.read_text()) for p in reports)
+                for r in (fresh_report, same_report):
+                    del r["wall_time_s"]
+                assert same_report == fresh_report, argv
+        assert build_parser.cache_info().misses <= 1

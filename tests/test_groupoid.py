@@ -525,6 +525,30 @@ class TestLoaderRefusals:
         with pytest.raises(GroupoidStructureError):
             FiniteGroupoid.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key,values",
+        [
+            ("units", [False, 3]),
+            ("source", [False, 3, 0, 3]),
+            ("target", [False, 0, 3, 3]),
+            ("inverse", [False, 2, 1, 3]),
+            ("compose", [[False, 0, 0], [0, 1, 1], [1, 2, 0], [1, 3, 1], [2, 0, 2], [2, 1, 3],
+                         [3, 2, 2], [3, 3, 3]]),
+        ],
+        ids=["units", "source", "target", "inverse", "compose"],
+    )
+    def test_boolean_id_among_integers_rejected(self, tmp_path, key, values):
+        # np.asarray([False, 3]) is an int64 array; json and load read the same file alike
+        data = dict(pair_groupoid(2).to_dict(), **{key: values})
+        text = json.dumps(data)
+        assert "false" in text
+        with pytest.raises(GroupoidStructureError, match=key):
+            FiniteGroupoid.from_dict(json.loads(text))
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        with pytest.raises(GroupoidStructureError, match=key):
+            FiniteGroupoid.load(path)
+
     @pytest.mark.parametrize("order", [4.9, 4.0, "4", True, 0, -4],
                              ids=["fractional", "integral_float", "string", "bool", "zero",
                                   "negative"])
@@ -610,8 +634,7 @@ class TestFileLoader:
             expected = FiniteGroupoid.from_dict(json.loads(text))
         except ValueError:
             expected = None
-        # json reads false as 0; the loader refuses a boolean id like a float one
-        assert (expected is not None) == (accepted or name == "bool")
+        assert (expected is not None) == accepted
         if accepted:
             G = FiniteGroupoid.load(path)
             assert G == expected and G.name == expected.name

@@ -388,8 +388,7 @@ class TestGridSymbolExport:
         path = tmp_path / "sym.csv"
         f = np.array([[1 + 0.5j, -2.0], [0.25j, 1 / 3]])
         points = position_grid(-1.5, 1.5, 2).points
-        _write_csv(path, ["x", "y", "re", "im"], np.repeat(points, 2), np.tile(points, 2),
-                   f.real, f.imag)
+        _write_csv(path, ["x", "y", "re", "im"], [points], [np.tile(points, 2), f.real, f.imag])
         rows = ["x,y,re,im", "-1.5,-1.5,1.0,0.5", "-1.5,1.5,-2.0,0.0", "1.5,-1.5,0.0,0.25",
                 "1.5,1.5,0.3333333333333333,0.0"]
         assert path.read_bytes() == "".join(r + "\r\n" for r in rows).encode()

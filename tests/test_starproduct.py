@@ -601,7 +601,9 @@ class TestKernelExport:
 
     @staticmethod
     def _export(K, path):
-        _write_csv(path, ["x1", "x2", "x", "re", "im"], *np.indices(K.shape), K.real, K.imag)
+        m = len(K)
+        _write_csv(path, ["x1", "x2", "x", "re", "im"], np.indices((m, m)),
+                   [np.tile(np.arange(m), m * m), K.real, K.imag])
 
     def test_csv_rows(self, tmp_path):
         path = tmp_path / "k.csv"
