@@ -1,8 +1,10 @@
 """Functions on a finite groupoid and their convolution algebra.
 
-Includes the Weyl matrix units, the regular (left-convolution) realization
-of an arbitrary finite groupoid, its trace normalization, and the
-density-weighted grid convolution.  With ids (u*n + v)*|H| + h, ``convolve``
+A function on a groupoid G is a complex array of one value per element id:
+numpy does its linear arithmetic, and ``convolve(G, f1, f2)`` is the product.
+The module also holds the Weyl matrix units, the regular (left-convolution)
+realization of an arbitrary finite groupoid, its trace normalization, and
+the density-weighted grid convolution.  With ids (u*n + v)*|H| + h, ``convolve``
 on ``transitive_groupoid(n, H)`` is the product of M_n(C[H]).  Functions are
 (de)quantized only in ``starproduct``: through ``weyl_qdpair(n)`` for pair
 groupoids, and through ``regular_reconstruct`` / ``regular_symbol`` for the
@@ -20,73 +22,43 @@ from .groupoid import FiniteGroupoid, NotTransitiveError, classify, isotropy_gro
 
 
 class AlgebraMismatchError(ValueError):
-    """Raised when combining functions that live on different groupoids."""
+    """Raised when a value array does not hold one value per groupoid element."""
 
 
-@dataclass(frozen=True)
-class GroupoidFunction:
-    """A complex-valued function on the elements of one groupoid."""
-
-    groupoid: FiniteGroupoid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.groupoid.order,):
-            raise AlgebraMismatchError("value vector length must equal the groupoid order")
-        object.__setattr__(self, "values", vals)
-
-    def _check_owner(self, other: "GroupoidFunction") -> None:
-        if other.groupoid != self.groupoid:
-            raise AlgebraMismatchError("functions live on different groupoids")
-
-    def __add__(self, other: "GroupoidFunction") -> "GroupoidFunction":
-        self._check_owner(other)
-        return GroupoidFunction(self.groupoid, self.values + other.values)
-
-    def __sub__(self, other: "GroupoidFunction") -> "GroupoidFunction":
-        self._check_owner(other)
-        return GroupoidFunction(self.groupoid, self.values - other.values)
-
-    def __mul__(self, scalar) -> "GroupoidFunction":
-        return GroupoidFunction(self.groupoid, self.values * scalar)
-
-    __rmul__ = __mul__
-
-
-def delta(G: FiniteGroupoid, gamma: int) -> GroupoidFunction:
+def delta(G: FiniteGroupoid, gamma: int) -> np.ndarray:
     """Indicator function of a single element; these span the algebra."""
     if not 0 <= gamma < G.order:
         raise ValueError(f"element {gamma} out of range for order {G.order}")
     vals = np.zeros(G.order, dtype=np.complex128)
     vals[gamma] = 1.0
-    return GroupoidFunction(G, vals)
+    return vals
 
 
-def convolve(f1: GroupoidFunction, f2: GroupoidFunction) -> GroupoidFunction:
+def convolve(G: FiniteGroupoid, f1, f2) -> np.ndarray:
     """Convolution (f1 * f2)(g) = sum over j o k = g of f1(j) f2(k).
 
     Iterates the stored defined-composition triples only; the composition
     table is the ground truth for which products contribute.
     """
-    f1._check_owner(f2)
-    G = f1.groupoid
-    triples = G.composable_triples()
+    f1, f2 = np.asarray(f1, dtype=np.complex128), np.asarray(f2, dtype=np.complex128)
+    if f1.shape != (G.order,) or f2.shape != (G.order,):
+        raise AlgebraMismatchError(f"functions on a groupoid of order {G.order} need {G.order} "
+                                   f"values each (got shapes {f1.shape} and {f2.shape})")
+    j, k, g = G.composable_triples().T
     out = np.zeros(G.order, dtype=np.complex128)
-    if len(triples):
-        np.add.at(out, triples[:, 2], f1.values[triples[:, 0]] * f2.values[triples[:, 1]])
-    return GroupoidFunction(G, out)
+    np.add.at(out, g, f1[j] * f2[k])
+    return out
 
 
 def random_function(
     G: FiniteGroupoid, rng: np.random.Generator, integer: bool = False
-) -> GroupoidFunction:
+) -> np.ndarray:
     """Random test function; with ``integer`` the values are Gaussian integers."""
     if integer:
         vals = rng.integers(-5, 6, G.order) + 1j * rng.integers(-5, 6, G.order)
     else:
         vals = rng.standard_normal(G.order) + 1j * rng.standard_normal(G.order)
-    return GroupoidFunction(G, vals.astype(np.complex128))
+    return vals.astype(np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +147,6 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     w[0] = (points[1] - points[0]) / 2
     w[-1] = (points[-1] - points[-2]) / 2
     return w
-
-
-def gauss_legendre_rule(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre points and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    return (a + b) / 2 + (b - a) / 2 * x, (b - a) / 2 * w
 
 
 def weighted_grid_convolve(

@@ -238,6 +238,9 @@ def _parse_state(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
         return rho / np.trace(rho).real
     if spec.startswith("file:"):
         rho = algebra.load_operator(spec.split(":", 1)[1])
+        if len(rho) != dim:  # the file fixes the dimension, so no other option can mend it
+            raise ValueError(f"state {spec!r} has dimension {len(rho)}, but this run's is {dim} "
+                             "(--nt, or 2j + 1 for spin)")
         if np.abs(rho - rho.conj().T).max() > 1e-10:  # state_tomogram_provider's tolerance
             raise ValueError(f"state {spec!r} is not a Hermitian operator")
         return rho

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import gauss_legendre_rule, trapezoid_weights
+from .algebra import trapezoid_weights
 from .groupoid import InfeasibleError, check_dense_size
 from .starproduct import (
     QDPair,
-    Symbol,
     duality_residual,
     kernel,
     nonboolean_margin,
@@ -59,7 +58,7 @@ class SpinSpace:
 
 @dataclass(frozen=True)
 class PositionGrid:
-    """Uniformly spaced quadrature grid with positive weights."""
+    """Quadrature grid: strictly increasing points with positive weights."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -80,14 +79,10 @@ class PositionGrid:
         return len(self.points)
 
 
-def position_grid(a: float = -8.0, b: float = 8.0, m: int = 512, rule: str = "trapezoid") -> PositionGrid:
-    if rule == "trapezoid":
-        pts = np.linspace(a, b, m)
-        return PositionGrid(pts, trapezoid_weights(pts))
-    if rule == "gauss-legendre":
-        pts, w = gauss_legendre_rule(a, b, m)
-        return PositionGrid(pts, w)
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+def position_grid(a: float = -8.0, b: float = 8.0, m: int = 512) -> PositionGrid:
+    """m uniformly spaced points on [a, b] with trapezoid weights."""
+    pts = np.linspace(a, b, m)
+    return PositionGrid(pts, trapezoid_weights(pts))
 
 
 @dataclass(frozen=True)
@@ -196,12 +191,13 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     return out
 
 
-def fock_to_position_symbol(F: Symbol | np.ndarray, grid: PositionGrid) -> np.ndarray:
+def fock_to_position_symbol(F: np.ndarray, grid: PositionGrid) -> np.ndarray:
     """Position-representation kernel f(x, y) = sum F(n, m) phi_n(x) phi_m(y)."""
-    Fm = _fock_symbol_matrix(F)
-    n_trunc = Fm.shape[0]
-    phi = hermite_functions(n_trunc - 1, grid.points)
-    return phi.T @ Fm @ phi
+    F = np.asarray(F, dtype=np.complex128)
+    if F.ndim != 2 or F.shape[0] != F.shape[1] or len(F) < 1:
+        raise ValueError("Fock symbol must be a square matrix of dimension at least 1")
+    phi = hermite_functions(len(F) - 1, grid.points)
+    return phi.T @ F @ phi
 
 
 def position_to_fock_symbol(f: np.ndarray, grid: PositionGrid, n_trunc: int) -> np.ndarray:
@@ -230,16 +226,6 @@ def position_to_fock_symbol(f: np.ndarray, grid: PositionGrid, n_trunc: int) -> 
     phi = hermite_functions(n_trunc - 1, grid.points)
     wphi = phi * grid.weights[None, :]
     return wphi @ f @ wphi.T
-
-
-def _fock_symbol_matrix(F: Symbol | np.ndarray) -> np.ndarray:
-    if isinstance(F, Symbol):
-        n = int(round(np.sqrt(len(F.space))))
-        return F.values.reshape(n, n)
-    F = np.asarray(F, dtype=np.complex128)
-    if F.ndim != 2 or F.shape[0] != F.shape[1] or len(F) < 1:
-        raise ValueError("Fock symbol must be a square matrix of dimension at least 1")
-    return F
 
 
 def position_qdpair(grid: PositionGrid) -> QDPair:
@@ -322,8 +308,7 @@ def coherent_discrepancy_report(grid: CoherentGrid, n_trunc: int) -> dict:
     f = np.exp(-np.abs(z[:, None] - 0.25) ** 2 - np.abs(z[None, :] + 0.25j) ** 2)
     g = np.exp(-np.abs(z[:, None] + 0.25) ** 2 - np.abs(z[None, :] - 0.25j) ** 2)
     conv = f @ g * grid.point_weight
-    fsym, gsym = (Symbol(pair.space, h.reshape(-1)) for h in (f, g))
-    gap = float(np.abs(star(pair, fsym, gsym).values.reshape(m, m) - conv).max())
+    gap = float(np.abs(star(pair, f.reshape(-1), g.reshape(-1)).reshape(m, m) - conv).max())
 
     sub = CoherentGrid(z[: min(m, 4)], grid.cell_area)
     nonboolean = nonboolean_margin(kernel(coherent_pair(sub, n_trunc)))

@@ -3,10 +3,14 @@
 A ``QDPair`` carries two rank-one operator families over a weighted index
 set: the quantizer D(x) = |a_x><b_x| used to rebuild operators from symbols
 and the dequantizer U(x) = |c_x><d_x| used to take symbols
-f_A(x) = Tr[A U(x)^dagger].  It is stored as its vectors, so symbols,
-reconstructions, kernels and the duality residual are Gram products.  The
-star product of symbols is the image of the operator product, and ``star``
-computes it as symbol(reconstruct(f) @ reconstruct(g)) at every size.
+f_A(x) = Tr[A U(x)^dagger].  A symbol is a complex array of one value per
+index point; the Weyl pair's flat index i*n + k is the pair groupoid's
+element id, so its symbols are the groupoid functions of ``algebra``, and
+the regular realization's symbols are indexed by element id too.  The pair
+is stored as its vectors, so symbols, reconstructions, kernels and the
+duality residual are Gram products.  The star product of symbols is the
+image of the operator product, and ``star`` computes it as
+symbol(reconstruct(f) @ reconstruct(g)) at every size.
 
 The regular realization D(g)[i, k] = 1 iff g o k = i of a finite groupoid is
 not rank-one.  Its composable triples (j, k, i) describe it whole:
@@ -25,6 +29,7 @@ exactly the groupoid convolution.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -115,51 +120,27 @@ class QDPair:
         return self.families[0].shape[-1]
 
 
-@dataclass(frozen=True, eq=False)
-class Symbol:
-    """Scalar function on a pair's index space representing an operator."""
-
-    space: IndexSpace
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (len(self.space),):
-            raise SpaceMismatchError("one value per index point required")
-        object.__setattr__(self, "values", v)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return self is other or (
-            self.space == other.space and np.array_equal(self.values, other.values)
-        )
-
-
-def _check_space(pair: QDPair, f: Symbol) -> None:
-    if f.space != pair.space:
-        raise SpaceMismatchError("symbol does not live on the pair's index space")
-
-
-def symbol(pair: QDPair, A: np.ndarray) -> Symbol:
+def symbol(pair: QDPair, A: np.ndarray) -> np.ndarray:
     """Dequantization: f_A(x) = Tr[A U(x)^dagger] = <c_x|A|d_x>."""
     A = np.asarray(A, dtype=np.complex128)
     if A.shape != (pair.hilbert_dim, pair.hilbert_dim):
         raise SpaceMismatchError("operator dimension does not match the pair")
     _, _, c, d = pair.families
-    return Symbol(pair.space, np.sum((np.conj(c) @ A) * d, axis=1))
+    return np.sum((np.conj(c) @ A) * d, axis=1)
 
 
-def reconstruct(pair: QDPair, f: Symbol) -> np.ndarray:
+def reconstruct(pair: QDPair, f) -> np.ndarray:
     """Quantization: A = sum_x f(x) D(x) w(x).
 
     Inverse of ``symbol`` exactly when the duality residual vanishes; for
     non-orthogonal families (coherent grids) the residual quantifies the
     reconstruction defect rather than hiding it.
     """
-    _check_space(pair, f)
+    f = np.asarray(f, dtype=np.complex128)
+    if f.shape != (len(pair.space),):
+        raise SpaceMismatchError("a symbol needs one value per index point of the pair")
     a, b, _, _ = pair.families
-    return a.T @ ((f.values * pair.space.weights)[:, None] * np.conj(b))
+    return a.T @ ((f * pair.space.weights)[:, None] * np.conj(b))
 
 
 def duality_residual(pair: QDPair) -> float:
@@ -204,7 +185,7 @@ def kernel(pair: QDPair) -> np.ndarray:
     return (bc @ a.T)[:, :, None] * (bc @ d.T)[None, :, :] * (a @ np.conj(c).T)[:, None, :]
 
 
-def star(pair: QDPair, f: Symbol, g: Symbol) -> Symbol:
+def star(pair: QDPair, f, g) -> np.ndarray:
     """Star product symbol(reconstruct(f) @ reconstruct(g)); equals the kernel double sum."""
     return symbol(pair, reconstruct(pair, f) @ reconstruct(pair, g))
 
@@ -322,7 +303,8 @@ def _star_equals_convolution(
     """The one check that a star product of symbols on ``G`` is its convolution.
 
     ``product(f1, f2)`` maps two symbols, value arrays in the flat element
-    indexing of ``G``, to their star product.  ``K``, its kernel built once by
+    indexing of ``G``, to their star product, compared as arrays with
+    ``convolve(G, f1, f2)``.  ``K``, its kernel built once by
     the caller (``verify_gen_conv`` passes its exact count form), is compared
     with delta_{g1 o g2}(g) by subtracting 1 in place at the composable
     triples.  Then max(1, n_pairs // 10) Gaussian-integer symbol pairs, which
@@ -339,7 +321,7 @@ def _star_equals_convolution(
     dev = np.zeros((2, 2))  # [float, integer] pairs -> largest (max, Frobenius) deviation
     for integer in [1] * max(1, n_pairs // 10) + [0] * n_pairs:
         f1, f2 = (random_function(G, rng, integer=bool(integer)) for _ in range(2))
-        diff = np.abs(product(f1.values, f2.values) - convolve(f1, f2).values)
+        diff = np.abs(product(f1, f2) - convolve(G, f1, f2))
         dev[integer] = np.maximum(dev[integer], [diff.max(), np.linalg.norm(diff)])
     details["integer_max_dev"] = float(dev[1, 0])
     exact = max(details["kernel_vs_delta_dev"], dev[1, 0]) == 0.0
@@ -357,11 +339,8 @@ def verify_prop1(n: int, n_pairs: int = 100, seed: int = 0) -> EquivalenceReport
         raise ValueError("verify_prop1 needs n >= 1")
     _check_kernel_size(n * n)  # before the pair is built
     pair = weyl_qdpair(n)
-
-    def product(f1, f2):
-        return star(pair, Symbol(pair.space, f1), Symbol(pair.space, f2)).values
-
-    return _star_equals_convolution(product, pair_groupoid(n), kernel(pair), n_pairs, seed)
+    return _star_equals_convolution(functools.partial(star, pair), pair_groupoid(n),
+                                    kernel(pair), n_pairs, seed)
 
 
 def verify_gen_conv(G: FiniteGroupoid, n_pairs: int = 20, seed: int = 0) -> EquivalenceReport:

@@ -38,8 +38,10 @@ class DegenerateDirectionError(ValueError):
 # lattice points per batch of photon_tomogram / photon_reconstruct: bounds the
 # temporaries (~0.15 MB a point at N_t = 32) and measured fastest (in cache)
 _POINT_BLOCK = 32
-# rotation-matrix entries per batch of spin_tomogram: (2j+1)^2 per rotation, so
-# 594 rotations at j = 10 and 17 at j = 60; bounds each complex temporary to 4 MB
+# complex entries per batch, which bounds each temporary to 4 MB: spin_tomogram
+# rotates (2j+1)^2 entries per rotation, so 594 rotations at j = 10 and 17 at
+# j = 60; symplectic_reconstruct gathers N_t^2 entries of S per row of A, so
+# all 32 rows at N_t = 32 and 28 rows at N_t = 96
 _ROTATION_BLOCK = 1 << 18
 # lattice points above which symplectic_reconstruct is refused: 12-20 us a
 # point measured at N_t 8-32 (2 vCPUs), so under half a minute of work
@@ -552,8 +554,13 @@ def symplectic_reconstruct(
         row = chi[i] if i == n_half else chi[i] + signs * chi[-1 - i, ::-1]
         phases = row * np.exp(1j * np.multiply.outer(shifts, np.arctan2(grid, grid[i])))
         S += phases @ np.exp(-1j * np.multiply.outer(np.hypot(grid[i], grid), frame.x_q))
-    j, k = np.indices((n_trunc, n_trunc))
-    total = np.einsum("ja,jka,ka->jk", frame.V_q, S[j - k + n_trunc - 1], frame.V_q.conj())
+    diagonal = np.subtract.outer(np.arange(n_trunc), np.arange(n_trunc)) + n_trunc - 1
+    total = np.empty((n_trunc, n_trunc), dtype=np.complex128)
+    step = max(1, _ROTATION_BLOCK // n_trunc**2)
+    for lo in range(0, n_trunc, step):  # row blocks of A: S[j - k] is (rows, N_t, N_t)
+        rows = slice(lo, lo + step)
+        total[rows] = np.einsum("ja,jka,ka->jk", frame.V_q[rows], S[diagonal[rows]],
+                                frame.V_q.conj())
     total *= grid_step**2 / (2 * np.pi)
 
     if tail > 1e-3:

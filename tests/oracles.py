@@ -28,7 +28,9 @@ Each helper here serves one comparison and claims nothing of its own:
   ``unitarity_defect`` of a matrix and the single Hermite function
   ``hermite_function`` (against the batched recurrence);
 - the row-by-row ``csv.writer`` table ``write_csv`` (byte oracle for the
-  block writer ``cli._write_csv``).
+  block writer ``cli._write_csv``);
+- the Gauss-Legendre ``gauss_legendre_grid``, a non-uniform second rule
+  beside the library's trapezoid ``realizations.position_grid``.
 """
 
 import csv
@@ -36,7 +38,7 @@ import csv
 import numpy as np
 
 from groupoidal.groupoid import UNDEFINED, FiniteGroupoid
-from groupoidal.realizations import hermite_functions
+from groupoidal.realizations import PositionGrid, hermite_functions
 from groupoidal.starproduct import QDPair
 from groupoidal.tomography import (
     QuadratureFrame,
@@ -263,3 +265,9 @@ def write_csv(path, header: list, *columns) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*cols))
+
+
+def gauss_legendre_grid(a: float, b: float, m: int) -> PositionGrid:
+    """Gauss-Legendre points and weights on [a, b] as a PositionGrid."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    return PositionGrid((a + b) / 2 + (b - a) / 2 * x, (b - a) / 2 * w)

@@ -605,6 +605,28 @@ class TestExitCodes:
         assert err.startswith("input error: ") and "not a Hermitian operator" in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("scheme, run_dim, file_dim", [
+        ("spin --j 1 --reconstruct", 3, 8),
+        ("photon --nt 32 --reconstruct", 32, 8),
+        ("symplectic --nt 32 --reconstruct", 32, 8),
+        ("photon --nt 32", 32, 40),
+        ("symplectic --nt 32", 32, 40),
+    ])
+    def test_file_state_of_another_dimension_is_refused(self, tmp_path, capsys, scheme,
+                                                        run_dim, file_dim):
+        # the file fixes the dimension: a fock:1 state on file_dim levels against the run's
+        rho = np.zeros((file_dim, file_dim))
+        rho[1, 1] = 1.0
+        (tmp_path / "rho.json").write_text(json.dumps(
+            {"dim": file_dim, "entries": [[x, 0.0] for x in rho.reshape(-1).tolist()]}))
+        code = main(["tomo", *scheme.split(), "--state", f"file:{tmp_path}/rho.json",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert f"dimension {file_dim}," in err and f"is {run_dim} " in err
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*_reconstruction.json"))
+
     def test_readme_cli_commands_parse(self):
         """Every ``groupoidal ...`` command in README's shell blocks parses."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -716,6 +716,30 @@ class TestSymplecticReconstruction:
         with pytest.raises(InfeasibleError, match=match):
             quasi_symbol_from_tomograms(8, provider, 1.0, 0.0, limit, step)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_row_blocks_equal_one_block(self, monkeypatch):
+        provider = state_tomogram_provider(_rand_density(np.random.default_rng(13), 10))
+        whole = symplectic_reconstruct(10, provider, 2.0, 0.5).operator
+        # 301 entries make blocks of 3 rows of A at N_t = 10, the last one a single row
+        monkeypatch.setattr(tomography, "_ROTATION_BLOCK", 3 * 100 + 1)
+        blocked = symplectic_reconstruct(10, provider, 2.0, 0.5).operator
+        assert np.abs(blocked - whole).max() <= 1e-15
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_assembly_memory_is_bounded_by_the_block(self):
+        # gathering S[j - k] for all of A at once takes N_t^3 complex entries, 14 MB at N_t = 96
+        n_t = 96
+        provider = state_tomogram_provider(_rand_density(np.random.default_rng(14), n_t))
+        symplectic_reconstruct(n_t, provider, 1.0, 0.5)  # one-time allocations of a first call
+        tracemalloc.start()
+        try:
+            rec = symplectic_reconstruct(n_t, provider, 1.0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(rec.operator).all()
+        assert peak < 16 * n_t**3 / 2
+
     def test_point_limit_admits_the_documented_grids(self):
         # L 6 at step 0.1 and 0.05 (121^2 and 241^2 points) pass; 1025^2 does not
         assert 241**2 <= tomography.SYMPLECTIC_POINT_LIMIT < 1025**2
