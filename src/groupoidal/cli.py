@@ -265,7 +265,7 @@ def cmd_tomo_spin(args) -> RunReport:
         raise ValueError(f"--samples must be at least 1 (got {args.samples})")
     j = args.j
     dim = realizations.SpinSpace(j).dim
-    # spin_tomogram holds the probability table and rotates 2^18 entries, or one matrix, at a time
+    # spin_tomogram holds the probability table and rotates 2^16 entries, or one matrix, at a time
     groupoid.check_dense_size((args.samples, dim), float, "probability table")
     groupoid.check_dense_size((dim, dim), np.complex128, "rotation matrix")
     rho = _parse_state(args.state, dim, rng)

@@ -38,11 +38,15 @@ class DegenerateDirectionError(ValueError):
 # lattice points per batch of photon_tomogram / photon_reconstruct: bounds the
 # temporaries (~0.15 MB a point at N_t = 32) and measured fastest (in cache)
 _POINT_BLOCK = 32
-# complex entries per batch, which bounds each temporary to 4 MB: spin_tomogram
-# rotates (2j+1)^2 entries per rotation, so 594 rotations at j = 10 and 17 at
+# complex entries per batch, which bounds each temporary to 1 MB: spin_tomogram
+# rotates (2j+1)^2 entries per rotation, so 148 rotations at j = 10 and 4 at
 # j = 60; symplectic_reconstruct gathers N_t^2 entries of S per row of A, so
-# all 32 rows at N_t = 32 and 28 rows at N_t = 96
-_ROTATION_BLOCK = 1 << 18
+# all 32 rows at N_t = 32 and 7 rows at N_t = 96.  Not lower: freed 1 MB
+# temporaries lift glibc's dynamic mmap threshold above photon_tomogram's
+# 512 KB point blocks, which then reuse heap pages; at 1 << 15 the blocks stay
+# mmapped and fault their pages in afresh every batch (a photon run's minor
+# page faults: ~170 at 1 << 16, ~9,100 at 1 << 15)
+_ROTATION_BLOCK = 1 << 16
 # lattice points above which symplectic_reconstruct is refused: 12-20 us a
 # point measured at N_t 8-32 (2 vCPUs), so under half a minute of work
 SYMPLECTIC_POINT_LIMIT = 1 << 20
@@ -71,6 +75,25 @@ def angular_momentum(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jz, jy, jplus
 
 
+def _spin_frame(j: float) -> tuple[np.ndarray, np.ndarray]:
+    """(m, V): the spectrum m = -j..j of J_y, used exactly, and its eigenvectors."""
+    return SpinSpace(j).m_values, np.linalg.eigh(angular_momentum(j)[1])[1]
+
+
+def _little_d(frame, beta) -> np.ndarray:
+    """d(beta) = 1 + V diag(e^{-i beta m} - 1) V^dag from the J_y eigenframe (m, V)."""
+    m, V = frame
+    phases = np.exp(-1j * np.multiply.outer(beta, m)) - 1.0
+    return np.eye(len(m)) + ((V * phases[..., None, :]) @ V.conj().T).real
+
+
+def _wigner_D(m, d, alpha, gamma) -> np.ndarray:
+    """D = diag(e^{-i m alpha}) d diag(e^{-i m gamma}) from the little-d matrices d."""
+    alpha = np.asarray(alpha)[..., None, None]
+    gamma = np.asarray(gamma)[..., None, None]
+    return np.exp(-1j * m[:, None] * alpha) * d * np.exp(-1j * m[None, :] * gamma)
+
+
 def wigner_little_d(j: float, beta) -> np.ndarray:
     """Real rotation matrices d^j(beta), rows/columns ordered m = -j..j.
 
@@ -80,20 +103,12 @@ def wigner_little_d(j: float, beta) -> np.ndarray:
     the identity is split off so that beta = 0 gives exactly 1.  ``beta`` may
     be an array: the result has shape ``beta.shape + (2j+1, 2j+1)``.
     """
-    jz, jy, _ = angular_momentum(j)
-    _, V = np.linalg.eigh(jy)
-    m = jz.diagonal().real
-    phases = np.exp(-1j * np.multiply.outer(beta, m)) - 1.0
-    return np.eye(len(jy)) + ((V * phases[..., None, :]) @ V.conj().T).real
+    return _little_d(_spin_frame(j), beta)
 
 
 def wigner_D(j: float, g: EulerAngles) -> np.ndarray:
     """Unitary D^j(g) = exp(-i a Jz) exp(-i b Jy) exp(-i c Jz); array angles batch."""
-    m = SpinSpace(j).m_values
-    d = wigner_little_d(j, g.beta)
-    alpha = np.asarray(g.alpha)[..., None, None]
-    gamma = np.asarray(g.gamma)[..., None, None]
-    return np.exp(-1j * m[:, None] * alpha) * d * np.exp(-1j * m[None, :] * gamma)
+    return _wigner_D(SpinSpace(j).m_values, wigner_little_d(j, g.beta), g.alpha, g.gamma)
 
 
 def spin_symbol(j: float, g: EulerAngles, A: np.ndarray) -> np.ndarray:
@@ -126,9 +141,10 @@ def spin_tomogram(j: float, g: EulerAngles, rho: np.ndarray) -> np.ndarray:
     angles = np.broadcast_arrays(g.alpha, g.beta, g.gamma)
     flat = [a.ravel() for a in angles]
     probs = np.empty((flat[0].size, dim))
-    step = max(1, _ROTATION_BLOCK // dim**2)
+    frame, step = _spin_frame(j), max(1, _ROTATION_BLOCK // dim**2)
     for lo in range(0, len(probs), step):
-        D = wigner_D(j, EulerAngles(*(a[lo:lo + step] for a in flat)))
+        alpha, beta, gamma = (a[lo:lo + step] for a in flat)
+        D = _wigner_D(frame[0], _little_d(frame, beta), alpha, gamma)
         probs[lo:lo + step] = np.sum(np.conj(D) * (rho @ D), axis=-2).real
     return probs.reshape(angles[0].shape + (dim,))
 
@@ -507,13 +523,14 @@ def symplectic_reconstruct(
     """Reconstruct A = (1/2pi) int chi(mu, nu) e^{-i(mu q + nu p)} dmu dnu.
 
     ``provider(mu, nu)`` must return the SymplecticTomogram of the target
-    state; the inner x-integral of the reconstruction formula is evaluated
-    exactly on the tomogram atoms, the outer integral by a trapezoid lattice
-    over [-L, L]^2.  The provider is asked for half the lattice only (the
-    rows mu > 0 and the points nu > 0 of the row mu = 0): by homogeneity,
-    M(X, -mu, -nu) = M(-X, mu, nu), the reflected tomogram gives chi at the
-    mirror point (-mu, -nu), with no assumption that the operator is
-    Hermitian.  In the quadrature frame the sum is
+    state, and ``provider.frame`` must be the QuadratureFrame of its n_trunc
+    levels, which the assembly reuses; the inner x-integral of the
+    reconstruction formula is evaluated exactly on the tomogram atoms, the
+    outer integral by a trapezoid lattice over [-L, L]^2.  The provider is
+    asked for half the lattice only (the rows mu > 0 and the points nu > 0 of
+    the row mu = 0): by homogeneity, M(X, -mu, -nu) = M(-X, mu, nu), the
+    reflected tomogram gives chi at the mirror point (-mu, -nu), with no
+    assumption that the operator is Hermitian.  In the quadrature frame the sum is
     A[j, k] = sum_a V_q[j, a] S[j - k, a] conj(V_q[k, a]) with
     S[d, a] = sum over points of chi e^{itd} e^{-i r x_a}, accumulated one
     mu-row at a time, each row mu > 0 together with its mirror row, whose
@@ -531,6 +548,9 @@ def symplectic_reconstruct(
     if points > SYMPLECTIC_POINT_LIMIT:
         raise InfeasibleError(f"reconstruction grid of {points:,} points exceeds the "
                               f"{SYMPLECTIC_POINT_LIMIT:,}-point limit; use a coarser step")
+    frame = provider.frame
+    if len(frame.x_q) != n_trunc:
+        raise ValueError(f"the provider's frame has {len(frame.x_q)} levels, not n_trunc={n_trunc}")
     n_half = round(ratio)
     grid = grid_step * np.arange(-n_half, n_half + 1)
     mus, nus = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
@@ -545,7 +565,6 @@ def symplectic_reconstruct(
     chi = chi.reshape(len(grid), len(grid))
     tail = max(np.abs(chi[0]).max(), np.abs(chi[:, 0]).max())
 
-    frame = QuadratureFrame(n_trunc)
     shifts = np.arange(1 - n_trunc, n_trunc)
     signs = (-1.0) ** shifts[:, None]  # e^{i(t + pi)d} = (-1)^d e^{itd}
     S = np.zeros((len(shifts), n_trunc), dtype=np.complex128)
@@ -587,6 +606,7 @@ def state_tomogram_provider(rho: np.ndarray):
     In the eigenvectors U_t V_q of direction t, p_a(t) = sum_d e^{-itd} C[d, a] with
     C[d, a] = sum_{j-k=d} conj(V_q[j, a]) rho[j, k] V_q[k, a], d = 1-N_t..N_t-1; C is
     summed once along the diagonals of rho, and a direction costs one row product.
+    The provider carries its QuadratureFrame, ``provider.frame``, for the assembly.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     n = len(rho)
@@ -604,6 +624,7 @@ def state_tomogram_provider(rho: np.ndarray):
         return SymplecticTomogram(mu=mu, nu=nu, x=r * frame.x_q,
                                   p=(np.exp(-1j * theta * shifts) @ C).real)
 
+    provider.frame = frame
     return provider
 
 

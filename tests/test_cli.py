@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,28 @@ class TestTomo:
         assert check["max_abs_beyond_reliable"] == rep["max_abs_beyond_reliable"] == 0.0
         assert rep["frobenius_error_full"] == rep["frobenius_error"]
         assert recs[0].operator.shape == (rep["reliable_dim"],) * 2
+
+    def test_symplectic_reconstruct_makes_one_eigendecomposition(self, tmp_path, monkeypatch):
+        # the provider's quadrature frame serves the one-direction CSV and the reconstruction
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+        code = main(["tomo", "symplectic", "--reconstruct", "--state", "vac",
+                     "--out", str(tmp_path)])
+        assert code == 0 and calls == [(32, 32)]
+
+    def test_spin_workload_memory(self, tmp_path):
+        # the benchmark's photon-workload spin run: the (500, 21, 21) rotation stack
+        # is 3.5 MB, so a peak under 6 MB holds only a few 1 MB rotation blocks
+        argv = ["tomo", "spin", "--j", "10", "--state", "mixed", "--samples", "500",
+                "--reconstruct", "--out", str(tmp_path)]
+        assert main(argv) == 0  # one-time allocations of a first run
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     @pytest.mark.parametrize("j", ["20", "60"])
     def test_spin_large_j(self, tmp_path, j):

@@ -88,6 +88,7 @@ def _complex_weight_provider(A):
         x, V = frame.direction(mu, nu)
         return SymplecticTomogram(mu=mu, nu=nu, x=x, p=np.einsum("ja,jk,ka->a", V.conj(), A, V))
 
+    provider.frame = frame
     return provider
 
 
@@ -203,6 +204,18 @@ class TestSpinScheme:
         monkeypatch.setattr(tomography, "_ROTATION_BLOCK", 3 * 36 + 1)
         assert np.array_equal(spin_tomogram(2.5, g, rho), whole)
         assert whole.shape == (4, 5, 6)
+
+    def test_one_eigendecomposition_per_tomogram(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        rho = _rand_density(rng, 6)
+        g = EulerAngles(*rng.uniform(-np.pi, np.pi, (3, 10)))
+        whole = spin_tomogram(2.5, g, rho)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+        # 3 * 36 entries make blocks of 3 rotations: 4 blocks for 10 rotations
+        monkeypatch.setattr(tomography, "_ROTATION_BLOCK", 3 * 36)
+        assert np.array_equal(spin_tomogram(2.5, g, rho), whole)
+        assert calls == [(6, 6)]
 
     def test_rotation_batch_memory_is_bounded_by_the_block(self):
         # 2,000 rotations at j = 20 are 51 MB of complex entries per array
@@ -684,6 +697,7 @@ class TestSymplecticReconstruction:
             seen.append((mu, nu))
             return inner(mu, nu)
 
+        provider.frame = inner.frame
         rec = symplectic_reconstruct(2, provider)
         assert rec.grid["points"] == 121**2 and len(seen) == 7321
         # the origin is served by the exact chi(0, 0) = Tr branch
@@ -700,6 +714,11 @@ class TestSymplecticReconstruction:
     def test_degenerate_lattice_refused(self, limit, step):
         with pytest.raises(ValueError, match="must be positive and finite"):
             symplectic_reconstruct(2, state_tomogram_provider(np.eye(2) / 2), limit, step)
+
+    def test_provider_frame_of_another_size_refused(self):
+        # the assembly reuses the provider's frame, so its N_t must be the reconstruction's
+        with pytest.raises(ValueError, match="frame has 6 levels, not n_trunc=8"):
+            symplectic_reconstruct(8, state_tomogram_provider(np.eye(6) / 6), 1.0, 0.5)
 
     @pytest.mark.parametrize(
         "limit,step,points",
