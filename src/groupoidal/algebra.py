@@ -20,6 +20,9 @@ import numpy as np
 
 from .groupoid import FiniteGroupoid, NotTransitiveError, classify, isotropy_group
 
+# Entries per row block of a grid convolution's temporaries (1 MB of complex128).
+_GRID_BLOCK = 2**16
+
 
 class AlgebraMismatchError(ValueError):
     """Raised when a value array does not hold one value per groupoid element."""
@@ -162,7 +165,8 @@ def weighted_grid_convolve(
 
     Writing the composition constraints with rescaled delta functions would
     multiply the result by a free positive prefactor per endpoint; only the
-    canonical normalization (prefactor 1) is implemented.
+    canonical normalization (prefactor 1) is implemented.  The m x m result is
+    filled in row blocks of about _GRID_BLOCK entries.
     """
     f1 = np.asarray(f1, dtype=np.complex128)
     f2 = np.asarray(f2, dtype=np.complex128)
@@ -170,13 +174,19 @@ def weighted_grid_convolve(
     m = len(weights)
     if f1.shape != (m, m) or f2.shape != (m, m):
         raise ValueError("grid functions and weights must share one grid")
-    if density is None:
-        density = np.ones(m)
-    density = np.asarray(density, dtype=float)
-    if density.shape != (m,) or np.any(density <= 0):
-        raise ValueError("density must be positive on every grid point")
-    core = (f1 * (density**2 * weights)[None, :]) @ f2
-    return density[:, None] * density[None, :] * core
+    if density is not None:
+        density = np.asarray(density, dtype=float)
+        if density.shape != (m,) or np.any(density <= 0):
+            raise ValueError("density must be positive on every grid point")
+    scale = weights if density is None else density**2 * weights
+    out = np.empty((m, m), dtype=np.complex128)
+    step = max(1, _GRID_BLOCK // m)
+    for lo in range(0, m, step):
+        rows = slice(lo, lo + step)
+        np.matmul(f1[rows] * scale, f2, out=out[rows])
+        if density is not None:
+            out[rows] *= np.outer(density[rows], density)
+    return out
 
 
 # ---------------------------------------------------------------------------

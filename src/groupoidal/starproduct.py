@@ -18,9 +18,13 @@ not rank-one.  Its composable triples (j, k, i) describe it whole:
 gather divided by the row widths N(g).
 
 The kernel K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] is materialized only
-for the 0/1 checks and the CSV export (m <= 64): ``kernel`` as three Gram
-matrices of a rank-one pair, ``d_realization_kernel`` as exact integer
-counts of products of the regular realization's 0/1 operators.
+for the 0/1 checks and the CSV export (m <= 64), each time into one
+(m, m, m) array: ``kernel`` as the product of three Gram matrices of a
+rank-one pair, the third multiplied in place, ``d_realization_kernel`` one
+x1 slice at a time as exact integer counts of products of the regular
+realization's 0/1 operators.  The checks reduce K one x1 slice at a time,
+and ``duality_residual`` takes its m x m overlap in row blocks of 2^16
+entries (1 MB), so no check holds a second array of the kernel's size.
 
 The equivalence checks at the bottom confirm, instance by instance, that
 for Weyl-unit pairs and for the regular realization the star product is
@@ -43,8 +47,8 @@ from .groupoid import pair_groupoid
 KERNEL_MATERIALIZE_LIMIT = 64
 # Largest max deviation at which a float star product counts as the convolution.
 STAR_CONVOLUTION_TOL = 1e-12
-# Entries per row block of the m x m duality overlap (16 MB of complex128).
-_OVERLAP_BLOCK = 2**20
+# Entries per row block of the m x m duality overlap (1 MB of complex128).
+_OVERLAP_BLOCK = 2**16
 
 
 class SpaceMismatchError(ValueError):
@@ -182,7 +186,9 @@ def kernel(pair: QDPair) -> np.ndarray:
     _check_kernel_size(len(pair.space))
     a, b, c, d = pair.families
     bc = np.conj(b)
-    return (bc @ a.T)[:, :, None] * (bc @ d.T)[None, :, :] * (a @ np.conj(c).T)[:, None, :]
+    K = np.multiply((bc @ a.T)[:, :, None], (bc @ d.T)[None, :, :])
+    K *= (a @ np.conj(c).T)[:, None, :]
+    return K
 
 
 def star(pair: QDPair, f, g) -> np.ndarray:
@@ -275,7 +281,11 @@ def d_realization_kernel(G: FiniteGroupoid) -> np.ndarray:
     m = G.order
     _check_kernel_size(m)
     widths, D = _row_widths(G), d_realization_stack(G)
-    return np.stack([(D[a] @ D).reshape(m, -1) @ D.reshape(m, -1).T for a in range(m)]) / widths
+    K, Df = np.empty((m, m, m)), D.reshape(m, -1)
+    for a in range(m):
+        np.matmul((D[a] @ D).reshape(m, -1), Df.T, out=K[a])
+    K /= widths
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +303,8 @@ class EquivalenceReport:
 
 
 def nonboolean_margin(K: np.ndarray) -> float:
-    """Distance of a kernel from the nearest 0/1 tensor (0.0 for a boolean kernel)."""
-    return float(np.minimum(np.abs(K), np.abs(K - 1.0)).max())
+    """Distance of a kernel from the nearest 0/1 tensor (0.0 for a boolean kernel), per slice."""
+    return float(max(np.minimum(np.abs(k), np.abs(k - 1.0)).max() for k in K))
 
 
 def _star_equals_convolution(
@@ -314,9 +324,9 @@ def _star_equals_convolution(
     if n_pairs < 1:
         raise ValueError("the star-convolution check needs a symbol pair (n_pairs >= 1)")
     boolean = nonboolean_margin(K) == 0.0
-    details["kernel_ones"] = int(np.count_nonzero(np.abs(K - 1.0) < 1e-14))
+    details["kernel_ones"] = sum(int(np.count_nonzero(np.abs(k - 1.0) < 1e-14)) for k in K)
     K[tuple(G.composable_triples().T)] -= 1.0
-    details["kernel_vs_delta_dev"] = float(np.abs(K).max())
+    details["kernel_vs_delta_dev"] = float(max(np.abs(k).max() for k in K))
     rng = np.random.default_rng(seed)
     dev = np.zeros((2, 2))  # [float, integer] pairs -> largest (max, Frobenius) deviation
     for integer in [1] * max(1, n_pairs // 10) + [0] * n_pairs:

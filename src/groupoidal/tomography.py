@@ -644,7 +644,12 @@ def symplectic_quasi_symbol(n_trunc: int, mu: float, nu: float, A: np.ndarray) -
     A = np.asarray(A, dtype=np.complex128)
     if A.shape != (n_trunc, n_trunc):
         raise ValueError("operator must be n_trunc x n_trunc")
-    x, V = QuadratureFrame(n_trunc).direction(mu, nu)
+    return _quasi_symbol(QuadratureFrame(n_trunc), mu, nu, A)
+
+
+def _quasi_symbol(frame: QuadratureFrame, mu: float, nu: float, A: np.ndarray) -> QuasiSymbol:
+    """A seen in the (mu, nu) eigenbasis of ``frame``."""
+    x, V = frame.direction(mu, nu)
     return QuasiSymbol(mu=mu, nu=nu, x=x, matrix=V.conj().T @ A @ V, basis=V)
 
 
@@ -681,7 +686,7 @@ def quasi_symbol_from_tomograms(
     Evaluates the triple integral of tomogram times intertwining kernel; the
     x'-integral is exact on atoms (it only multiplies e^{i x'}), leaving the
     lattice sum over (mu', nu') of chi(mu', nu') e^{-i(mu' q + nu' p)}
-    rotated into the (mu, nu) eigenbasis.
+    rotated into the (mu, nu) eigenbasis, taken from ``provider.frame``.
     """
     rec = symplectic_reconstruct(n_trunc, provider, grid_limit, grid_step)
-    return symplectic_quasi_symbol(n_trunc, mu, nu, rec.operator)
+    return _quasi_symbol(provider.frame, mu, nu, rec.operator)

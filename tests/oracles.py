@@ -30,10 +30,14 @@ Each helper here serves one comparison and claims nothing of its own:
 - the row-by-row ``csv.writer`` table ``write_csv`` (byte oracle for the
   block writer ``cli._write_csv``);
 - the Gauss-Legendre ``gauss_legendre_grid``, a non-uniform second rule
-  beside the library's trapezoid ``realizations.position_grid``.
+  beside the library's trapezoid ``realizations.position_grid``;
+- the whole-array density-weighted product ``grid_convolve`` (exact oracle
+  for the row blocks of ``algebra.weighted_grid_convolve``);
+- ``traced_peak``, the tracemalloc peak of one call, for the memory guards.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 
@@ -271,3 +275,25 @@ def gauss_legendre_grid(a: float, b: float, m: int) -> PositionGrid:
     """Gauss-Legendre points and weights on [a, b] as a PositionGrid."""
     x, w = np.polynomial.legendre.leggauss(m)
     return PositionGrid((a + b) / 2 + (b - a) / 2 * x, (b - a) / 2 * w)
+
+
+def grid_convolve(f1: np.ndarray, f2: np.ndarray, weights: np.ndarray,
+                  density: np.ndarray) -> np.ndarray:
+    """rho(x) rho(y) * sum_s f1(x, s) f2(s, y) rho(s)^2 w_s as whole m x m arrays."""
+    core = (f1 * (density**2 * weights)[None, :]) @ f2
+    return density[:, None] * density[None, :] * core
+
+
+def traced_peak(fn, *args) -> tuple:
+    """(fn(*args), peak bytes tracemalloc saw during that call), after one untraced call.
+
+    The untraced call takes the one-time allocations of a first call (imports,
+    caches), so the peak is what a repeated call holds.
+    """
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -30,7 +30,8 @@ from groupoidal.starproduct import (
     symbol,
     weyl_qdpair,
 )
-from oracles import d_realization, group_convolve, matrix_group_convolve
+from groupoidal import algebra
+from oracles import d_realization, grid_convolve, group_convolve, matrix_group_convolve
 
 
 def _weyl_matrix(f: np.ndarray) -> np.ndarray:
@@ -387,6 +388,24 @@ class TestGridConvolution:
         integrand = f[i, :] * f[:, j] * rho**2
         want = rho[i] * rho[j] * simpson(integrand, x=x)
         assert abs(got[i, j] - want) < 1e-8
+
+    @pytest.mark.parametrize("m,rows", [(200, 12), (512, None)],
+                             ids=["12-row blocks", "default blocks"])
+    def test_row_blocks_equal_one_block(self, monkeypatch, m, rows):
+        # 200 rows in blocks of 12 end in a block of 8; 512 rows take 4 default blocks
+        rng = np.random.default_rng(21)
+        f1, f2 = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in "12")
+        w, rho = trapezoid_weights(np.linspace(-5, 5, m)), 0.5 + rng.random(m)
+        if rows is not None:
+            monkeypatch.setattr(algebra, "_GRID_BLOCK", rows * m + 7)
+        assert algebra._GRID_BLOCK < m * m
+        blocked = [weighted_grid_convolve(f1, f2, w), weighted_grid_convolve(f1, f2, w, rho)]
+        monkeypatch.setattr(algebra, "_GRID_BLOCK", m * m)
+        whole = [weighted_grid_convolve(f1, f2, w), weighted_grid_convolve(f1, f2, w, rho)]
+        assert all(np.array_equal(x, y) for x, y in zip(blocked, whole))
+        # the density path keeps the whole-array rounding (rho_i rho_j) * core
+        assert np.array_equal(blocked[1], grid_convolve(f1, f2, w, rho))
+        assert np.array_equal(blocked[0], (f1 * w) @ f2)
 
     def test_rejects_bad_density(self):
         x = np.linspace(0, 1, 5)

@@ -7,7 +7,6 @@ import shlex
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ import groupoidal
 from groupoidal import groupoid, realizations, starproduct, tomography
 from groupoidal.cli import _write_csv, build_parser, main
 from groupoidal.groupoid import FiniteGroupoid, disjoint_union, pair_groupoid
-from oracles import write_csv
+from oracles import traced_peak, write_csv
 
 
 @pytest.fixture()
@@ -414,14 +413,8 @@ class TestTomo:
         # is 3.5 MB, so a peak under 6 MB holds only a few 1 MB rotation blocks
         argv = ["tomo", "spin", "--j", "10", "--state", "mixed", "--samples", "500",
                 "--reconstruct", "--out", str(tmp_path)]
-        assert main(argv) == 0  # one-time allocations of a first run
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6e6
+        code, peak = traced_peak(main, argv)
+        assert code == 0 and peak < 6e6
 
     @pytest.mark.parametrize("j", ["20", "60"])
     def test_spin_large_j(self, tmp_path, j):
@@ -545,6 +538,23 @@ class TestKernelRoundtrip:
             "roundtrip", "--nt", "24", "--xmax", "4", "--out", str(tmp_path),
         ])
         assert code == 3
+
+
+class TestStarWorkloadMemory:
+    """The benchmark's star-workload runs build each large array once."""
+
+    @pytest.mark.parametrize("argv,bound", [
+        # one (64, 64, 64) complex kernel is 4.2 MB; the checks reduce it one slice at a time
+        (["equiv", "prop1", "--n", "8"], 7e6),
+        # the 625-point pair's (625, 64) vector stacks, then 1 MiB blocks of the duality overlap
+        (["equiv", "coherent", "--grid", "5", "--spacing", "0.5"], 6e6),
+        # three 512 x 512 complex grid arrays (f, g and their product), 4 MiB each, plus one
+        # 1 MiB row block of the product and a block's slack: 14 MiB
+        (["roundtrip", "--nt", "16", "--xmax", "8", "--points", "512"], 3 * 2**22 + 2 * 2**20),
+    ], ids=["prop1", "coherent", "roundtrip"])
+    def test_star_workload_memory(self, tmp_path, argv, bound):
+        code, peak = traced_peak(main, argv + ["--out", str(tmp_path)])
+        assert code == 0 and peak < bound
 
 
 class TestExitCodes:

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from groupoidal.groupoid import (
     transitive_groupoid,
     validate_axioms,
 )
+from oracles import traced_peak
 
 
 def swap_action(x, g):
@@ -998,13 +998,7 @@ class TestAxiomScanMemory:
     def test_peak_stays_below_one_byte_per_table_entry(self, n):
         G = pair_groupoid(n)
         assert (n**4 > EXHAUSTIVE_TRIPLE_LIMIT) == (n == 65)  # pair(n) has n^4 triples
-        validate_axioms(G)  # one-time allocations of a first call are not the scan's
-        tracemalloc.start()
-        try:
-            report = validate_axioms(G)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(validate_axioms, G)
         assert report.all_passed
         # a single KxK boolean mask alone would reach the bound
         assert peak < G.order**2

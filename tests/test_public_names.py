@@ -33,6 +33,8 @@ KEPT = {
     "symplectic_tomogram": "the tomogram M(X; mu, nu) of one direction, which the "
                            "acceptance criteria check",
     "intertwining_kernel": "the kernel that carries symplectic tomograms to quasi-symbols",
+    "symplectic_quasi_symbol": "the quasi-symbol W_A(x_k, x_l; mu, nu) of an operator, the "
+                               "direct side of the closing identity",
     "quasi_symbol_from_tomograms": "the symplectic quasi-symbol rebuilt from tomograms",
     "displaced_parity": "the s-ordered displaced parity, the photon quantizer",
 }

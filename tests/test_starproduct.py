@@ -35,6 +35,7 @@ from groupoidal.starproduct import (
     d_realization_kernel,
     duality_residual,
     kernel,
+    nonboolean_margin,
     reconstruct,
     regular_reconstruct,
     regular_symbol,
@@ -201,6 +202,26 @@ class TestKernel:
                         * coherent_overlap(z[w2], z[ww])
                     )
                     assert abs(K[ia, ib, ic] - want) < 1e-12
+
+    @pytest.mark.parametrize("pair", [weyl_qdpair(8), spin_weyl_pair(2.5)], ids=["weyl8", "spin"])
+    def test_kernel_equals_the_dense_oracle(self, pair):
+        # the sizes above the hypothesis families: m = 64 (`equiv prop1 --n 8`) and 36
+        assert np.array_equal(kernel(pair), dense_kernel(*dense_stacks(pair)))
+
+    def test_kernel_keeps_the_left_to_right_gram_product(self):
+        pair = coherent_pair(coherent_grid(2, 0.5), 16)
+        a, b, c, d = pair.families
+        bc = np.conj(b)
+        want = (bc @ a.T)[:, :, None] * (bc @ d.T)[None, :, :] * (a @ np.conj(c).T)[:, None, :]
+        assert np.array_equal(kernel(pair), want)
+
+    def test_nonboolean_margin_equals_the_whole_array_formula(self):
+        perturbed = kernel(weyl_qdpair(3))
+        perturbed[8, 2, 7] = 0.7 - 0.1j  # in the last x1 slice
+        for K in (kernel(coherent_pair(coherent_grid(2, 0.5), 16)), perturbed,
+                  kernel(weyl_qdpair(3)), d_realization_kernel(pair_groupoid(3))):
+            assert nonboolean_margin(K) == float(np.minimum(np.abs(K), np.abs(K - 1.0)).max())
+        assert nonboolean_margin(perturbed) == abs((0.7 - 0.1j) - 1.0)
 
     def test_materialization_limit(self):
         pair = coherent_pair(coherent_grid(3, 0.5), 8)  # m = 81 > 64
@@ -481,6 +502,14 @@ class TestDualityResidualBlocks:
         assert want[0] == 2.0 == dense_duality_residual(*dense_stacks(pairs[0]), np.ones(9))
         assert want[1] > 0.1
 
+    def test_default_blocks_equal_one_block(self, monkeypatch):
+        # the 625-point coherent pair of `equiv coherent`: 6 blocks of 104 rows and one of 1
+        pair = coherent_pair(coherent_grid(5, 0.5), 64)
+        assert starproduct._OVERLAP_BLOCK // 625 == 104
+        blocked = duality_residual(pair)
+        monkeypatch.setattr(starproduct, "_OVERLAP_BLOCK", 625 * 625)
+        assert duality_residual(pair) == blocked
+
 
 class TestAssociativity:
     def test_weyl_exact(self):
@@ -512,7 +541,8 @@ class TestEquivalenceReports:
     def test_prop1_n8(self):
         rep = verify_prop1(8, n_pairs=100, seed=3)
         assert rep.passed and rep.max_dev < 1e-12
-        assert rep.details["kernel_ones"] == 8**3
+        K = kernel(weyl_qdpair(8))
+        assert rep.details["kernel_ones"] == 8**3 == np.count_nonzero(np.abs(K - 1.0) < 1e-14)
 
     def test_genconv_pair3(self):
         rep = verify_gen_conv(pair_groupoid(3))

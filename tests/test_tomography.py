@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +51,7 @@ from oracles import (
     rotated_frame_tomogram,
     smoothed_atom_density,
     smoothed_reference_density,
+    traced_peak,
     unitarity_defect,
 )
 
@@ -222,13 +222,7 @@ class TestSpinScheme:
         rng = np.random.default_rng(12)
         rho = _rand_density(rng, 41)
         g = EulerAngles(*rng.uniform(-np.pi, np.pi, (3, 2000)))
-        spin_tomogram(20, g, rho)  # one-time allocations of a first call
-        tracemalloc.start()
-        try:
-            probs = spin_tomogram(20, g, rho)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        probs, peak = traced_peak(spin_tomogram, 20, g, rho)
         assert np.abs(probs.sum(axis=1) - 1).max() < 1e-12
         assert peak < 5 * 16 * tomography._ROTATION_BLOCK
 
@@ -749,13 +743,7 @@ class TestSymplecticReconstruction:
         # gathering S[j - k] for all of A at once takes N_t^3 complex entries, 14 MB at N_t = 96
         n_t = 96
         provider = state_tomogram_provider(_rand_density(np.random.default_rng(14), n_t))
-        symplectic_reconstruct(n_t, provider, 1.0, 0.5)  # one-time allocations of a first call
-        tracemalloc.start()
-        try:
-            rec = symplectic_reconstruct(n_t, provider, 1.0, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rec, peak = traced_peak(symplectic_reconstruct, n_t, provider, 1.0, 0.5)
         assert np.isfinite(rec.operator).all()
         assert peak < 16 * n_t**3 / 2
 
@@ -832,6 +820,20 @@ class TestIntertwining:
         V = K.basis
         K_dag = V.conj().T @ op_dag @ V
         assert np.abs(K_dag - K.matrix.conj().T).max() < 1e-14
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_closing_identity_makes_one_eigendecomposition(self, monkeypatch):
+        # the provider's quadrature frame serves the reconstruction and the eigenbasis
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+        via = quasi_symbol_from_tomograms(8, state_tomogram_provider(np.eye(8) / 8),
+                                          1.0, 0.0, 2.0, 0.5)
+        assert calls == [(8, 8)]
+        monkeypatch.undo()
+        direct = symplectic_quasi_symbol(8, 1.0, 0.0, symplectic_reconstruct(
+            8, state_tomogram_provider(np.eye(8) / 8), 2.0, 0.5).operator)
+        assert all(np.array_equal(getattr(via, k), getattr(direct, k))
+                   for k in ("x", "matrix", "basis"))
 
     def test_closing_identity_on_reliable_block(self):
         n_t = 24
