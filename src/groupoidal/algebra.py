@@ -18,10 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, NotTransitiveError, classify, isotropy_group
-
-# Entries per row block of a grid convolution's temporaries (1 MB of complex128).
-_GRID_BLOCK = 2**16
+from .groupoid import FiniteGroupoid, NotTransitiveError, blocks, classify, isotropy_group
 
 
 class AlgebraMismatchError(ValueError):
@@ -166,7 +163,7 @@ def weighted_grid_convolve(
     Writing the composition constraints with rescaled delta functions would
     multiply the result by a free positive prefactor per endpoint; only the
     canonical normalization (prefactor 1) is implemented.  The m x m result is
-    filled in row blocks of about _GRID_BLOCK entries.
+    filled in row blocks.
     """
     f1 = np.asarray(f1, dtype=np.complex128)
     f2 = np.asarray(f2, dtype=np.complex128)
@@ -180,9 +177,7 @@ def weighted_grid_convolve(
             raise ValueError("density must be positive on every grid point")
     scale = weights if density is None else density**2 * weights
     out = np.empty((m, m), dtype=np.complex128)
-    step = max(1, _GRID_BLOCK // m)
-    for lo in range(0, m, step):
-        rows = slice(lo, lo + step)
+    for rows in blocks(m, m):
         np.matmul(f1[rows] * scale, f2, out=out[rows])
         if density is not None:
             out[rows] *= np.outer(density[rows], density)

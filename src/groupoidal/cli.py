@@ -265,9 +265,8 @@ def cmd_tomo_spin(args) -> RunReport:
         raise ValueError(f"--samples must be at least 1 (got {args.samples})")
     j = args.j
     dim = realizations.SpinSpace(j).dim
-    # spin_tomogram holds the probability table and rotates 2^16 entries, or one matrix, at a time
     groupoid.check_dense_size((args.samples, dim), float, "probability table")
-    groupoid.check_dense_size((dim, dim), np.complex128, "rotation matrix")
+    groupoid.check_dense_size((args.samples, 3), float, "angle array")
     rho = _parse_state(args.state, dim, rng)
     report = RunReport("tomo spin", {"j": j, "state": args.state, "samples": args.samples},
                        seed=args.seed)
@@ -406,6 +405,7 @@ def cmd_roundtrip(args) -> RunReport:
     grid = realizations.position_grid(-args.xmax, args.xmax, args.points)
     report = RunReport("roundtrip", {"N_t": args.nt, "xmax": args.xmax, "points": args.points},
                        seed=args.seed)
+    groupoid.check_dense_size((args.nt, args.nt), np.complex128, "Fock symbol")
     F = rng.standard_normal((args.nt, args.nt)) + 1j * rng.standard_normal((args.nt, args.nt))
     f = realizations.fock_to_position_symbol(F, grid)
     F2 = realizations.position_to_fock_symbol(f, grid, args.nt)

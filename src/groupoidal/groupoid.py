@@ -11,6 +11,11 @@ paper's G^(3)), read off the table's composable pairs; the scan reads the
 table in row blocks and needs O(|G^(2)|) memory besides it, no KxK mask.
 It is exhaustive up to 2^24 composable triples and samples seeded pairs above.
 
+Memory policy: ``check_dense_size`` refuses dense arrays above
+``MAX_DENSE_BYTES``, and every blocked loop takes ``blocks`` of
+``BLOCK_ENTRIES`` = 2^16 entries (1 MB of complex128), which bounds
+temporaries and lets glibc reuse heap pages between them.
+
 All objects are immutable after construction and safe to share across
 threads; every operation here is a pure function.
 """
@@ -38,9 +43,12 @@ MAX_DENSE_BYTES = 1 << 31
 # (pair(64) exactly), above that random composable pairs up to the budget below.
 EXHAUSTIVE_TRIPLE_LIMIT = 1 << 24
 DEFAULT_ASSOCIATIVITY_SAMPLES = 200_000
-# composable triples per block of the associativity scan, and table
-# entries per row block of a defined mask: bounds temporaries, stays in cache
-_ASSOCIATIVITY_BLOCK = 1 << 16
+# Entries per block of every bounded-memory loop (1 MB of complex128), also table
+# entries of a defined mask and composable triples of the associativity scan.  Not
+# lower: freed 1 MB temporaries lift glibc's mmap threshold above photon_tomogram's
+# 512 KB point blocks, which then reuse heap pages; at 1 << 15 they are mmapped
+# afresh every batch, and a photon run's minor page faults go from ~170 to ~9,100
+BLOCK_ENTRIES = 1 << 16
 
 
 class InfeasibleError(ValueError):
@@ -61,6 +69,12 @@ def check_dense_size(shape: tuple, dtype, what: str) -> None:
             f"{what} of shape {tuple(shape)} needs {gib:.3g} GiB, "
             f"above the {MAX_DENSE_BYTES / 2**30:g} GiB limit"
         )
+
+
+def blocks(n: int, per_item: int):
+    """Slices covering ``range(n)`` in order, ``max(1, BLOCK_ENTRIES // per_item)`` items each."""
+    step = max(1, BLOCK_ENTRIES // per_item)
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def _undefined_table(order: int) -> np.ndarray:
@@ -158,10 +172,9 @@ def _read_json(text: str):
 
 
 def _defined_rows(compose: np.ndarray):
-    """(first row, defined mask) of ``compose``, ~``_ASSOCIATIVITY_BLOCK`` entries at a time."""
-    step = max(1, _ASSOCIATIVITY_BLOCK // len(compose))
-    for lo in range(0, len(compose), step):
-        yield lo, compose[lo:lo + step] != UNDEFINED
+    """(first row, defined mask) of ``compose``, one block of rows at a time."""
+    for rows in blocks(len(compose), len(compose)):
+        yield rows.start, compose[rows] != UNDEFINED
 
 
 @dataclass(frozen=True)
@@ -578,8 +591,8 @@ def _check_associativity(G, pairs, prods, width, rng) -> AxiomCheck:
     # g2 o g3 at pairs[start[g2]:start[g2] + width[g2]]
     cols = pairs[:, 1]
     start = np.cumsum(width) - width
-    # a block ends where the running triple count passes a multiple of _ASSOCIATIVITY_BLOCK
-    cuts = (np.flatnonzero(np.diff(np.cumsum(width[g2_all]) // _ASSOCIATIVITY_BLOCK)) + 1).tolist()
+    # a block ends where the running triple count passes a multiple of BLOCK_ENTRIES
+    cuts = (np.flatnonzero(np.diff(np.cumsum(width[g2_all]) // BLOCK_ENTRIES)) + 1).tolist()
     packed = np.concatenate([np.packbits(d, axis=1) for _, d in _defined_rows(G.compose)])
     table = G.compose.ravel()
     checked = 0

@@ -196,6 +196,7 @@ def fock_to_position_symbol(F: np.ndarray, grid: PositionGrid) -> np.ndarray:
     F = np.asarray(F, dtype=np.complex128)
     if F.ndim != 2 or F.shape[0] != F.shape[1] or len(F) < 1:
         raise ValueError("Fock symbol must be a square matrix of dimension at least 1")
+    check_dense_size((len(grid), len(grid)), np.complex128, "position symbol")
     phi = hermite_functions(len(F) - 1, grid.points)
     return phi.T @ F @ phi
 

@@ -23,8 +23,8 @@ for the 0/1 checks and the CSV export (m <= 64), each time into one
 rank-one pair, the third multiplied in place, ``d_realization_kernel`` one
 x1 slice at a time as exact integer counts of products of the regular
 realization's 0/1 operators.  The checks reduce K one x1 slice at a time,
-and ``duality_residual`` takes its m x m overlap in row blocks of 2^16
-entries (1 MB), so no check holds a second array of the kernel's size.
+and ``duality_residual`` takes its m x m overlap in row blocks, so no check
+holds a second array of the kernel's size.
 
 The equivalence checks at the bottom confirm, instance by instance, that
 for Weyl-unit pairs and for the regular realization the star product is
@@ -41,14 +41,12 @@ import numpy as np
 
 from .algebra import convolve, d_realization_stack, random_function
 from .groupoid import UNDEFINED, FiniteGroupoid, GroupoidStructureError, InfeasibleError
-from .groupoid import pair_groupoid
+from .groupoid import blocks, check_dense_size, pair_groupoid
 
 # Dense m^3 kernels above this index count are refused (memory).
 KERNEL_MATERIALIZE_LIMIT = 64
 # Largest max deviation at which a float star product counts as the convolution.
 STAR_CONVOLUTION_TOL = 1e-12
-# Entries per row block of the m x m duality overlap (1 MB of complex128).
-_OVERLAP_BLOCK = 2**16
 
 
 class SpaceMismatchError(ValueError):
@@ -151,20 +149,18 @@ def duality_residual(pair: QDPair) -> float:
     """max over (x, x') of |Tr[D(x) U(x')^dagger] w(x') - delta_xx'|.
 
     Tr[D(x) U(x')^dagger] = <c_x'|a_x><b_x|d_x'>, two Gram matrices.  The
-    m x m overlap is taken in row blocks of about _OVERLAP_BLOCK entries, so
-    memory stays O(m) per row at any lattice size.
+    m x m overlap is taken in row blocks, so memory stays O(m) per row at any
+    lattice size.
     """
     m, w = len(pair.space), pair.space.weights
     a, b, c, d = pair.families
     bc, ch = np.conj(b), np.conj(c).T
     worst = 0.0
-    step = max(1, _OVERLAP_BLOCK // m)
-    for lo in range(0, m, step):
-        rows = np.arange(lo, min(lo + step, m))
+    for rows in blocks(m, m):
         overlap = a[rows] @ ch
         overlap *= bc[rows] @ d.T
         overlap *= w[None, :]
-        overlap[np.arange(len(rows)), rows] -= 1.0
+        overlap[:, rows][np.diag_indices(len(overlap))] -= 1.0  # the block's deltas
         worst = max(worst, float(np.abs(overlap).max()))
     return worst
 
@@ -210,7 +206,9 @@ def rank_one_pair(vectors, basis, weights=None, select=None) -> QDPair:
     weights and stacks alike.  The pair stores two (m, d) vector stacks, never
     the m x d x d operators.
     """
+    vectors = np.asarray(vectors)
     n = len(vectors)
+    check_dense_size((n * n, *vectors.shape[1:]), vectors.dtype, "pair vector stack")
     w = np.ones(n) if weights is None else weights
     labels, w2 = tuple(itertools.product(basis, basis)), np.outer(w, w).reshape(-1)
     kets, bras = np.repeat(vectors, n, axis=0), np.tile(vectors, (n, 1))

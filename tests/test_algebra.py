@@ -30,7 +30,7 @@ from groupoidal.starproduct import (
     symbol,
     weyl_qdpair,
 )
-from groupoidal import algebra
+from groupoidal import groupoid
 from oracles import d_realization, grid_convolve, group_convolve, matrix_group_convolve
 
 
@@ -397,10 +397,10 @@ class TestGridConvolution:
         f1, f2 = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in "12")
         w, rho = trapezoid_weights(np.linspace(-5, 5, m)), 0.5 + rng.random(m)
         if rows is not None:
-            monkeypatch.setattr(algebra, "_GRID_BLOCK", rows * m + 7)
-        assert algebra._GRID_BLOCK < m * m
+            monkeypatch.setattr(groupoid, "BLOCK_ENTRIES", rows * m + 7)
+        assert groupoid.BLOCK_ENTRIES < m * m
         blocked = [weighted_grid_convolve(f1, f2, w), weighted_grid_convolve(f1, f2, w, rho)]
-        monkeypatch.setattr(algebra, "_GRID_BLOCK", m * m)
+        monkeypatch.setattr(groupoid, "BLOCK_ENTRIES", m * m)
         whole = [weighted_grid_convolve(f1, f2, w), weighted_grid_convolve(f1, f2, w, rho)]
         assert all(np.array_equal(x, y) for x, y in zip(blocked, whole))
         # the density path keeps the whole-array rounding (rho_i rho_j) * core

@@ -721,9 +721,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, what",
         [
-            ("tomo spin --j 1e6 --samples 1", "rotation matrix"),
+            ("tomo spin --j 1e6 --samples 1", "density matrix"),
             ("tomo spin --j 1e300 --samples 1", "probability table"),
+            ("tomo spin --j 0 --samples 200000000", "angle array"),
             ("tomo photon --nt 100000", "density matrix"),
+            ("tomo photon --reconstruct --nt 600 --radius 100 --spacing 0.25", "tomogram table"),
+            ("equiv coherent --grid 100 --spacing 0.04", "pair vector stack"),
+            ("roundtrip --points 200000", "position symbol"),
+            ("roundtrip --nt 200000", "Fock symbol"),
             ("axioms --pair 182", "composition table"),
             ("axioms --pair 300", "composition table"),
             ("axioms --file {dir}/huge.json", "composition table"),

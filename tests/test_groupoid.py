@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import _mutate, _oracle_scan
 
@@ -21,6 +21,7 @@ from groupoidal.groupoid import (
     GroupoidStructureError,
     InfeasibleError,
     action_groupoid,
+    blocks,
     check_dense_size,
     classify,
     connecting_coset,
@@ -879,7 +880,7 @@ class TestCompositionTripleScan:
 
     @pytest.fixture(params=[1, 7, 64], ids=lambda b: f"block{b}")
     def block(self, request, monkeypatch):
-        monkeypatch.setattr(groupoid, "_ASSOCIATIVITY_BLOCK", request.param)
+        monkeypatch.setattr(groupoid, "BLOCK_ENTRIES", request.param)
         return request.param
 
     def _scan_equals_oracle(self, G) -> AxiomCheck:
@@ -963,7 +964,7 @@ class TestRowBlocks:
     def rows(self, request, monkeypatch):
         # the block counts table entries; both bases have order 36
         assert {G.order for G in _SCAN_BASES.values()} == {36}
-        monkeypatch.setattr(groupoid, "_ASSOCIATIVITY_BLOCK", request.param * 36)
+        monkeypatch.setattr(groupoid, "BLOCK_ENTRIES", request.param * 36)
         return request.param
 
     @pytest.mark.parametrize("base", sorted(_SCAN_BASES))
@@ -1040,6 +1041,22 @@ class TestDenseSizeLimit:
         check_dense_size((MAX_DENSE_BYTES // 4,), np.int32, "table")
         with pytest.raises(InfeasibleError):
             check_dense_size((MAX_DENSE_BYTES // 4 + 1,), np.int32, "table")
+
+
+class TestBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 3000), per_item=st.integers(1, 3 << 16),
+           budget=st.sampled_from([1, 7, 1 << 16]))
+    @example(n=0, per_item=1, budget=1 << 16)
+    @example(n=5, per_item=(1 << 16) + 1, budget=1 << 16)
+    def test_slices_partition_the_range_in_full_blocks(self, n, per_item, budget):
+        with pytest.MonkeyPatch.context() as mp:  # blocks reads the budget when called
+            mp.setattr(groupoid, "BLOCK_ENTRIES", budget)
+            slices = list(blocks(n, per_item))
+        step = max(1, budget // per_item)
+        assert [i for s in slices for i in range(n)[s]] == list(range(n))
+        assert all(s.stop - s.start == step for s in slices[:-1])
+        assert all(0 < s.stop - s.start <= step for s in slices)
 
 
 class TestOrbitLabels:

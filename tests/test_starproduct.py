@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoidal import starproduct
+from groupoidal import groupoid, starproduct
 from groupoidal.algebra import convolve, random_function, weyl_units
 from groupoidal.cli import _write_csv, main
 from groupoidal.groupoid import (
@@ -497,7 +497,7 @@ class TestDualityResidualBlocks:
         pairs = [QDPair(weyl.space, (a, b, np.vstack([c[:-1], 3 * c[-1:]]), d)),
                  coherent_pair(coherent_grid(2, 0.5), 12)]
         want = [duality_residual(p) for p in pairs]
-        monkeypatch.setattr(starproduct, "_OVERLAP_BLOCK", block)
+        monkeypatch.setattr(groupoid, "BLOCK_ENTRIES", block)
         assert [duality_residual(p) for p in pairs] == want
         assert want[0] == 2.0 == dense_duality_residual(*dense_stacks(pairs[0]), np.ones(9))
         assert want[1] > 0.1
@@ -505,9 +505,9 @@ class TestDualityResidualBlocks:
     def test_default_blocks_equal_one_block(self, monkeypatch):
         # the 625-point coherent pair of `equiv coherent`: 6 blocks of 104 rows and one of 1
         pair = coherent_pair(coherent_grid(5, 0.5), 64)
-        assert starproduct._OVERLAP_BLOCK // 625 == 104
+        assert groupoid.BLOCK_ENTRIES // 625 == 104
         blocked = duality_residual(pair)
-        monkeypatch.setattr(starproduct, "_OVERLAP_BLOCK", 625 * 625)
+        monkeypatch.setattr(groupoid, "BLOCK_ENTRIES", 625 * 625)
         assert duality_residual(pair) == blocked
 
 

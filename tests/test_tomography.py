@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from groupoidal import tomography
+from groupoidal import groupoid, tomography
 from groupoidal.groupoid import InfeasibleError
 from groupoidal.realizations import (
     CoherentGrid,
@@ -201,7 +201,7 @@ class TestSpinScheme:
         g = EulerAngles(*rng.uniform(-np.pi, np.pi, (3, 4, 5)))
         whole = spin_tomogram(2.5, g, rho)
         # 109 entries make blocks of 3 rotations, so block edges fall inside the rows of g
-        monkeypatch.setattr(tomography, "_ROTATION_BLOCK", 3 * 36 + 1)
+        monkeypatch.setattr(groupoid, "BLOCK_ENTRIES", 3 * 36 + 1)
         assert np.array_equal(spin_tomogram(2.5, g, rho), whole)
         assert whole.shape == (4, 5, 6)
 
@@ -213,7 +213,7 @@ class TestSpinScheme:
         calls, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
         # 3 * 36 entries make blocks of 3 rotations: 4 blocks for 10 rotations
-        monkeypatch.setattr(tomography, "_ROTATION_BLOCK", 3 * 36)
+        monkeypatch.setattr(groupoid, "BLOCK_ENTRIES", 3 * 36)
         assert np.array_equal(spin_tomogram(2.5, g, rho), whole)
         assert calls == [(6, 6)]
 
@@ -224,7 +224,7 @@ class TestSpinScheme:
         g = EulerAngles(*rng.uniform(-np.pi, np.pi, (3, 2000)))
         probs, peak = traced_peak(spin_tomogram, 20, g, rho)
         assert np.abs(probs.sum(axis=1) - 1).max() < 1e-12
-        assert peak < 5 * 16 * tomography._ROTATION_BLOCK
+        assert peak < 5 * 16 * groupoid.BLOCK_ENTRIES
 
     def test_stochasticity(self):
         rng = np.random.default_rng(4)
@@ -734,7 +734,7 @@ class TestSymplecticReconstruction:
         provider = state_tomogram_provider(_rand_density(np.random.default_rng(13), 10))
         whole = symplectic_reconstruct(10, provider, 2.0, 0.5).operator
         # 301 entries make blocks of 3 rows of A at N_t = 10, the last one a single row
-        monkeypatch.setattr(tomography, "_ROTATION_BLOCK", 3 * 100 + 1)
+        monkeypatch.setattr(groupoid, "BLOCK_ENTRIES", 3 * 100 + 1)
         blocked = symplectic_reconstruct(10, provider, 2.0, 0.5).operator
         assert np.abs(blocked - whole).max() <= 1e-15
 
