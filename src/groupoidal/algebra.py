@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -149,39 +150,73 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     return w
 
 
-def weighted_grid_convolve(
-    f1: np.ndarray,
-    f2: np.ndarray,
-    weights: np.ndarray,
-    density: np.ndarray | None = None,
-) -> np.ndarray:
+ALL = slice(None)
+
+
+@dataclass(frozen=True)
+class GridFunction:
+    """An m x m function on a 1D grid, held as the rule that forms its tiles.
+
+    ``tile(rows, cols)`` returns f[rows, cols], to be read, not written, for
+    two slices of step 1.  The consumers here ask for row bands and column
+    bands of ``blocks(m, m)`` lines, 1 MB each, so no m x m array is built
+    unless ``whole()`` is called (tests, CSV export).
+    """
+
+    size: int
+    tile: Callable[[slice, slice], np.ndarray]
+
+    def whole(self) -> np.ndarray:
+        return self.tile(ALL, ALL)
+
+
+def grid_function(f) -> GridFunction:
+    """``f`` itself if it is a GridFunction, else the square array it tiles."""
+    if isinstance(f, GridFunction):
+        return f
+    f = np.asarray(f, dtype=np.complex128)
+    if f.ndim != 2 or f.shape[0] != f.shape[1]:
+        raise ValueError(f"a grid function is a square matrix (got shape {f.shape})")
+    return GridFunction(len(f), lambda rows, cols: f[rows, cols])
+
+
+def weighted_grid_convolve(f1, f2, weights: np.ndarray,
+                           density: np.ndarray | None = None) -> GridFunction:
     """Density-weighted continuous matrix product on a common 1D grid.
 
     (f1 * f2)(x, y) = rho(x) rho(y) * sum_s f1(x, s) f2(s, y) rho(s)^2 w_s;
     with rho = 1 this is the plain discretized continuous matrix product.
+    ``f1`` and ``f2`` are arrays or ``GridFunction``s; so is the result, whose
+    tile is the row band of f1, scaled, times one column band of f2 after
+    another, each of ``blocks(m, m)`` lines.  The O(m^3) sum is taken on the
+    grid, tile by tile, when the tiles are asked for.
 
     Writing the composition constraints with rescaled delta functions would
     multiply the result by a free positive prefactor per endpoint; only the
-    canonical normalization (prefactor 1) is implemented.  The m x m result is
-    filled in row blocks.
+    canonical normalization (prefactor 1) is implemented.
     """
-    f1 = np.asarray(f1, dtype=np.complex128)
-    f2 = np.asarray(f2, dtype=np.complex128)
+    f1, f2 = grid_function(f1), grid_function(f2)
     weights = np.asarray(weights, dtype=float)
     m = len(weights)
-    if f1.shape != (m, m) or f2.shape != (m, m):
+    if f1.size != m or f2.size != m:
         raise ValueError("grid functions and weights must share one grid")
     if density is not None:
         density = np.asarray(density, dtype=float)
         if density.shape != (m,) or np.any(density <= 0):
             raise ValueError("density must be positive on every grid point")
     scale = weights if density is None else density**2 * weights
-    out = np.empty((m, m), dtype=np.complex128)
-    for rows in blocks(m, m):
-        np.matmul(f1[rows] * scale, f2, out=out[rows])
+
+    def tile(rows: slice, cols: slice) -> np.ndarray:
+        band = f1.tile(rows, ALL) * scale
+        lo, hi, _ = cols.indices(m)
+        out = np.empty((len(band), hi - lo), dtype=np.complex128)
+        for c in blocks(hi - lo, m):
+            np.matmul(band, f2.tile(ALL, slice(lo + c.start, lo + c.stop)), out=out[:, c])
         if density is not None:
-            out[rows] *= np.outer(density[rows], density)
-    return out
+            out *= np.outer(density[rows], density[cols])
+        return out
+
+    return GridFunction(m, tile)
 
 
 # ---------------------------------------------------------------------------

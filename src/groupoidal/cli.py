@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import itertools
 import json
@@ -41,6 +42,10 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INFEASIBLE = 3
+# random symbol pairs above which ``equiv prop1|genconv --pairs`` is refused: a
+# pair takes 0.1-0.3 ms at the kernel limit (m = 64, measured on 2 vCPUs), so
+# the cap, with its tenth in integer pairs, is under six minutes of work
+MAX_SYMBOL_PAIRS = 10**6
 
 
 @dataclass
@@ -107,19 +112,45 @@ def _finite(value, what: str):
     return value
 
 
+def _selector(args) -> str:
+    """The one groupoid or Weyl selector the parser let through, as written."""
+    name = next(n for n in ("weyl", "pair", "group", "units", "file")
+                if getattr(args, n, None) is not None)
+    extra = f" --isotropy {args.isotropy}" if name == "units" else ""
+    return f"--{name} {getattr(args, name)}{extra}"
+
+
+@contextlib.contextmanager
+def _refused_as(options: str):
+    """Lead the message of an ``InfeasibleError`` raised inside with the options at fault."""
+    try:
+        yield
+    except groupoid.InfeasibleError as exc:
+        raise groupoid.InfeasibleError(f"{options}: {exc}") from None
+
+
 def _build_groupoid(args) -> groupoid.FiniteGroupoid:
-    """The groupoid of the one selector the parser let through."""
+    """The groupoid of the one selector the parser let through; a refusal names it."""
     if (args.units is None) != (args.isotropy is None):
         raise ValueError("--units and --isotropy go together")
-    if args.pair is not None:
-        return groupoid.pair_groupoid(args.pair)
-    if args.group is not None:
-        table = groupoid.cyclic_group_table(_cyclic_order(args.group))
-        return groupoid.group_groupoid(table, name=args.group)
-    if args.units is not None:
-        table = groupoid.cyclic_group_table(_cyclic_order(args.isotropy))
-        return groupoid.transitive_groupoid(args.units, table)
-    return groupoid.FiniteGroupoid.load(args.file)
+    with _refused_as(_selector(args)):
+        if args.pair is not None:
+            return groupoid.pair_groupoid(args.pair)
+        if args.group is not None:
+            table = groupoid.cyclic_group_table(_cyclic_order(args.group))
+            return groupoid.group_groupoid(table, name=args.group)
+        if args.units is not None:
+            table = groupoid.cyclic_group_table(_cyclic_order(args.isotropy))
+            return groupoid.transitive_groupoid(args.units, table)
+        return groupoid.FiniteGroupoid.load(args.file)
+
+
+def _symbol_pairs(args) -> int:
+    """``--pairs``, refused above ``MAX_SYMBOL_PAIRS`` before any work."""
+    if args.pairs > MAX_SYMBOL_PAIRS:
+        raise groupoid.InfeasibleError(f"--pairs {args.pairs}: more than the work cap of "
+                                       f"{MAX_SYMBOL_PAIRS:,} random symbol pairs")
+    return args.pairs
 
 
 def _cyclic_order(spec: str) -> int:
@@ -174,7 +205,7 @@ def _add_star_checks(report: RunReport, rep, **details) -> None:
 
 
 def cmd_equiv_prop1(args) -> RunReport:
-    rep = starproduct.verify_prop1(args.n, n_pairs=args.pairs, seed=args.seed)
+    rep = starproduct.verify_prop1(args.n, n_pairs=_symbol_pairs(args), seed=args.seed)
     report = RunReport("equiv prop1", {"n": args.n, "pairs": args.pairs}, seed=args.seed)
     report.add("kernel_is_boolean", rep.kernel_is_boolean)
     _add_star_checks(report, rep)
@@ -182,8 +213,9 @@ def cmd_equiv_prop1(args) -> RunReport:
 
 
 def cmd_equiv_genconv(args) -> RunReport:
+    n_pairs = _symbol_pairs(args)
     G = _build_groupoid(args)
-    rep = starproduct.verify_gen_conv(G, n_pairs=args.pairs, seed=args.seed)
+    rep = starproduct.verify_gen_conv(G, n_pairs=n_pairs, seed=args.seed)
     report = RunReport("equiv genconv", {"order": G.order, "name": G.name, "pairs": args.pairs},
                        seed=args.seed)
     norm = rep.details["normalization"]  # one int when every N(g) agrees, else the distinct N(g)
@@ -194,8 +226,9 @@ def cmd_equiv_genconv(args) -> RunReport:
 
 def cmd_equiv_coherent(args) -> RunReport:
     """The coherent counterexample: passes when the discrepancy is LARGE."""
-    grid = realizations.coherent_grid(args.grid, args.spacing)
-    rep = realizations.coherent_discrepancy_report(grid, args.nt)
+    with _refused_as(f"--grid {args.grid} --spacing {args.spacing} --nt {args.nt}"):
+        grid = realizations.coherent_grid(args.grid, args.spacing)
+        rep = realizations.coherent_discrepancy_report(grid, args.nt)
     report = RunReport("equiv coherent",
                        {"grid": args.grid, "spacing": args.spacing, "n_trunc": args.nt},
                        seed=args.seed)
@@ -381,16 +414,18 @@ def cmd_tomo_symplectic(args) -> RunReport:
 def cmd_kernel(args) -> RunReport:
     """Flat (x1, x2, x, re, im) CSV of a kernel; refused above m = 16 before it is built."""
     if args.weyl is not None and args.isotropy is None:
-        pair = starproduct.weyl_qdpair(args.weyl)
-        m, name = len(pair.space), f"weyl{args.weyl}"
-        build = functools.partial(starproduct.kernel, pair)
+        m, name = max(args.weyl, 0) ** 2, f"weyl{args.weyl}"  # weyl_qdpair refuses n < 1
+
+        def build():
+            return starproduct.kernel(starproduct.weyl_qdpair(args.weyl))
     else:  # a groupoid selector, or --isotropy without --units (refused there)
         G = _build_groupoid(args)
         m, name = G.order, f"dreal{G.order}"
         build = functools.partial(starproduct.d_realization_kernel, G)
     if m > 16:
-        raise groupoid.InfeasibleError("kernel CSV export is limited to m <= 16 index points")
-    K = build()
+        raise groupoid.InfeasibleError(
+            f"{_selector(args)}: kernel CSV export is limited to m <= 16 index points (m = {m})")
+    K = np.stack(tuple(build()))  # at most 16^3 entries
     report = RunReport("kernel", {"pair": name}, seed=args.seed)
     path = _out_dir(args) / f"kernel_{name}.csv"
     _write_csv(path, ["x1", "x2", "x", "re", "im"], np.indices((m, m)),
@@ -401,7 +436,15 @@ def cmd_kernel(args) -> RunReport:
 
 
 def cmd_roundtrip(args) -> RunReport:
+    """Fock -> position -> Fock, and a product carried through the grid, in 1 MB tiles.
+
+    No m x m array is built but the one ``--csv`` writes; the grid product is
+    still the O(m^3) sum on the grid.  ``--points`` is refused by the bytes of
+    that whole symbol, before the grid is made.
+    """
     rng = np.random.default_rng(args.seed)
+    groupoid.check_dense_size((args.points, args.points), np.complex128,
+                              f"--points {args.points}: position symbol")
     grid = realizations.position_grid(-args.xmax, args.xmax, args.points)
     report = RunReport("roundtrip", {"N_t": args.nt, "xmax": args.xmax, "points": args.points},
                        seed=args.seed)
@@ -420,6 +463,7 @@ def cmd_roundtrip(args) -> RunReport:
     report.add("position_product_matches_matrix_product", dev2 < args.tol, dev2)
     if args.csv:
         path = _out_dir(args) / args.csv
+        f = f.whole()
         _write_csv(path, ["x", "y", "re", "im"], [grid.points],
                    [np.tile(grid.points, len(grid)), f.real, f.imag])
         print(f"grid symbol: {path}")

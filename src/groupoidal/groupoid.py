@@ -403,8 +403,8 @@ def transitive_groupoid(n_units: int, table: np.ndarray, name: str = "") -> Fini
     def idx(u, v, h):
         return (u * n_units + v) * m + h
 
+    compose = _undefined_table(order)  # refuses an order too large before anything is built
     u_of, v_of, h_of = np.unravel_index(np.arange(order), (n_units, n_units, m))
-    compose = _undefined_table(order)
     # block (u, v, .) x (v, w, .) is (u, w, table), filled in TABLE_DTYPE, which holds every id
     u, v, w = np.ix_(*[np.arange(n_units, dtype=TABLE_DTYPE)] * 3)
     blocks = compose.reshape(n_units, n_units, m, n_units, n_units, m)

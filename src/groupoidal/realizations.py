@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import trapezoid_weights
-from .groupoid import InfeasibleError, check_dense_size
+from .algebra import ALL, GridFunction, grid_function, trapezoid_weights
+from .groupoid import InfeasibleError, blocks, check_dense_size
 from .starproduct import (
     QDPair,
     duality_residual,
@@ -112,9 +112,12 @@ def coherent_grid(size: int, spacing: float) -> CoherentGrid:
     """Square size x size lattice of coherent labels centered at the origin."""
     if size < 1 or spacing <= 0:
         raise ValueError("need size >= 1 and positive spacing")
+    check_dense_size((size, size), np.complex128, "coherent lattice")
+    if not np.isfinite(spacing * spacing):
+        raise InfeasibleError(f"the cell area of spacing {spacing:g} overflows")
     offs = (np.arange(size) - (size - 1) / 2) * spacing
     z = (offs[:, None] + 1j * offs[None, :]).reshape(-1)
-    return CoherentGrid(z, spacing**2)
+    return CoherentGrid(z, spacing * spacing)
 
 
 def disk_lattice(radius: float, spacing: float) -> CoherentGrid:
@@ -191,18 +194,26 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     return out
 
 
-def fock_to_position_symbol(F: np.ndarray, grid: PositionGrid) -> np.ndarray:
-    """Position-representation kernel f(x, y) = sum F(n, m) phi_n(x) phi_m(y)."""
+def fock_to_position_symbol(F: np.ndarray, grid: PositionGrid) -> GridFunction:
+    """Position-representation kernel f(x, y) = sum F(n, m) phi_n(x) phi_m(y), by tiles.
+
+    The tile f[rows, cols] is (Phi^T F)[rows] @ Phi[:, cols], formed from the
+    N_t x N_t symbol when it is asked for; only Phi^T F, m x N_t, is held.
+    """
     F = np.asarray(F, dtype=np.complex128)
     if F.ndim != 2 or F.shape[0] != F.shape[1] or len(F) < 1:
         raise ValueError("Fock symbol must be a square matrix of dimension at least 1")
-    check_dense_size((len(grid), len(grid)), np.complex128, "position symbol")
     phi = hermite_functions(len(F) - 1, grid.points)
-    return phi.T @ F @ phi
+    left = phi.T @ F
+    return GridFunction(len(grid), lambda rows, cols: left[rows] @ phi[:, cols])
 
 
-def position_to_fock_symbol(f: np.ndarray, grid: PositionGrid, n_trunc: int) -> np.ndarray:
+def position_to_fock_symbol(f, grid: PositionGrid, n_trunc: int) -> np.ndarray:
     """Recover F(n, m) = integral f(x, y) phi_n(x) phi_m(y) dx dy by quadrature.
+
+    ``f`` is an array or a ``GridFunction``; it is read in row bands of
+    ``blocks(m, m)`` rows, each projected straight into the n_trunc x m
+    partial sum, so no m x m array is built.
 
     Raises
     ------
@@ -212,9 +223,9 @@ def position_to_fock_symbol(f: np.ndarray, grid: PositionGrid, n_trunc: int) -> 
     """
     if n_trunc < 1:
         raise ValueError(f"Fock truncation must be at least 1 (got {n_trunc})")
-    f = np.asarray(f, dtype=np.complex128)
+    f = grid_function(f)
     m = len(grid)
-    if f.shape != (m, m):
+    if f.size != m:
         raise ValueError("grid symbol shape must match the grid")
     reach = max(abs(grid.points[0]), abs(grid.points[-1]))
     needed = np.sqrt(2 * (n_trunc - 1)) + 1.0
@@ -226,7 +237,10 @@ def position_to_fock_symbol(f: np.ndarray, grid: PositionGrid, n_trunc: int) -> 
         )
     phi = hermite_functions(n_trunc - 1, grid.points)
     wphi = phi * grid.weights[None, :]
-    return wphi @ f @ wphi.T
+    half = np.zeros((n_trunc, m), dtype=np.complex128)
+    for rows in blocks(m, m):
+        half += wphi[:, rows] @ f.tile(rows, ALL)
+    return half @ wphi.T
 
 
 def position_qdpair(grid: PositionGrid) -> QDPair:
@@ -264,7 +278,7 @@ def coherent_state_vector(n_trunc: int, z) -> np.ndarray:
     n = np.arange(n_trunc)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_trunc)))))
     r = np.abs(zs)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # |z|^2 may overflow
         mag = np.exp(-r**2 / 2 + n * np.log(r) - 0.5 * log_fact)
     vecs = mag * np.exp(1j * np.angle(zs) * n)
     vecs[zs[:, 0] == 0] = np.eye(1, n_trunc)
@@ -279,13 +293,14 @@ def coherent_pair(grid: CoherentGrid, n_trunc: int) -> QDPair:
     each side.  Lattice points must stay inside the truncation reliability
     region |z| <= sqrt(n_trunc)/2.
     """
-    zmax = float(np.abs(grid.z_points).max())
+    far = grid.z_points[np.argmax(np.abs(grid.z_points))]
+    zmax = float(abs(far))
     if zmax > np.sqrt(n_trunc) / 2:
-        # probability mass beyond the truncated space (Poisson tail)
-        kept = np.sum(np.abs(coherent_state_vector(n_trunc, grid.z_points)) ** 2, axis=1)
-        worst = max(0.0, 1.0 - float(kept.min()))
+        # probability mass beyond the truncated space (Poisson tail), largest at zmax
+        kept = np.sum(np.abs(coherent_state_vector(n_trunc, far)) ** 2)
+        worst = max(0.0, 1.0 - float(kept))
         raise InfeasibleError(
-            f"lattice reaches |z| = {zmax:.2f} beyond sqrt(n_trunc)/2 = "
+            f"lattice reaches |z| = {zmax:.3g} beyond sqrt(n_trunc)/2 = "
             f"{np.sqrt(n_trunc) / 2:.2f}; worst truncated mass {worst:.2e}"
         )
     return rank_one_pair(coherent_state_vector(n_trunc, grid.z_points), grid.z_points,

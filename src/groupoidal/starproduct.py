@@ -17,14 +17,13 @@ not rank-one.  Its composable triples (j, k, i) describe it whole:
 ``regular_reconstruct`` is a scatter-add over them and ``regular_symbol`` a
 gather divided by the row widths N(g).
 
-The kernel K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] is materialized only
-for the 0/1 checks and the CSV export (m <= 64), each time into one
-(m, m, m) array: ``kernel`` as the product of three Gram matrices of a
-rank-one pair, the third multiplied in place, ``d_realization_kernel`` one
-x1 slice at a time as exact integer counts of products of the regular
-realization's 0/1 operators.  The checks reduce K one x1 slice at a time,
-and ``duality_residual`` takes its m x m overlap in row blocks, so no check
-holds a second array of the kernel's size.
+The kernel K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] is formed only for
+the 0/1 checks and the CSV export (m <= 64), and never whole: ``kernel`` and
+``d_realization_kernel`` yield it one (m, m) x1 slice at a time, the first
+from three m x m Gram matrices of a rank-one pair, the second as exact
+integer counts of products of the regular realization's 0/1 operators.  The
+checks reduce each slice as it comes, and ``duality_residual`` takes its
+m x m overlap in row blocks, so the star path holds O(m^2) entries.
 
 The equivalence checks at the bottom confirm, instance by instance, that
 for Weyl-unit pairs and for the regular realization the star product is
@@ -173,18 +172,20 @@ def _check_kernel_size(m: int) -> None:
         )
 
 
-def kernel(pair: QDPair) -> np.ndarray:
-    """Materialize K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] of a rank-one pair.
+def kernel(pair: QDPair):
+    """K(x1, x2, x) = Tr[D(x1) D(x2) U(x)^dagger] of a rank-one pair, one x1 slice at a time.
 
-    K = <b1|a2><b2|d_x><c_x|a1>, a product of three m x m Gram matrices, as an
-    (m, m, m) array.  The regular realization's kernel is ``d_realization_kernel``.
+    K = <b1|a2><b2|d_x><c_x|a1>, a product of three m x m Gram matrices taken
+    left to right; slice x1 is G1[x1][:, None] * G2 * G3[x1].  The size is
+    checked and the Gram matrices formed at the call; the returned iterator
+    yields the m fresh (m, m) slices.  The regular realization's kernel is
+    ``d_realization_kernel``.
     """
     _check_kernel_size(len(pair.space))
     a, b, c, d = pair.families
     bc = np.conj(b)
-    K = np.multiply((bc @ a.T)[:, :, None], (bc @ d.T)[None, :, :])
-    K *= (a @ np.conj(c).T)[:, None, :]
-    return K
+    G1, G2, G3 = bc @ a.T, bc @ d.T, a @ np.conj(c).T
+    return (G1[x1][:, None] * G2 * G3[x1] for x1 in range(len(G1)))
 
 
 def star(pair: QDPair, f, g) -> np.ndarray:
@@ -268,22 +269,21 @@ def regular_symbol(G: FiniteGroupoid, A: np.ndarray) -> np.ndarray:
             + 1j * (np.bincount(j, vals.imag, G.order) / widths))
 
 
-def d_realization_kernel(G: FiniteGroupoid) -> np.ndarray:
+def d_realization_kernel(G: FiniteGroupoid):
     """Regular-realization kernel K(g1, g2, g) = Tr[D(g1) D(g2) D(g)^T] / N(g), 0/1 exactly.
 
-    One (m, m) slice per g1 of products of the real 0/1 operators of
-    ``d_realization_stack`` gives integer counts, divided once by the row widths
-    (U(g)'s rounded 1/N would miss 1 at N = 6).  K comes from the operators, not
-    the composition table, so comparing it with delta_{g1 o g2}(g) checks them.
+    Yields one (m, m) slice per g1: the products D(g1) D(g2) of the real 0/1
+    operators of ``d_realization_stack``, contracted with every D(g), give
+    integer counts, divided once by the row widths (U(g)'s rounded 1/N would
+    miss 1 at N = 6).  The size, the row widths and the stack are checked and
+    built at the call.  K comes from the operators, not the composition table,
+    so comparing it with delta_{g1 o g2}(g) checks them.
     """
     m = G.order
     _check_kernel_size(m)
     widths, D = _row_widths(G), d_realization_stack(G)
-    K, Df = np.empty((m, m, m)), D.reshape(m, -1)
-    for a in range(m):
-        np.matmul((D[a] @ D).reshape(m, -1), Df.T, out=K[a])
-    K /= widths
-    return K
+    Df = D.reshape(m, -1)
+    return ((D[g1] @ D).reshape(m, -1) @ Df.T / widths for g1 in range(m))
 
 
 # ---------------------------------------------------------------------------
@@ -300,40 +300,48 @@ class EquivalenceReport:
     details: dict = field(default_factory=dict, compare=False)
 
 
-def nonboolean_margin(K: np.ndarray) -> float:
-    """Distance of a kernel from the nearest 0/1 tensor (0.0 for a boolean kernel), per slice."""
+def nonboolean_margin(K) -> float:
+    """Distance of a kernel, given by its x1 slices, from the nearest 0/1 tensor (0.0 if 0/1)."""
     return float(max(np.minimum(np.abs(k), np.abs(k - 1.0)).max() for k in K))
 
 
 def _star_equals_convolution(
-    product, G: FiniteGroupoid, K: np.ndarray, n_pairs: int, seed: int, **details,
+    product, G: FiniteGroupoid, K, n_pairs: int, seed: int, **details,
 ) -> EquivalenceReport:
     """The one check that a star product of symbols on ``G`` is its convolution.
 
     ``product(f1, f2)`` maps two symbols, value arrays in the flat element
     indexing of ``G``, to their star product, compared as arrays with
-    ``convolve(G, f1, f2)``.  ``K``, its kernel built once by
-    the caller (``verify_gen_conv`` passes its exact count form), is compared
-    with delta_{g1 o g2}(g) by subtracting 1 in place at the composable
-    triples.  Then max(1, n_pairs // 10) Gaussian-integer symbol pairs, which
+    ``convolve(G, f1, f2)``.  ``K``, the x1 slices of its kernel from the
+    caller (``verify_gen_conv`` passes its exact count form), is read once:
+    each slice gives its 0/1 margin and its ones, then is compared with
+    delta_{g1 o g2}(g) by subtracting 1 in place at the composable triples of
+    its row.  Then max(1, n_pairs // 10) Gaussian-integer symbol pairs, which
     must agree exactly, and ``n_pairs`` float pairs are drawn in that order
     from ``default_rng(seed)``.
     """
     if n_pairs < 1:
         raise ValueError("the star-convolution check needs a symbol pair (n_pairs >= 1)")
-    boolean = nonboolean_margin(K) == 0.0
-    details["kernel_ones"] = sum(int(np.count_nonzero(np.abs(k - 1.0) < 1e-14)) for k in K)
-    K[tuple(G.composable_triples().T)] -= 1.0
-    details["kernel_vs_delta_dev"] = float(max(np.abs(k).max() for k in K))
+    triples = G.composable_triples()  # sorted by j, so row x1 is one run
+    ends = np.searchsorted(triples[:, 0], np.arange(G.order + 1))
+    margin, ones, delta_dev = 0.0, 0, 0.0
+    for x1, k in enumerate(K):
+        margin = max(margin, nonboolean_margin((k,)))
+        ones += int(np.count_nonzero(np.abs(k - 1.0) < 1e-14))
+        _, x2, x = triples[ends[x1]:ends[x1 + 1]].T
+        k[x2, x] -= 1.0
+        delta_dev = max(delta_dev, float(np.abs(k).max()))
+    details["kernel_ones"], details["kernel_vs_delta_dev"] = ones, delta_dev
     rng = np.random.default_rng(seed)
     dev = np.zeros((2, 2))  # [float, integer] pairs -> largest (max, Frobenius) deviation
-    for integer in [1] * max(1, n_pairs // 10) + [0] * n_pairs:
-        f1, f2 = (random_function(G, rng, integer=bool(integer)) for _ in range(2))
-        diff = np.abs(product(f1, f2) - convolve(G, f1, f2))
-        dev[integer] = np.maximum(dev[integer], [diff.max(), np.linalg.norm(diff)])
+    for integer, count in ((1, max(1, n_pairs // 10)), (0, n_pairs)):
+        for _ in range(count):
+            f1, f2 = (random_function(G, rng, integer=bool(integer)) for _ in range(2))
+            diff = np.abs(product(f1, f2) - convolve(G, f1, f2))
+            dev[integer] = np.maximum(dev[integer], [diff.max(), np.linalg.norm(diff)])
     details["integer_max_dev"] = float(dev[1, 0])
-    exact = max(details["kernel_vs_delta_dev"], dev[1, 0]) == 0.0
-    return EquivalenceReport(float(dev[0, 0]), float(dev[0, 1]), boolean,
+    exact = max(delta_dev, dev[1, 0]) == 0.0
+    return EquivalenceReport(float(dev[0, 0]), float(dev[0, 1]), margin == 0.0,
                              bool(exact and dev[0, 0] < STAR_CONVOLUTION_TOL), details)
 
 

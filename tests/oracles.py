@@ -9,7 +9,8 @@ Each helper here serves one comparison and claims nothing of its own:
   and the dense formulas on any stacks: ``dense_symbol``,
   ``dense_reconstruct``, ``dense_duality_residual``,
   ``dense_resolution_residual`` and ``dense_kernel`` (oracles for the Gram
-  products of ``starproduct`` and for ``starproduct.d_realization_kernel``);
+  products of ``starproduct`` and for ``starproduct.d_realization_kernel``),
+  and ``stacked``, which stacks the x1 slices those two kernels yield;
 - the dense displaced symbol ``photon_symbol`` (criterion 6 and the photon
   tomography tests);
 - the per-direction symplectic weights ``rotated_frame_tomogram``, which
@@ -32,7 +33,10 @@ Each helper here serves one comparison and claims nothing of its own:
 - the Gauss-Legendre ``gauss_legendre_grid``, a non-uniform second rule
   beside the library's trapezoid ``realizations.position_grid``;
 - the whole-array density-weighted product ``grid_convolve`` (exact oracle
-  for the row blocks of ``algebra.weighted_grid_convolve``);
+  for the tiles of ``algebra.weighted_grid_convolve``);
+- the whole-array position round trip ``whole_grid_roundtrip``, which holds
+  f, g and their grid product as m x m arrays (oracle for the tiles of the
+  position bridge and ``roundtrip``);
 - ``traced_peak``, the tracemalloc peak of one call, for the memory guards.
 """
 
@@ -109,6 +113,11 @@ def dense_kernel(D: np.ndarray, U: np.ndarray) -> np.ndarray:
     m = len(D)
     Uf = np.conj(U.reshape(m, -1))
     return np.stack([(D[a] @ D).reshape(m, -1) @ Uf.T for a in range(m)])
+
+
+def stacked(slices) -> np.ndarray:
+    """The whole (m, m, m) kernel from the x1 slices that ``starproduct`` yields."""
+    return np.stack(tuple(slices))
 
 
 def photon_symbol(n_trunc: int, z: complex, A: np.ndarray) -> np.ndarray:
@@ -282,6 +291,14 @@ def grid_convolve(f1: np.ndarray, f2: np.ndarray, weights: np.ndarray,
     """rho(x) rho(y) * sum_s f1(x, s) f2(s, y) rho(s)^2 w_s as whole m x m arrays."""
     core = (f1 * (density**2 * weights)[None, :]) @ f2
     return density[:, None] * density[None, :] * core
+
+
+def whole_grid_roundtrip(F: np.ndarray, G: np.ndarray, grid: PositionGrid) -> tuple:
+    """(F, F G) carried through the grid on whole arrays: f, g and (f w) @ g, each m x m."""
+    phi = hermite_functions(len(F) - 1, grid.points)
+    wphi = phi * grid.weights[None, :]
+    f, g = phi.T @ F @ phi, phi.T @ G @ phi
+    return wphi @ f @ wphi.T, wphi @ ((f * grid.weights) @ g) @ wphi.T
 
 
 def traced_peak(fn, *args) -> tuple:

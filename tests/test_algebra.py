@@ -345,7 +345,7 @@ class TestGridConvolution:
         # the comparison stops being about the convolution machinery
         X, Y = np.meshgrid(self.x, self.x, indexing="ij")
         f = np.exp(-((X - Y) ** 2))
-        got = weighted_grid_convolve(f, f, self.w)
+        got = weighted_grid_convolve(f, f, self.w).whole()
         inner = np.nonzero(np.abs(self.x) <= 2.8)[0]
         # independent oracle 1: Simpson quadrature per output entry
         for i in inner[:: len(inner) // 7]:
@@ -363,7 +363,7 @@ class TestGridConvolution:
         f = np.exp(-((X - Y) ** 2))
         eps = 0.05
         unit = np.exp(-((X - Y) ** 2) / eps**2) / (eps * np.sqrt(np.pi))
-        got = weighted_grid_convolve(f, unit, self.w)
+        got = weighted_grid_convolve(f, unit, self.w).whole()
         inner = slice(30, -30)
         assert np.abs(got - f)[inner, inner].max() < 2e-3
 
@@ -373,8 +373,8 @@ class TestGridConvolution:
         f1 = np.exp(-((X - Y) ** 2))
         f2 = np.exp(-((X - Y) ** 2) / 2 + 0.1 * X - 0.1 * Y)
         f3 = np.exp(-(X**2) / 4 - (Y**2) / 4)
-        lhs = weighted_grid_convolve(weighted_grid_convolve(f1, f2, self.w), f3, self.w)
-        rhs = weighted_grid_convolve(f1, weighted_grid_convolve(f2, f3, self.w), self.w)
+        lhs = weighted_grid_convolve(weighted_grid_convolve(f1, f2, self.w), f3, self.w).whole()
+        rhs = weighted_grid_convolve(f1, weighted_grid_convolve(f2, f3, self.w), self.w).whole()
         assert np.abs(lhs - rhs).max() < 1e-8
 
     def test_density_weighted_form(self):
@@ -383,7 +383,7 @@ class TestGridConvolution:
         rho = 1.0 + 0.3 * np.exp(-(x**2))
         X, Y = np.meshgrid(x, x, indexing="ij")
         f = np.exp(-((X - Y) ** 2))
-        got = weighted_grid_convolve(f, f, w, density=rho)
+        got = weighted_grid_convolve(f, f, w, density=rho).whole()
         i, j = 70, 130
         integrand = f[i, :] * f[:, j] * rho**2
         want = rho[i] * rho[j] * simpson(integrand, x=x)
@@ -392,16 +392,23 @@ class TestGridConvolution:
     @pytest.mark.parametrize("m,rows", [(200, 12), (512, None)],
                              ids=["12-row blocks", "default blocks"])
     def test_row_blocks_equal_one_block(self, monkeypatch, m, rows):
-        # 200 rows in blocks of 12 end in a block of 8; 512 rows take 4 default blocks
+        # 200 lines in bands of 12 end in a band of 8; 512 lines take 4 default bands.
+        # Row bands of the result and column bands of f2 both follow the budget.
         rng = np.random.default_rng(21)
         f1, f2 = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in "12")
         w, rho = trapezoid_weights(np.linspace(-5, 5, m)), 0.5 + rng.random(m)
         if rows is not None:
             monkeypatch.setattr(groupoid, "BLOCK_ENTRIES", rows * m + 7)
         assert groupoid.BLOCK_ENTRIES < m * m
-        blocked = [weighted_grid_convolve(f1, f2, w), weighted_grid_convolve(f1, f2, w, rho)]
+
+        def banded(density=None):  # the result read in row bands, as its consumers read it
+            prod = weighted_grid_convolve(f1, f2, w, density)
+            return np.vstack([prod.tile(r, slice(None)) for r in groupoid.blocks(m, m)])
+
+        blocked = [banded(), banded(rho)]
         monkeypatch.setattr(groupoid, "BLOCK_ENTRIES", m * m)
-        whole = [weighted_grid_convolve(f1, f2, w), weighted_grid_convolve(f1, f2, w, rho)]
+        whole = [weighted_grid_convolve(f1, f2, w).whole(),
+                 weighted_grid_convolve(f1, f2, w, rho).whole()]
         assert all(np.array_equal(x, y) for x, y in zip(blocked, whole))
         # the density path keeps the whole-array rounding (rho_i rho_j) * core
         assert np.array_equal(blocked[1], grid_convolve(f1, f2, w, rho))

@@ -18,7 +18,7 @@ import groupoidal
 from groupoidal import groupoid, realizations, starproduct, tomography
 from groupoidal.cli import _write_csv, build_parser, main
 from groupoidal.groupoid import FiniteGroupoid, disjoint_union, pair_groupoid
-from oracles import traced_peak, write_csv
+from oracles import stacked, traced_peak, write_csv
 
 
 @pytest.fixture()
@@ -187,7 +187,8 @@ class TestEquiv:
     def test_prop1_permuted_kernel_is_boolean_but_not_delta(self, monkeypatch, tmp_path, capsys):
         # a 0/1 kernel with its last axis permuted passes kernel_is_boolean alone
         weyl_kernel = starproduct.kernel
-        monkeypatch.setattr(starproduct, "kernel", lambda pair: weyl_kernel(pair)[:, :, ::-1])
+        monkeypatch.setattr(starproduct, "kernel",
+                            lambda pair: (k[:, ::-1] for k in weyl_kernel(pair)))
         assert main(["equiv", "prop1", "--n", "2", "--out", str(tmp_path), "--json", "r.json"]) == 1
         checks = {c["name"]: c for c in json.loads((tmp_path / "r.json").read_text())["checks"]}
         assert checks["kernel_is_boolean"]["passed"]
@@ -455,7 +456,8 @@ class TestKernelRoundtrip:
 
     def test_kernel_size_limit(self, tmp_path, capsys):
         assert main(["kernel", "--weyl", "5", "--out", str(tmp_path)]) == 3
-        assert capsys.readouterr().err.startswith("infeasible parameters: kernel CSV export")
+        assert capsys.readouterr().err.startswith(
+            "infeasible parameters: --weyl 5: kernel CSV export")
 
     def test_prop1_without_pairs_is_input_error(self, capsys):
         assert main(["equiv", "prop1", "--n", "3", "--pairs", "0"]) == 2
@@ -544,17 +546,76 @@ class TestStarWorkloadMemory:
     """The benchmark's star-workload runs build each large array once."""
 
     @pytest.mark.parametrize("argv,bound", [
-        # one (64, 64, 64) complex kernel is 4.2 MB; the checks reduce it one slice at a time
-        (["equiv", "prop1", "--n", "8"], 7e6),
+        # the (64, 64, 64) complex kernel comes one 64 kB x1 slice at a time: under 1 MiB
+        (["equiv", "prop1", "--n", "8"], 2**20),
+        # the 2 MiB (64, 64, 64) real stack of D(g) and one 2 MiB product D(g1) D(g2) over
+        # all g2 at a time, whose (64, 64) kernel slice comes from one matrix product
+        (["equiv", "genconv", "--pair", "8"], 2 * 2**21 + 2**19),
         # the 625-point pair's (625, 64) vector stacks, then 1 MiB blocks of the duality overlap
         (["equiv", "coherent", "--grid", "5", "--spacing", "0.5"], 6e6),
-        # three 512 x 512 complex grid arrays (f, g and their product), 4 MiB each, plus one
-        # 1 MiB row block of the product and a block's slack: 14 MiB
-        (["roundtrip", "--nt", "16", "--xmax", "8", "--points", "512"], 3 * 2**22 + 2 * 2**20),
-    ], ids=["prop1", "coherent", "roundtrip"])
+        # no 512 x 512 grid array: a 1 MiB row band of f, its scaled copy, a 1 MiB column
+        # band of g and the 1 MiB product band, under one whole 4 MiB complex array
+        (["roundtrip", "--nt", "16", "--xmax", "8", "--points", "512"], 2**22),
+    ], ids=["prop1", "genconv", "coherent", "roundtrip"])
     def test_star_workload_memory(self, tmp_path, argv, bound):
         code, peak = traced_peak(main, argv + ["--out", str(tmp_path)])
         assert code == 0 and peak < bound
+
+
+# Each ends in a MemoryError, an overflow or hours of work unless refused up front.
+REFUSED_UP_FRONT = {
+    "roundtrip --points 99999999999": "--points",
+    "roundtrip --points 20000": "--points",
+    "equiv prop1 --pairs 99999999999": "--pairs",
+    "equiv genconv --pair 2 --pairs 99999999999": "--pairs",
+    "kernel --weyl 100000": "--weyl",
+    "axioms --pair 100000": "--pair",
+    "kernel --pair 100000": "--pair",
+    "equiv genconv --pair 100000": "--pair",
+    "equiv coherent --spacing 1e300": "--spacing",
+    "equiv coherent --spacing 1e154": "--spacing",  # |z|^2 overflows, the cell area does not
+    "equiv coherent --grid 100000": "--grid",
+}
+
+# Runs every argv through main in one child whose address space is capped at
+# 3 GiB, so a missing refusal ends in a MemoryError there, not in this process.
+_REFUSAL_CHILD = """
+import contextlib, io, json, resource, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from groupoidal.cli import main
+results = {}
+for line in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main([*line.split(), "--out", sys.argv[2]])
+        except Exception:
+            code = None
+            traceback.print_exc()
+    results[line] = [code, err.getvalue()]
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def refusals(tmp_path_factory):
+    src = str(Path(groupoidal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path_factory.mktemp("refused")
+    proc = subprocess.run([sys.executable, "-c", _REFUSAL_CHILD, json.dumps(list(REFUSED_UP_FRONT)),
+                           str(out)], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout), out
+
+
+@pytest.mark.parametrize("argv", list(REFUSED_UP_FRONT))
+def test_refused_before_the_first_allocation(refusals, argv):
+    results, out = refusals
+    code, err = results[argv]
+    assert "Traceback" not in err
+    assert code == 3 and err.count("\n") == 1
+    assert err.startswith("infeasible parameters: ") and REFUSED_UP_FRONT[argv] + " " in err
+    assert list(out.iterdir()) == []
 
 
 class TestExitCodes:
@@ -726,13 +787,14 @@ class TestExitCodes:
             ("tomo spin --j 0 --samples 200000000", "angle array"),
             ("tomo photon --nt 100000", "density matrix"),
             ("tomo photon --reconstruct --nt 600 --radius 100 --spacing 0.25", "tomogram table"),
-            ("equiv coherent --grid 100 --spacing 0.04", "pair vector stack"),
-            ("roundtrip --points 200000", "position symbol"),
+            ("equiv coherent --grid 100 --spacing 0.04", "--grid 100 --spacing 0.04 --nt 64: "
+                                                          "pair vector stack"),
+            ("roundtrip --points 200000", "--points 200000: position symbol"),
             ("roundtrip --nt 200000", "Fock symbol"),
-            ("axioms --pair 182", "composition table"),
-            ("axioms --pair 300", "composition table"),
-            ("axioms --file {dir}/huge.json", "composition table"),
-            ("axioms --group Z100000", "cyclic group table"),
+            ("axioms --pair 182", "--pair 182: composition table"),
+            ("axioms --pair 300", "--pair 300: composition table"),
+            ("axioms --file {dir}/huge.json", "--file {dir}/huge.json: composition table"),
+            ("axioms --group Z100000", "--group Z100000: cyclic group table"),
             ("tomo photon --reconstruct --radius 1e6", "coherent lattice"),
             ("tomo symplectic --reconstruct --step 1e-9", "reconstruction grid"),
         ],
@@ -748,7 +810,7 @@ class TestExitCodes:
             assert err.startswith(f"infeasible parameters: {what} of 144,000,000,024,000,000,001 "
                                   "points exceeds the 1,048,576-point limit; use a coarser step")
         else:
-            assert err.startswith(f"infeasible parameters: {what} of shape")
+            assert err.startswith(f"infeasible parameters: {what.format(dir=tmp_path)} of shape")
             assert "GiB limit" in err
 
 
@@ -832,7 +894,7 @@ def _roundtrip_columns(n_t: int, xmax: float, points: int, seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     grid = realizations.position_grid(-xmax, xmax, points)
     F = rng.standard_normal((n_t, n_t)) + 1j * rng.standard_normal((n_t, n_t))
-    f = realizations.fock_to_position_symbol(F, grid)
+    f = realizations.fock_to_position_symbol(F, grid).whole()
     return (["x", "y", "re", "im"], np.repeat(grid.points, points), np.tile(grid.points, points),
             f.real, f.imag)
 
@@ -854,11 +916,12 @@ CSV_RUNS = {
     "symplectic": ("tomo symplectic --nt 16 --mu 0.3 --nu -1.7", 0, "symplectic_tomogram.csv",
                    lambda: _symplectic_columns(16, 0.3, -1.7)),
     "kernel_weyl3": ("kernel --weyl 3", 0, "kernel_weyl3.csv",
-                     lambda: _kernel_columns(starproduct.kernel(starproduct.weyl_qdpair(3)))),
+                     lambda: _kernel_columns(stacked(starproduct.kernel(
+                         starproduct.weyl_qdpair(3))))),
     "kernel_units2_z2": (
         "kernel --units 2 --isotropy Z2", 0, "kernel_dreal8.csv",
-        lambda: _kernel_columns(starproduct.d_realization_kernel(
-            groupoid.transitive_groupoid(2, groupoid.cyclic_group_table(2))))),
+        lambda: _kernel_columns(stacked(starproduct.d_realization_kernel(
+            groupoid.transitive_groupoid(2, groupoid.cyclic_group_table(2)))))),
     # 16 points are too few for the round trip to pass; the symbol is written all the same
     "roundtrip_csv": ("roundtrip --points 16 --csv grid.csv", 1, "grid.csv",
                       lambda: _roundtrip_columns(16, 8.0, 16, 0)),

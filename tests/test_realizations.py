@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from groupoidal.algebra import weighted_grid_convolve, weyl_units
+from groupoidal import groupoid
 from groupoidal.groupoid import InfeasibleError, disjoint_union, pair_groupoid
 from groupoidal.realizations import (
     CoherentGrid,
@@ -36,6 +37,7 @@ from oracles import (
     hermite_function,
     resolution_residual,
     self_dual,
+    whole_grid_roundtrip,
 )
 
 
@@ -165,7 +167,7 @@ class TestPositionBridge:
         grid = position_grid(-8, 8, 256)
         F = np.zeros((4, 4), dtype=complex)
         F[0, 0] = 1.0
-        f = fock_to_position_symbol(F, grid)
+        f = fock_to_position_symbol(F, grid).whole()
         phi0 = hermite_function(0, grid.points)
         assert np.abs(f - np.outer(phi0, phi0)).max() < 1e-14
 
@@ -181,15 +183,16 @@ class TestPositionBridge:
         rng = np.random.default_rng(6)
         A = _rand_op(rng, 6)
         A = A + A.conj().T
-        f = fock_to_position_symbol(A, grid)
+        f = fock_to_position_symbol(A, grid).whole()
         assert np.abs(f - f.conj().T).max() < 1e-12
 
     def test_linearity_exact(self):
         grid = position_grid(-8, 8, 64)
         rng = np.random.default_rng(7)
         F, G = _rand_op(rng, 4), _rand_op(rng, 4)
-        lhs = fock_to_position_symbol(2.0 * F + 3.0 * G, grid)
-        rhs = 2.0 * fock_to_position_symbol(F, grid) + 3.0 * fock_to_position_symbol(G, grid)
+        lhs = fock_to_position_symbol(2.0 * F + 3.0 * G, grid).whole()
+        rhs = (2.0 * fock_to_position_symbol(F, grid).whole()
+               + 3.0 * fock_to_position_symbol(G, grid).whole())
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_projector_recovered(self):
@@ -210,6 +213,21 @@ class TestPositionBridge:
         prod = weighted_grid_convolve(fa, fb, grid.weights)
         back = position_to_fock_symbol(prod, grid, 16)
         assert np.abs(back - FA @ FB).max() < 1e-6
+
+    @pytest.mark.parametrize("n_t,points,rows", [(16, 512, None), (6, 200, 12)],
+                             ids=["roundtrip run", "12-line tiles"])
+    def test_tiles_match_the_whole_array_roundtrip(self, monkeypatch, n_t, points, rows):
+        # the tiles hold no m x m array; 200 lines in bands of 12 end in a band of 8
+        if rows is not None:
+            monkeypatch.setattr(groupoid, "BLOCK_ENTRIES", rows * points + 7)
+        grid = position_grid(-8, 8, points)
+        rng = np.random.default_rng(n_t)
+        F, G = _rand_op(rng, n_t), _rand_op(rng, n_t)
+        f, g = fock_to_position_symbol(F, grid), fock_to_position_symbol(G, grid)
+        got = [position_to_fock_symbol(f, grid, n_t),
+               position_to_fock_symbol(weighted_grid_convolve(f, g, grid.weights), grid, n_t)]
+        for x, y in zip(got, whole_grid_roundtrip(F, G, grid)):
+            assert np.abs(x - y).max() <= 1e-14
 
     def test_support_error_with_suggestion(self):
         grid = position_grid(-4, 4, 128)
@@ -257,8 +275,8 @@ class TestCoherent:
         pair = coherent_pair(grid, 16)
         from groupoidal.starproduct import kernel
 
-        K = kernel(pair)
-        assert abs(K[0, 0, 0] - 1.0) < 1e-14  # <0|0>^3
+        (K,) = kernel(pair)  # one x1 slice
+        assert abs(K[0, 0] - 1.0) < 1e-14  # <0|0>^3
 
     def test_reliability_region_enforced(self):
         with pytest.raises(InfeasibleError, match="truncated mass"):
@@ -372,7 +390,7 @@ class TestGridSymbolExport:
         rng = np.random.default_rng(2)
         F = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         grid = position_grid(-6, 6, 24)
-        f = fock_to_position_symbol(F, grid)
+        f = fock_to_position_symbol(F, grid).whole()
         rows = list(csvmod.reader((tmp_path / "sym.csv").open()))
         assert rows[0] == ["x", "y", "re", "im"]
         assert len(rows) == 1 + 24**2

@@ -58,6 +58,7 @@ from oracles import (
     regular_stacks,
     resolution_residual,
     self_dual,
+    stacked,
 )
 
 
@@ -154,7 +155,7 @@ class TestResiduals:
 class TestKernel:
     def test_weyl_kernel_delta_structure(self):
         n = 3
-        K = kernel(weyl_qdpair(n))
+        K = stacked(kernel(weyl_qdpair(n)))
         for a in range(n * n):
             i, k = divmod(a, n)
             for b in range(n * n):
@@ -166,7 +167,7 @@ class TestKernel:
 
     def test_weyl_kernel_one_count(self):
         for n in (2, 3, 4):
-            K = kernel(weyl_qdpair(n))
+            K = stacked(kernel(weyl_qdpair(n)))
             ones = np.count_nonzero(K == 1.0)
             assert ones == n**3
             # one entry per composable triple of the pair groupoid
@@ -174,7 +175,7 @@ class TestKernel:
 
     def test_fock_kernel_kronecker_structure(self):
         nt = 2
-        K = kernel(weyl_qdpair(nt))
+        K = stacked(kernel(weyl_qdpair(nt)))
         for a in range(4):
             n1, m1 = divmod(a, nt)
             for b in range(4):
@@ -189,7 +190,7 @@ class TestKernel:
 
         grid = coherent_grid(2, 0.5)
         pair = coherent_pair(grid, 48)
-        K = kernel(pair)
+        K = stacked(kernel(pair))
         z = grid.z_points
         m = len(z)
         labels = [(a, b) for a in range(m) for b in range(m)]
@@ -206,20 +207,41 @@ class TestKernel:
     @pytest.mark.parametrize("pair", [weyl_qdpair(8), spin_weyl_pair(2.5)], ids=["weyl8", "spin"])
     def test_kernel_equals_the_dense_oracle(self, pair):
         # the sizes above the hypothesis families: m = 64 (`equiv prop1 --n 8`) and 36
-        assert np.array_equal(kernel(pair), dense_kernel(*dense_stacks(pair)))
+        assert np.array_equal(stacked(kernel(pair)), dense_kernel(*dense_stacks(pair)))
+
+    @pytest.mark.parametrize("case", ["weyl", "coherent", "regular"])
+    def test_each_slice_is_the_dense_oracle_slice(self, case):
+        # the kernels yield fresh (m, m) x1 slices, bit for bit the dense oracle's
+        # where its arithmetic is exact; a coherent Gram product rounds otherwise
+        if case == "regular":
+            G = transitive_groupoid(2, cyclic_group_table(3))
+            D, _ = regular_stacks(G)
+            got = list(d_realization_kernel(G))
+            want = dense_kernel(D, D) / np.einsum("xab,xab->x", D, D)  # counts / N(g)
+        else:
+            pair = weyl_qdpair(4) if case == "weyl" else coherent_pair(coherent_grid(2, 0.5), 16)
+            got, want = list(kernel(pair)), dense_kernel(*dense_stacks(pair))
+        m = len(want)
+        assert len(got) == m and all(k.shape == (m, m) for k in got)
+        assert not any(np.shares_memory(got[0], k) for k in got[1:])
+        for k, w in zip(got, want):
+            if case == "coherent":
+                assert np.abs(k - w).max() <= 1e-15
+            else:
+                assert np.array_equal(k, w)
 
     def test_kernel_keeps_the_left_to_right_gram_product(self):
         pair = coherent_pair(coherent_grid(2, 0.5), 16)
         a, b, c, d = pair.families
         bc = np.conj(b)
         want = (bc @ a.T)[:, :, None] * (bc @ d.T)[None, :, :] * (a @ np.conj(c).T)[:, None, :]
-        assert np.array_equal(kernel(pair), want)
+        assert np.array_equal(stacked(kernel(pair)), want)
 
     def test_nonboolean_margin_equals_the_whole_array_formula(self):
-        perturbed = kernel(weyl_qdpair(3))
+        perturbed = stacked(kernel(weyl_qdpair(3)))
         perturbed[8, 2, 7] = 0.7 - 0.1j  # in the last x1 slice
-        for K in (kernel(coherent_pair(coherent_grid(2, 0.5), 16)), perturbed,
-                  kernel(weyl_qdpair(3)), d_realization_kernel(pair_groupoid(3))):
+        for K in (stacked(kernel(coherent_pair(coherent_grid(2, 0.5), 16))), perturbed,
+                  stacked(kernel(weyl_qdpair(3))), stacked(d_realization_kernel(pair_groupoid(3)))):
             assert nonboolean_margin(K) == float(np.minimum(np.abs(K), np.abs(K - 1.0)).max())
         assert nonboolean_margin(perturbed) == abs((0.7 - 0.1j) - 1.0)
 
@@ -391,7 +413,7 @@ class TestDRealizationKernel:
     @given(parts=_GROUPOID_PARTS)
     def test_kernel_is_the_exact_delta_and_matches_the_dense_oracle(self, parts):
         G = _union(parts)
-        K = d_realization_kernel(G)
+        K = stacked(d_realization_kernel(G))
         delta = np.zeros_like(K)
         delta[tuple(G.composable_triples().T)] = 1.0
         assert np.array_equal(K, delta)  # 0/1 exactly, 1 exactly at the composable triples
@@ -478,7 +500,7 @@ class TestRankOneMatchesDenseOracle:
         want = [dense_symbol(U, A), dense_reconstruct(D, w, f), dense_symbol(U, fg),
                 dense_duality_residual(D, U, w), dense_resolution_residual(D, U, w)]
         if m <= 64:
-            got.append(kernel(pair))
+            got.append(stacked(kernel(pair)))
             want.append(dense_kernel(D, U))
         for x, y in zip(got, want):
             if family in _UNIT_FAMILIES:
@@ -515,15 +537,16 @@ class TestAssociativity:
     def test_weyl_exact(self):
         for n in (2, 3, 6):
             pair = weyl_qdpair(n)
-            assert associativity_residual(kernel(pair), pair.space.weights) == 0.0
+            assert associativity_residual(stacked(kernel(pair)), pair.space.weights) == 0.0
 
     def test_d_realization_small(self):
         for G in (pair_groupoid(3), transitive_groupoid(2, cyclic_group_table(2))):
-            assert associativity_residual(d_realization_kernel(G), np.ones(G.order)) == 0.0
+            assert associativity_residual(stacked(d_realization_kernel(G)),
+                                          np.ones(G.order)) == 0.0
 
     def test_perturbed_kernel_fails(self):
         pair = weyl_qdpair(2)
-        K = kernel(pair)
+        K = stacked(kernel(pair))
         K[0, 0, 0] += 0.5
         assert associativity_residual(K, pair.space.weights) >= 0.4
 
@@ -541,7 +564,7 @@ class TestEquivalenceReports:
     def test_prop1_n8(self):
         rep = verify_prop1(8, n_pairs=100, seed=3)
         assert rep.passed and rep.max_dev < 1e-12
-        K = kernel(weyl_qdpair(8))
+        K = stacked(kernel(weyl_qdpair(8)))
         assert rep.details["kernel_ones"] == 8**3 == np.count_nonzero(np.abs(K - 1.0) < 1e-14)
 
     def test_genconv_pair3(self):
@@ -635,15 +658,16 @@ class TestKernelExport:
 
     def test_csv_rows(self, tmp_path):
         path = tmp_path / "k.csv"
-        self._export(kernel(weyl_qdpair(2)), path)
+        self._export(stacked(kernel(weyl_qdpair(2))), path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 4**3  # header + m^3 rows for m = 4 index points
         assert lines[0] == "x1,x2,x,re,im"
 
-    @pytest.mark.parametrize("selector", [["--weyl", "5"], ["--pair", "5"], ["--group", "Z17"]],
+    @pytest.mark.parametrize("selector,m", [(["--weyl", "5"], 25), (["--pair", "5"], 25),
+                                            (["--group", "Z17"], 17)],
                              ids=["weyl5", "pair5", "z17"])
-    def test_size_limit(self, tmp_path, monkeypatch, capsys, selector):
-        # m = 25, 25 and 17 are refused before any kernel is built
+    def test_size_limit(self, tmp_path, monkeypatch, capsys, selector, m):
+        # refused before any kernel is built, naming the selector
         def unbuilt(*args):
             raise AssertionError("kernel built before the size check")
 
@@ -651,7 +675,8 @@ class TestKernelExport:
         monkeypatch.setattr(starproduct, "d_realization_kernel", unbuilt)
         assert main(["kernel", *selector, "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == (
-            "infeasible parameters: kernel CSV export is limited to m <= 16 index points\n")
+            f"infeasible parameters: {' '.join(selector)}: kernel CSV export is limited to "
+            f"m <= 16 index points (m = {m})\n")
         assert not list(tmp_path.iterdir())
 
     def test_exact_text_of_two_point_kernel(self, tmp_path):
@@ -660,7 +685,7 @@ class TestKernelExport:
         ones = np.ones((2, 1))
         pair = QDPair(IndexSpace(("a", "b"), np.ones(2)), (a, ones, a, ones))
         path = tmp_path / "k.csv"
-        self._export(kernel(pair), path)
+        self._export(stacked(kernel(pair)), path)
         rows = ["x1,x2,x,re,im", "0,0,0,1.0,0.0", "0,0,1,0.0,-0.5", "0,1,0,0.0,0.5",
                 "0,1,1,0.25,0.0", "1,0,0,0.0,0.5", "1,0,1,0.25,0.0", "1,1,0,-0.25,0.0",
                 "1,1,1,0.0,0.125"]
