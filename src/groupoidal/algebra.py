@@ -14,8 +14,7 @@ regular realization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -91,8 +90,7 @@ def d_realization_stack(G: FiniteGroupoid) -> np.ndarray:
     return D
 
 
-@dataclass(frozen=True)
-class NormalizationInfo:
+class NormalizationInfo(NamedTuple):
     """Trace normalizer of the regular realization on a transitive groupoid.
 
     ``value`` is the working constant Tr[D(g) D(g)^T] = ord(G0) * ord(H),
@@ -153,8 +151,7 @@ def trapezoid_weights(points: np.ndarray) -> np.ndarray:
 ALL = slice(None)
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(NamedTuple):
     """An m x m function on a 1D grid, held as the rule that forms its tiles.
 
     ``tile(rows, cols)`` returns f[rows, cols], to be read, not written, for

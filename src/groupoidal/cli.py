@@ -31,7 +31,6 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +47,14 @@ EXIT_INFEASIBLE = 3
 MAX_SYMBOL_PAIRS = 10**6
 
 
-@dataclass
 class RunReport:
-    command: str
-    parameters: dict
-    seed: int | None = None
-    checks: list = field(default_factory=list)
-    wall_time_s: float = 0.0
+    """One run's checks; ``main`` sets ``wall_time_s`` when the command returns."""
+
+    __slots__ = ("command", "parameters", "seed", "checks", "wall_time_s")
+
+    def __init__(self, command: str, parameters: dict, seed: int | None = None):
+        self.command, self.parameters, self.seed = command, parameters, seed
+        self.checks, self.wall_time_s = [], 0.0
 
     def add(self, name: str, passed: bool, deviation: float | None = None, **details):
         self.checks.append(
@@ -66,7 +66,7 @@ class RunReport:
         return all(c["passed"] for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {"schema": 1, **asdict(self)}
+        return {"schema": 1, **{name: getattr(self, name) for name in self.__slots__}}
 
 
 def _out_dir(args) -> Path:
@@ -227,6 +227,9 @@ def cmd_equiv_genconv(args) -> RunReport:
 def cmd_equiv_coherent(args) -> RunReport:
     """The coherent counterexample: passes when the discrepancy is LARGE."""
     with _refused_as(f"--grid {args.grid} --spacing {args.spacing} --nt {args.nt}"):
+        # the reach and the operator size are refused before the lattice is built
+        corner = realizations.coherent_grid_corner(args.grid, args.spacing)
+        realizations.check_truncation(corner, args.nt)
         grid = realizations.coherent_grid(args.grid, args.spacing)
         rep = realizations.coherent_discrepancy_report(grid, args.nt)
     report = RunReport("equiv coherent",
@@ -298,8 +301,9 @@ def cmd_tomo_spin(args) -> RunReport:
         raise ValueError(f"--samples must be at least 1 (got {args.samples})")
     j = args.j
     dim = realizations.SpinSpace(j).dim
-    groupoid.check_dense_size((args.samples, dim), float, "probability table")
-    groupoid.check_dense_size((args.samples, 3), float, "angle array")
+    groupoid.check_dense_size((args.samples, dim), float,
+                              f"--j {j} --samples {args.samples}: probability table")
+    groupoid.check_dense_size((args.samples, 3), float, f"--samples {args.samples}: angle array")
     rho = _parse_state(args.state, dim, rng)
     report = RunReport("tomo spin", {"j": j, "state": args.state, "samples": args.samples},
                        seed=args.seed)
@@ -342,10 +346,12 @@ def cmd_tomo_photon(args) -> RunReport:
                 f"(got spacing={args.spacing}, radius={args.radius}); "
                 "suggested: --spacing 0.2 --radius 4"
             )
-        lattice = realizations.disk_lattice(args.radius, args.spacing)
+        with _refused_as(f"--radius {args.radius} --spacing {args.spacing}"):
+            lattice = realizations.disk_lattice(args.radius, args.spacing)
     else:
         z = _finite(complex(args.z), "--z")
-        lattice = realizations.CoherentGrid(np.array([z]), args.spacing**2)
+        with _refused_as(f"--spacing {args.spacing}"):
+            lattice = realizations.CoherentGrid(np.array([z]), realizations.cell_area(args.spacing))
     tom = tomography.photon_tomogram(rho, lattice, n_max=n_t)
     # column sums equal the trace up to the mass a displaced state leaks
     # beyond n_max; at the lattice edge that truncation tail dominates
@@ -387,7 +393,8 @@ def cmd_tomo_symplectic(args) -> RunReport:
     provider = tomography.state_tomogram_provider(rho)  # one weight table serves both
     tom = provider(args.mu, args.nu)
     if args.reconstruct:  # before any file is written, so a refused grid or window leaves none
-        with warnings.catch_warnings():  # the boundary tail is gated on --tol below
+        with warnings.catch_warnings(), _refused_as(f"--L {args.L} --step {args.step}"):
+            # the boundary tail is gated on --tol below
             warnings.filterwarnings("ignore", "characteristic values reach", RuntimeWarning)
             rec = tomography.symplectic_reconstruct(n_t, provider, grid_limit=args.L,
                                                     grid_step=args.step)

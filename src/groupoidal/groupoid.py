@@ -17,7 +17,11 @@ Memory policy: ``check_dense_size`` refuses dense arrays above
 temporaries and lets glibc reuse heap pages between them.
 
 All objects are immutable after construction and safe to share across
-threads; every operation here is a pure function.
+threads; every operation here is a pure function.  The package's value types
+are ``typing.NamedTuple`` records or ``__slots__`` classes under ``Frozen``,
+not dataclasses: a frozen ``@dataclass`` writes and ``exec``s its methods at
+import, 0.5-0.8 ms a class (Python 3.11, 2 vCPUs), which for 21 classes was a
+quarter of importing the package.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,14 +62,20 @@ class InfeasibleError(ValueError):
     """
 
 
+def size_text(n: int) -> str:
+    """A size for a one-line message: exact below 10^15, else to three figures."""
+    # int -> float raises OverflowError past the float range, so those read inf
+    return f"{n:,}" if n < 10**15 else f"{float(n) if n < 2**1023 else math.inf:.3g}"
+
+
 def check_dense_size(shape: tuple, dtype, what: str) -> None:
     """Raise ``InfeasibleError`` if an array of ``shape`` and ``dtype`` exceeds the limit."""
-    nbytes = math.prod(map(int, shape)) * np.dtype(dtype).itemsize
+    shape = tuple(map(int, shape))
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     if nbytes > MAX_DENSE_BYTES:
-        # int / int raises OverflowError once the quotient leaves the float range
-        gib = nbytes / 2**30 if nbytes.bit_length() <= 1024 else math.inf
+        gib = nbytes / 2**30 if nbytes < 2**1023 else math.inf
         raise InfeasibleError(
-            f"{what} of shape {tuple(shape)} needs {gib:.3g} GiB, "
+            f"{what} of shape {' x '.join(map(size_text, shape))} needs {gib:.3g} GiB, "
             f"above the {MAX_DENSE_BYTES / 2**30:g} GiB limit"
         )
 
@@ -177,8 +186,23 @@ def _defined_rows(compose: np.ndarray):
         yield rows.start, compose[rows] != UNDEFINED
 
 
-@dataclass(frozen=True)
-class FiniteGroupoid:
+class Frozen:
+    """Base of the validated value types: ``__init__`` stores each slot once with
+    ``object.__setattr__``, and a later assignment or deletion is refused."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        """Copies and pickles rebuild through ``__init__``, which takes the slots in order."""
+        return type(self), tuple(getattr(self, s) for s in self.__slots__)
+
+
+class FiniteGroupoid(Frozen):
     """A finite groupoid over elements ``0..order-1``.
 
     Attributes
@@ -188,17 +212,12 @@ class FiniteGroupoid:
     source, target : maps assigning each element its right/left unit.
     inverse : the two-sided inverse map.
     compose : KxK table; ``compose[j, k]`` is the id of ``j o k`` or -1.
+    name : a label, ignored by ``==``.
     """
 
-    order: int
-    units: frozenset
-    source: np.ndarray
-    target: np.ndarray
-    inverse: np.ndarray
-    compose: np.ndarray
-    name: str = field(default="", compare=False)
+    __slots__ = ("order", "units", "source", "target", "inverse", "compose", "name")
 
-    def __post_init__(self):
+    def __init__(self, order: int, units, source, target, inverse, compose, name: str = ""):
         """Coerce and freeze the fields; the one place the storage is decided.
 
         ``units`` becomes a frozenset of ints, the maps read-only int64 arrays
@@ -207,15 +226,15 @@ class FiniteGroupoid:
         refused before the table is read.  Ids are checked before any narrowing
         cast, so a float or out-of-range id is refused rather than truncated.
         """
-        order = _order(self.order)
+        order = _order(order)
         check_dense_size((order, order), TABLE_DTYPE, "composition table")
-        units = list(self.units) if isinstance(self.units, (set, frozenset)) else self.units
+        units = list(units) if isinstance(units, (set, frozenset)) else units
         units = _element_ids(units, order, "units")
-        fields = {"compose": _element_ids(self.compose, order, "compose", (order,), UNDEFINED)}
+        fields = {"compose": _element_ids(compose, order, "compose", (order,), UNDEFINED)}
         if fields["compose"].shape[0] != order:
             raise GroupoidStructureError("composition table must be KxK")
-        for attr in ("source", "target", "inverse"):
-            fields[attr] = _element_ids(getattr(self, attr), order, attr)
+        for attr, value in (("source", source), ("target", target), ("inverse", inverse)):
+            fields[attr] = _element_ids(value, order, attr)
             if fields[attr].shape != (order,):
                 raise GroupoidStructureError(f"{attr} map has wrong length")
         object.__setattr__(self, "order", order)
@@ -224,6 +243,7 @@ class FiniteGroupoid:
             arr = np.asarray(arr, dtype=TABLE_DTYPE if attr == "compose" else np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, attr, arr)
+        object.__setattr__(self, "name", name)
 
     def __eq__(self, other) -> bool:
         """Structural equality: same order, units, maps and table (the name is ignored)."""
@@ -436,16 +456,14 @@ def disjoint_union(parts: Sequence[FiniteGroupoid], name: str = "") -> FiniteGro
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     passed: bool
     witness: tuple | None = None
     checked: int = 0
     sampled: bool = False
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of the exhaustive structural scan, one entry per axiom.
 
     Witnesses are the lexicographically smallest violating tuples in the
@@ -624,13 +642,11 @@ def _check_associativity(G, pairs, prods, width, rng) -> AxiomCheck:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     members: frozenset
 
 
-@dataclass(frozen=True)
-class IsotropyGroup:
+class IsotropyGroup(NamedTuple):
     base_unit: int
     members: tuple
     table: np.ndarray  # composition in member indices
@@ -640,14 +656,12 @@ class IsotropyGroup:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     principal: bool
     transitive: bool
 
 
-@dataclass(frozen=True)
-class ConnectingSet:
+class ConnectingSet(NamedTuple):
     """Elements from unit u0 to unit u1; empty iff the units are disconnected."""
 
     elements: frozenset

@@ -11,12 +11,11 @@ fails by a finite, reportable gap.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import ALL, GridFunction, grid_function, trapezoid_weights
-from .groupoid import InfeasibleError, blocks, check_dense_size
+from .groupoid import Frozen, InfeasibleError, blocks, check_dense_size
 from .starproduct import (
     QDPair,
     duality_residual,
@@ -32,20 +31,19 @@ from .starproduct import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpinSpace:
+class SpinSpace(Frozen):
     """Spin-j label set: m in {-j, ..., j}, index m + j.
 
     The one place that checks a spin quantum number and derives 2j + 1.
     """
 
-    j: float
+    __slots__ = ("j",)
 
-    def __post_init__(self):
-        two_j = 2 * self.j
+    def __init__(self, j: float):
+        two_j = 2 * j
         if not (np.isfinite(two_j) and two_j >= 0 and abs(two_j - round(two_j)) <= 1e-12):
             raise ValueError("j must be a nonnegative integer or half-integer")
-        object.__setattr__(self, "j", float(self.j))
+        object.__setattr__(self, "j", float(j))
 
     @property
     def dim(self) -> int:
@@ -56,16 +54,14 @@ class SpinSpace:
         return np.arange(self.dim) - self.j
 
 
-@dataclass(frozen=True)
-class PositionGrid:
+class PositionGrid(Frozen):
     """Quadrature grid: strictly increasing points with positive weights."""
 
-    points: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("points", "weights")
 
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, points: np.ndarray, weights: np.ndarray):
+        p = np.asarray(points, dtype=float)
+        w = np.asarray(weights, dtype=float)
         if p.ndim != 1 or p.shape != w.shape:
             raise ValueError("points and weights must be matching 1D arrays")
         if np.any(np.diff(p) <= 0):
@@ -85,20 +81,19 @@ def position_grid(a: float = -8.0, b: float = 8.0, m: int = 512) -> PositionGrid
     return PositionGrid(pts, trapezoid_weights(pts))
 
 
-@dataclass(frozen=True)
-class CoherentGrid:
+class CoherentGrid(Frozen):
     """Finite lattice of coherent labels z with d^2z/pi cell weight."""
 
-    z_points: np.ndarray
-    cell_area: float
+    __slots__ = ("z_points", "cell_area")
 
-    def __post_init__(self):
-        z = np.asarray(self.z_points, dtype=complex)
+    def __init__(self, z_points: np.ndarray, cell_area: float):
+        z = np.asarray(z_points, dtype=complex)
         if z.ndim != 1 or len(z) == 0:
             raise ValueError("z_points must be a nonempty 1D complex array")
-        if self.cell_area <= 0:
+        if cell_area <= 0:
             raise ValueError("cell_area must be positive")
         object.__setattr__(self, "z_points", z)
+        object.__setattr__(self, "cell_area", cell_area)
 
     def __len__(self) -> int:
         return len(self.z_points)
@@ -108,13 +103,31 @@ class CoherentGrid:
         return self.cell_area / np.pi
 
 
-def coherent_grid(size: int, spacing: float) -> CoherentGrid:
-    """Square size x size lattice of coherent labels centered at the origin."""
+def cell_area(spacing: float) -> float:
+    """The lattice cell area spacing^2, refused when it overflows."""
+    area = spacing * spacing
+    if not np.isfinite(area):
+        raise InfeasibleError(f"the cell area of spacing {spacing:g} overflows")
+    return area
+
+
+def coherent_grid_corner(size: int, spacing: float) -> complex:
+    """The first label of ``coherent_grid(size, spacing)``, a corner, of largest |z|.
+
+    Refuses what ``coherent_grid`` refuses but builds nothing, so a run can
+    check the lattice's reach before the lattice exists.
+    """
     if size < 1 or spacing <= 0:
         raise ValueError("need size >= 1 and positive spacing")
     check_dense_size((size, size), np.complex128, "coherent lattice")
-    if not np.isfinite(spacing * spacing):
-        raise InfeasibleError(f"the cell area of spacing {spacing:g} overflows")
+    cell_area(spacing)
+    corner = -((size - 1) / 2) * spacing
+    return complex(corner, corner)
+
+
+def coherent_grid(size: int, spacing: float) -> CoherentGrid:
+    """Square size x size lattice of coherent labels centered at the origin."""
+    coherent_grid_corner(size, spacing)
     offs = (np.arange(size) - (size - 1) / 2) * spacing
     z = (offs[:, None] + 1j * offs[None, :]).reshape(-1)
     return CoherentGrid(z, spacing * spacing)
@@ -285,15 +298,16 @@ def coherent_state_vector(n_trunc: int, z) -> np.ndarray:
     return vecs.reshape(z.shape + (n_trunc,))
 
 
-def coherent_pair(grid: CoherentGrid, n_trunc: int) -> QDPair:
-    """Self-dual coherent pair |z><w| over the lattice; not orthonormal.
+def check_truncation(far: complex, n_trunc: int) -> None:
+    """Refuse a Fock truncation for a coherent lattice whose farthest label is ``far``.
 
-    The index set is the full lattice square {(z, w)} with the product
-    measure weight (cell/pi)^2, stored as the truncated coherent vectors of
-    each side.  Lattice points must stay inside the truncation reliability
-    region |z| <= sqrt(n_trunc)/2.
+    The n_trunc x n_trunc operators of its star products must fit the dense
+    limit, and the lattice must stay inside the truncation reliability region
+    |z| <= sqrt(n_trunc)/2.
     """
-    far = grid.z_points[np.argmax(np.abs(grid.z_points))]
+    if n_trunc < 1:
+        raise ValueError(f"Fock truncation must be at least 1 (got {n_trunc})")
+    check_dense_size((n_trunc, n_trunc), np.complex128, "n_trunc x n_trunc operator")
     zmax = float(abs(far))
     if zmax > np.sqrt(n_trunc) / 2:
         # probability mass beyond the truncated space (Poisson tail), largest at zmax
@@ -303,6 +317,16 @@ def coherent_pair(grid: CoherentGrid, n_trunc: int) -> QDPair:
             f"lattice reaches |z| = {zmax:.3g} beyond sqrt(n_trunc)/2 = "
             f"{np.sqrt(n_trunc) / 2:.2f}; worst truncated mass {worst:.2e}"
         )
+
+
+def coherent_pair(grid: CoherentGrid, n_trunc: int) -> QDPair:
+    """Self-dual coherent pair |z><w| over the lattice; not orthonormal.
+
+    The index set is the full lattice square {(z, w)} with the product
+    measure weight (cell/pi)^2, stored as the truncated coherent vectors of
+    each side.  ``check_truncation`` refuses the truncation first.
+    """
+    check_truncation(grid.z_points[np.argmax(np.abs(grid.z_points))], n_trunc)
     return rank_one_pair(coherent_state_vector(n_trunc, grid.z_points), grid.z_points,
                          np.full(len(grid), grid.point_weight))
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .groupoid import InfeasibleError, blocks, check_dense_size
+from .groupoid import Frozen, InfeasibleError, blocks, check_dense_size, size_text
 from .realizations import CoherentGrid, SpinSpace, annihilation
 
 
@@ -48,8 +48,7 @@ SYMPLECTIC_POINT_LIMIT = 1 << 20
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EulerAngles:
+class EulerAngles(NamedTuple):
     """zyz Euler angles; canonical ranges are documented, not enforced."""
 
     alpha: float
@@ -199,8 +198,7 @@ def displaced_parity(n_trunc: int, z: complex, s: float) -> np.ndarray:
     return 2 / (1 - s) * (D * powers[None, :]) @ D.conj().T
 
 
-@dataclass(frozen=True)
-class PhotonTomogram:
+class PhotonTomogram(Frozen):
     """Photon-number tomographic table P(n, z) on a lattice of arguments z.
 
     Follows the sign convention P(n, -z) = Phi(n, n; z) inherited from
@@ -208,15 +206,15 @@ class PhotonTomogram:
     number distribution at displacement -z.
     """
 
-    z_grid: CoherentGrid
-    table: np.ndarray  # (n_max, len(z_grid))
-    n_max: int
+    __slots__ = ("z_grid", "table", "n_max")  # table: (n_max, len(z_grid))
 
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if t.shape != (self.n_max, len(self.z_grid)):
+    def __init__(self, z_grid: CoherentGrid, table: np.ndarray, n_max: int):
+        t = np.asarray(table, dtype=float)
+        if t.shape != (n_max, len(z_grid)):
             raise ValueError("table must be (n_max, number of lattice points)")
+        object.__setattr__(self, "z_grid", z_grid)
         object.__setattr__(self, "table", t)
+        object.__setattr__(self, "n_max", n_max)
 
 
 def photon_tomogram(
@@ -308,14 +306,13 @@ def grid_resolvable_dim(spacing: float, radius: float) -> int:
     return max(1, min(int(2.0 / spacing), int(1.2 * radius**2)))
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(NamedTuple):
     operator: np.ndarray
     scheme: str
     n_trunc: int
     reliable_dim: int
     grid: dict
-    params: dict = field(default_factory=dict)
+    params: dict
 
     @property
     def max_abs_beyond_reliable(self) -> float:
@@ -438,8 +435,7 @@ def quadrature_operator(n_trunc: int, mu: float, nu: float) -> np.ndarray:
     return mu * q + nu * p
 
 
-@dataclass(frozen=True)
-class SymplecticTomogram:
+class SymplecticTomogram(NamedTuple):
     """Exact spectral measure of mu q + nu p paired with state weights."""
 
     mu: float
@@ -541,7 +537,7 @@ def symplectic_reconstruct(
     ratio = grid_limit / grid_step
     points = (2 * round(ratio) + 1) ** 2 if ratio < np.inf else ratio
     if points > SYMPLECTIC_POINT_LIMIT:
-        raise InfeasibleError(f"reconstruction grid of {points:,} points exceeds the "
+        raise InfeasibleError(f"reconstruction grid of {size_text(points)} points exceeds the "
                               f"{SYMPLECTIC_POINT_LIMIT:,}-point limit; use a coarser step")
     frame = provider.frame
     if len(frame.x_q) != n_trunc:
@@ -621,8 +617,7 @@ def state_tomogram_provider(rho: np.ndarray):
     return provider
 
 
-@dataclass(frozen=True)
-class QuasiSymbol:
+class QuasiSymbol(NamedTuple):
     """Operator A as basis^dag A basis, in the frame eigenbasis of one direction."""
 
     mu: float

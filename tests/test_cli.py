@@ -597,13 +597,18 @@ print(json.dumps(results))
 """
 
 
+def _child_env() -> dict:
+    """This process's environment with ``src`` first on the path and one BLAS thread."""
+    src = str(Path(groupoidal.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
 @pytest.fixture(scope="module")
 def refusals(tmp_path_factory):
-    src = str(Path(groupoidal.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = tmp_path_factory.mktemp("refused")
     proc = subprocess.run([sys.executable, "-c", _REFUSAL_CHILD, json.dumps(list(REFUSED_UP_FRONT)),
-                           str(out)], capture_output=True, text=True, env=env, timeout=300)
+                           str(out)], capture_output=True, text=True, env=_child_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout), out
 
@@ -616,6 +621,51 @@ def test_refused_before_the_first_allocation(refusals, argv):
     assert code == 3 and err.count("\n") == 1
     assert err.startswith("infeasible parameters: ") and REFUSED_UP_FRONT[argv] + " " in err
     assert list(out.iterdir()) == []
+
+
+# One argv in a child whose address space is capped at 1 GiB: the (625, 10^5)
+# coherent vectors of --nt 100000 (954 MiB) or the 1.9 GB lattice of --grid 11000
+# would end in a MemoryError there.
+_CAPPED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from groupoidal.cli import main
+sys.exit(main([*sys.argv[1].split(), "--out", sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize("argv, option", [
+    ("equiv coherent --nt 100000", "--nt 100000"),
+    ("equiv coherent --grid 11000", "--grid 11000"),
+    ("tomo photon --spacing 1e300", "--spacing 1e+300"),
+    ("tomo symplectic --reconstruct --step 1e-300", "--step 1e-300"),
+    ("tomo photon --reconstruct --radius 1e300", "--radius 1e+300"),
+    ("tomo spin --j 1e300", "--j 1e+300"),
+])
+def test_refusal_is_one_short_line_naming_the_option(tmp_path, argv, option):
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, argv, str(tmp_path)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 3 and proc.stderr.count("\n") == 1 and len(proc.stderr) < 200
+    assert proc.stderr.startswith("infeasible parameters: ") and option in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+# Prints the package's modules, whether dataclasses was imported, and any dataclass.
+_IMPORT_CHILD = """
+import inspect, json, sys
+import groupoidal.cli
+mods = [m for name, m in sys.modules.items() if name.startswith("groupoidal.")]
+print(json.dumps([len(mods), "dataclasses" in sys.modules,
+                  [c for m in mods for c, obj in vars(m).items()
+                   if inspect.isclass(obj) and hasattr(obj, "__dataclass_fields__")]]))
+"""
+
+
+def test_importing_the_cli_generates_no_dataclass():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHILD], capture_output=True, text=True,
+                          env=_child_env(), timeout=60, check=True)
+    assert json.loads(proc.stdout) == [6, False, []]
 
 
 class TestExitCodes:
@@ -783,8 +833,8 @@ class TestExitCodes:
         "argv, what",
         [
             ("tomo spin --j 1e6 --samples 1", "density matrix"),
-            ("tomo spin --j 1e300 --samples 1", "probability table"),
-            ("tomo spin --j 0 --samples 200000000", "angle array"),
+            ("tomo spin --j 1e300 --samples 1", "--j 1e+300 --samples 1: probability table"),
+            ("tomo spin --j 0 --samples 200000000", "--samples 200000000: angle array"),
             ("tomo photon --nt 100000", "density matrix"),
             ("tomo photon --reconstruct --nt 600 --radius 100 --spacing 0.25", "tomogram table"),
             ("equiv coherent --grid 100 --spacing 0.04", "--grid 100 --spacing 0.04 --nt 64: "
@@ -795,8 +845,9 @@ class TestExitCodes:
             ("axioms --pair 300", "--pair 300: composition table"),
             ("axioms --file {dir}/huge.json", "--file {dir}/huge.json: composition table"),
             ("axioms --group Z100000", "--group Z100000: cyclic group table"),
-            ("tomo photon --reconstruct --radius 1e6", "coherent lattice"),
-            ("tomo symplectic --reconstruct --step 1e-9", "reconstruction grid"),
+            ("tomo photon --reconstruct --radius 1e6",
+             "--radius 1000000.0 --spacing 0.2: coherent lattice"),
+            ("tomo symplectic --reconstruct --step 1e-9", "--L 6.0 --step 1e-09: reconstruction grid"),
         ],
     )
     def test_sizes_beyond_the_dense_limit_are_infeasible(self, tmp_path, capsys, argv, what):
@@ -806,8 +857,8 @@ class TestExitCodes:
         code = main([*argv.format(dir=tmp_path).split(), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 3 and err.count("\n") == 1
-        if what == "reconstruction grid":  # refused by its work, not by its bytes
-            assert err.startswith(f"infeasible parameters: {what} of 144,000,000,024,000,000,001 "
+        if what.endswith("reconstruction grid"):  # refused by its work, not by its bytes
+            assert err.startswith(f"infeasible parameters: {what} of 1.44e+20 "
                                   "points exceeds the 1,048,576-point limit; use a coarser step")
         else:
             assert err.startswith(f"infeasible parameters: {what.format(dir=tmp_path)} of shape")

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -370,6 +372,15 @@ class TestStorage:
             with pytest.raises(ValueError):
                 arr[0] = 0
         assert validate_axioms(G).all_passed
+
+    def test_fields_are_fixed_and_copies_rebuild(self):
+        G = pair_groupoid(3)
+        with pytest.raises(AttributeError, match="immutable"):
+            G.order = 4
+        with pytest.raises(AttributeError, match="immutable"):
+            del G.name
+        for H in (copy.deepcopy(G), pickle.loads(pickle.dumps(G))):
+            assert H == G and H.name == G.name and not H.compose.flags.writeable
 
     def test_lists_and_arrays_build_the_same_groupoid(self):
         G = pair_groupoid(2)

@@ -371,7 +371,7 @@ class TestSelfDualStorage:
         pair = coherent_pair(coherent_grid(5, 0.5), 64)
         m, d = len(pair.space), pair.hilbert_dim
         held = [pair.space.weights]
-        for v in vars(pair).values():
+        for v in (getattr(pair, name) for name in type(pair).__slots__):
             held += list(v) if isinstance(v, tuple) else [v]
         sizes = [v.size for v in held if isinstance(v, np.ndarray)]
         assert len(sizes) == 5 and max(sizes) == m * d < m * d * d

@@ -493,9 +493,9 @@ class TestPhotonReconstruction:
         op = np.zeros((4, 4), dtype=complex)
         op[:2, :2] = 100.0
         op[3, 1] = -7.0
-        rec = ReconstructionResult(op, "photon", n_trunc=4, reliable_dim=2, grid={})
+        rec = ReconstructionResult(op, "photon", n_trunc=4, reliable_dim=2, grid={}, params={})
         assert rec.report()["max_abs_beyond_reliable"] == 7.0
-        whole = ReconstructionResult(op, "photon", n_trunc=4, reliable_dim=4, grid={})
+        whole = ReconstructionResult(op, "photon", n_trunc=4, reliable_dim=4, grid={}, params={})
         assert whole.max_abs_beyond_reliable == 0.0
 
     def test_ordering_domain(self):
