@@ -73,7 +73,8 @@ def check_dense_size(shape: tuple, dtype, what: str) -> None:
     shape = tuple(map(int, shape))
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     if nbytes > MAX_DENSE_BYTES:
-        gib = nbytes / 2**30 if nbytes < 2**1023 else math.inf
+        # int / int raises OverflowError once the quotient leaves the float range
+        gib = nbytes / 2**30 if nbytes.bit_length() <= 1024 else math.inf
         raise InfeasibleError(
             f"{what} of shape {' x '.join(map(size_text, shape))} needs {gib:.3g} GiB, "
             f"above the {MAX_DENSE_BYTES / 2**30:g} GiB limit"
